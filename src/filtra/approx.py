@@ -18,8 +18,8 @@ from .conflation import (Conflation, connecting_map, et4_compose,
 from .errors import ExtObstruction, ValidationError, ZeroExt
 from .filtration import Filtration, extend, power_filtration
 from .linalg import Matrix
-from .quiverrep import (Representation, RepMorphism, ThetaFamily, direct_power,
-                        hom_coordinates, hom_space, iso_key)
+from .quiverrep import (Representation, RepMorphism, ThetaFamily, _canonical_key,
+                        direct_power, hom_coordinates, hom_space)
 
 __all__ = [
     "ApproxResult",
@@ -232,11 +232,6 @@ class VerifyReport:
         return all(ok for _, ok in self.entries)
 
 
-def _canonical_order(reps: Sequence[Representation]) -> list[Representation]:
-    return sorted(reps, key=lambda r: (r.total_dim, r.dim, iso_key(r),
-                                       tuple(m.a.tobytes() for m in r.maps)))
-
-
 def _postcomposition_surjective(before: Representation, after: Representation,
                                 f: RepMorphism, test: Representation) -> bool:
     """Is hom(after, test) -> hom(before, test), g -> g o f, surjective?"""
@@ -278,7 +273,7 @@ def verify_preenvelope(result: ApproxResult,
         raise ValidationError("verify_preenvelope needs an envelope result")
     x, y = result.triangle.A, result.triangle.B
     entries, skipped = [], []
-    for obj in _canonical_order(test_objects):
+    for obj in sorted(test_objects, key=_canonical_key):
         if not is_theta_injective(obj, result.theta):
             skipped.append(obj)
             continue
@@ -294,7 +289,7 @@ def verify_precover(result: ApproxResult,
         raise ValidationError("verify_precover needs a cover result")
     x, q = result.triangle.C, result.triangle.B
     entries, skipped = [], []
-    for obj in _canonical_order(test_objects):
+    for obj in sorted(test_objects, key=_canonical_key):
         if not is_theta_projective(obj, result.theta):
             skipped.append(obj)
             continue

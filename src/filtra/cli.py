@@ -78,7 +78,7 @@ def _matrix_from_entries(p: int, entries, rows: int, cols: int,
     if len(flat) != rows * cols:
         raise ValidationError(f"{where}: expected {rows * cols} entries, got {len(flat)}")
     for i, x in enumerate(flat):
-        a[divmod(i, cols)] = int(x)
+        a[divmod(i, cols)] = int(x) % p
     return Matrix(p, a)
 
 
@@ -287,6 +287,8 @@ def _filtration_doc(f: Filtration, theta_name: str) -> dict:
 
 def _rep_from_doc(ws: Workspace, doc: dict, where: str) -> Representation:
     dim = tuple(int(d) for d in doc["dim"])
+    if not isinstance(doc["maps"], dict):
+        raise ValidationError(f"{where}: maps must map arrow names to matrices")
     maps = {}
     for a in ws.quiver.arrows:
         entries = doc["maps"].get(a.name, [])
@@ -397,13 +399,13 @@ def _cmd_filter(ws: Workspace, args) -> int:
 
 
 def _cmd_reorder(ws: Workspace, args) -> int:
-    with open(args.filtration, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "filtration" in doc:
-        doc = doc["filtration"]
     try:
+        with open(args.filtration, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if "filtration" in doc:
+            doc = doc["filtration"]
         f, theta_name = _filtration_from_doc(ws, doc)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"invalid filtration document: {exc}") from exc
     _emit({"filtration": _filtration_doc(reorder(f), theta_name)})
     return 0

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from .linalg import Matrix
-from .quiverrep import Representation, RepMorphism, direct_sum
+from .quiverrep import (Representation, RepMorphism, _flatten, _hom_shapes,
+                        _intertwiner_system, _unflatten, direct_sum)
 
 __all__ = [
     "Conflation",
@@ -178,38 +179,22 @@ class Conflation:
 class ExtSpace:
     """The ext space E(C, A) in cocycle coordinates.
 
-    basis[k] is a cocycle family (one matrix per arrow) whose class is the
-    k-th coordinate vector; coordinates() is the corresponding projection,
-    well defined modulo coboundaries.  All choices come from the
+    The coboundary d is the intertwiner system of morphisms C -> A, the one
+    that hom_space eliminates: Hom(C, A) is its kernel and Ext(C, A) its
+    cokernel.  basis[k] is a cocycle family (one matrix per arrow) whose
+    class is the k-th coordinate vector; coordinates() is the corresponding
+    projection, well defined modulo coboundaries.  All choices come from the
     deterministic elimination in linalg, so bases are reproducible.
     """
 
     __slots__ = ("C", "A", "cocycle_shapes", "dimension",
-                 "_offsets", "_total", "_coboundary", "_projection", "_section")
+                 "_coboundary", "_projection", "_section")
 
     def __init__(self, C: Representation, A: Representation):
         if C.quiver != A.quiver or C.p != A.p:
             raise ValidationError("ext requires representations over the same quiver and field")
-        quiver, p = C.quiver, C.p
-        shapes = tuple((A.dim[a.target], C.dim[a.source]) for a in quiver.arrows)
-        sizes = [r * c for r, c in shapes]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        total = int(offsets[-1])
-        hom_sizes = [A.dim[v] * C.dim[v] for v in range(quiver.vertex_count)]
-        hom_offsets = np.concatenate([[0], np.cumsum(hom_sizes)]).astype(int)
-        hom_total = int(hom_offsets[-1])
-        d = np.zeros((total, hom_total), dtype=np.int64)
-        for k, a in enumerate(quiver.arrows):
-            if sizes[k] == 0:
-                continue
-            rows = slice(int(offsets[k]), int(offsets[k + 1]))
-            if hom_sizes[a.source]:
-                d[rows, hom_offsets[a.source]:hom_offsets[a.source + 1]] += np.kron(
-                    A.maps[k].a, np.eye(C.dim[a.source], dtype=np.int64))
-            if hom_sizes[a.target]:
-                d[rows, hom_offsets[a.target]:hom_offsets[a.target + 1]] -= np.kron(
-                    np.eye(A.dim[a.target], dtype=np.int64), C.maps[k].a.T)
-        coboundary = Matrix(p, d % p)
+        shapes = tuple((A.dim[a.target], C.dim[a.source]) for a in C.quiver.arrows)
+        coboundary = _intertwiner_system(C, A)
         projection, dimension = coboundary.cokernel_projection()
         section = projection.right_inverse()
         assert section is not None  # projection has full row rank
@@ -217,8 +202,6 @@ class ExtSpace:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "cocycle_shapes", shapes)
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_total", total)
         object.__setattr__(self, "_coboundary", coboundary)
         object.__setattr__(self, "_projection", projection)
         object.__setattr__(self, "_section", section)
@@ -233,21 +216,10 @@ class ExtSpace:
     def _flatten(self, cocycles: Sequence[Matrix]) -> Matrix:
         if len(cocycles) != len(self.cocycle_shapes):
             raise DimensionMismatch("one cocycle matrix per arrow required")
-        parts = []
         for m, shape in zip(cocycles, self.cocycle_shapes):
             if m.shape != shape:
                 raise DimensionMismatch(f"cocycle block has shape {m.shape}, expected {shape}")
-            parts.append(m.a.reshape(-1))
-        flat = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        return Matrix(self.p, flat.reshape(self._total, 1))
-
-    def _unflatten(self, flat: Matrix) -> tuple[Matrix, ...]:
-        vec = flat.a.reshape(-1)
-        out = []
-        for k, shape in enumerate(self.cocycle_shapes):
-            block = vec[int(self._offsets[k]):int(self._offsets[k + 1])]
-            out.append(Matrix(self.p, block, shape=shape))
-        return tuple(out)
+        return Matrix(self.p, _flatten(cocycles).reshape(-1, 1))
 
     def coordinates(self, cocycles: Sequence[Matrix]) -> tuple[int, ...]:
         coords = self._projection @ self._flatten(cocycles)
@@ -258,7 +230,8 @@ class ExtSpace:
         if len(coords) != self.dimension:
             raise DimensionMismatch(f"expected {self.dimension} coordinates, got {len(coords)}")
         col = Matrix(self.p, np.asarray(coords, dtype=np.int64).reshape(-1, 1))
-        return self._unflatten(self._section @ col)
+        return tuple(_unflatten(self.p, (self._section @ col).a.reshape(-1),
+                                self.cocycle_shapes))
 
     @property
     def basis(self) -> list["ExtClass"]:
@@ -280,14 +253,7 @@ class ExtSpace:
         h = self._coboundary.solve(self._flatten(cocycles))
         if h is None:
             return None
-        vec = h.a.reshape(-1)
-        out = []
-        pos = 0
-        for v in range(self.A.quiver.vertex_count):
-            size = self.A.dim[v] * self.C.dim[v]
-            out.append(Matrix(self.p, vec[pos:pos + size], shape=(self.A.dim[v], self.C.dim[v])))
-            pos += size
-        return out
+        return _unflatten(self.p, h.a.reshape(-1), _hom_shapes(self.C, self.A))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExtSpace) and self.C == other.C and self.A == other.A
@@ -633,57 +599,14 @@ def conflations_equivalent(c1: Conflation, c2: Conflation) -> Optional[RepMorphi
     if c1.A != c2.A or c1.C != c2.C:
         raise ValidationError("equivalence is only defined over equal end objects")
     B1, B2 = c1.B, c2.B
-    quiver, p = B1.quiver, B1.p
-    sizes = [B2.dim[v] * B1.dim[v] for v in range(quiver.vertex_count)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    total = int(offsets[-1])
-    rows, rhs = [], []
-    for k, a in enumerate(quiver.arrows):
-        nrows = B2.dim[a.target] * B1.dim[a.source]
-        if nrows == 0:
-            continue
-        block = np.zeros((nrows, total), dtype=np.int64)
-        if sizes[a.source]:
-            block[:, offsets[a.source]:offsets[a.source + 1]] += np.kron(
-                B2.maps[k].a, np.eye(B1.dim[a.source], dtype=np.int64))
-        if sizes[a.target]:
-            block[:, offsets[a.target]:offsets[a.target + 1]] -= np.kron(
-                np.eye(B2.dim[a.target], dtype=np.int64), B1.maps[k].a.T)
-        rows.append(block)
-        rhs.append(np.zeros(nrows, dtype=np.int64))
-    for v in range(quiver.vertex_count):
-        # b_v x1_v = x2_v
-        nrows = B2.dim[v] * c1.A.dim[v]
-        if nrows:
-            block = np.zeros((nrows, total), dtype=np.int64)
-            if sizes[v]:
-                block[:, offsets[v]:offsets[v + 1]] = np.kron(
-                    np.eye(B2.dim[v], dtype=np.int64), c1.x.components[v].a.T)
-            rows.append(block)
-            rhs.append(c2.x.components[v].a.reshape(-1))
-        # y2_v b_v = y1_v
-        nrows = c2.C.dim[v] * B1.dim[v]
-        if nrows:
-            block = np.zeros((nrows, total), dtype=np.int64)
-            if sizes[v]:
-                block[:, offsets[v]:offsets[v + 1]] = np.kron(
-                    c2.y.components[v].a, np.eye(B1.dim[v], dtype=np.int64))
-            rows.append(block)
-            rhs.append(c1.y.components[v].a.reshape(-1))
-    if rows:
-        system = Matrix(p, np.vstack(rows) % p)
-        rhs_col = Matrix(p, np.concatenate(rhs).reshape(-1, 1))
-    else:
-        system = Matrix.zeros(p, 0, total)
-        rhs_col = Matrix.zeros(p, 0, 1)
-    solution = system.solve(rhs_col)
+    system = _intertwiner_system(B1, B2, c1.x.components, c2.y.components)
+    extra = _flatten([m for v in range(B1.quiver.vertex_count)
+                      for m in (c2.x.components[v], c1.y.components[v])])
+    rhs = np.concatenate([np.zeros(system.rows - extra.size, dtype=np.int64), extra])
+    solution = system.solve(Matrix(B1.p, rhs.reshape(-1, 1)))
     if solution is None:
         return None
-    vec = solution.a.reshape(-1)
-    comps = []
-    for v in range(quiver.vertex_count):
-        block = vec[int(offsets[v]):int(offsets[v + 1])]
-        comps.append(Matrix(p, block, shape=(B2.dim[v], B1.dim[v])))
+    comps = _unflatten(B1.p, solution.a.reshape(-1), _hom_shapes(B1, B2))
     morphism = RepMorphism(B1, B2, comps)
     if not morphism.is_isomorphism():
         raise ValidationError("solved comparison map is not invertible; exactness is broken")

@@ -16,14 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 
-__all__ = [
-    "PrimeField",
-    "Matrix",
-    "rank",
-    "kernel_basis",
-    "solve",
-    "cokernel_projection",
-]
+__all__ = ["PrimeField", "Matrix"]
 
 
 def _is_prime(n: int) -> bool:
@@ -101,10 +94,6 @@ class Matrix:
                 raise DimensionMismatch("empty row list needs an explicit column count")
             return Matrix.zeros(p, 0, cols)
         return Matrix(p, [list(r) for r in rows])
-
-    @staticmethod
-    def column(p: int, entries: Sequence[int]) -> "Matrix":
-        return Matrix(p, np.asarray(list(entries), dtype=np.int64).reshape(len(entries), 1))
 
     # -- basic queries -----------------------------------------------------
 
@@ -280,10 +269,7 @@ class Matrix:
     def inverse(self) -> Optional["Matrix"]:
         if self.rows != self.cols:
             return None
-        inv = self.right_inverse()
-        if inv is None:
-            return None
-        return inv
+        return self.right_inverse()
 
     def cokernel_projection(self) -> tuple["Matrix", int]:
         """Deterministic model of the quotient F_p^rows / column space.
@@ -300,21 +286,3 @@ class Matrix:
         _, pivots = self.rref()
         return Matrix(self.p, self.a[:, list(pivots)])
 
-
-# -- functional aliases (the operation names used across the package) ------
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    return m.kernel_basis()
-
-
-def solve(m: Matrix, rhs: Matrix) -> Optional[Matrix]:
-    return m.solve(rhs)
-
-
-def cokernel_projection(m: Matrix) -> tuple[Matrix, int]:
-    return m.cokernel_projection()

@@ -374,14 +374,65 @@ class RepMorphism:
 _hom_cache: dict[tuple[Representation, Representation], tuple[RepMorphism, ...]] = {}
 
 
+def _hom_shapes(m: Representation, n: Representation) -> list[tuple[int, int]]:
+    return [(dn, dm) for dm, dn in zip(m.dim, n.dim)]
+
+
+def _flatten(blocks: Sequence[Matrix]) -> np.ndarray:
+    """The entries of the blocks, each flattened row-major, one block after another."""
+    if not blocks:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate([b.a.reshape(-1) for b in blocks])
+
+
+def _unflatten(p: int, vec: np.ndarray, shapes: Sequence[tuple[int, int]]) -> list[Matrix]:
+    """Inverse of _flatten for blocks of the given shapes."""
+    out, pos = [], 0
+    for r, c in shapes:
+        out.append(Matrix(p, vec[pos:pos + r * c], shape=(r, c)))
+        pos += r * c
+    return out
+
+
+def _intertwiner_system(m: Representation, n: Representation,
+                        x: Sequence[Matrix] = (), y: Sequence[Matrix] = ()) -> Matrix:
+    """The linear system of morphisms m -> n in _flatten coordinates.
+
+    One block row per arrow a: i -> j holds n_a f_i - f_j m_a, so the
+    kernel is Hom(m, n) and, for m = C and n = A, the cokernel is Ext(C, A)
+    (Ringel's standard exact sequence).  Given one map x_v into m_v and one
+    map y_v out of n_v per vertex, the rows of f_v x_v and y_v f_v follow,
+    vertex by vertex: the extra equations of an equivalence of conflations.
+    """
+    offsets = list(itertools.accumulate((r * c for r, c in _hom_shapes(m, n)), initial=0))
+    # (height, terms): the rows of the sum of L @ f_v @ R over the terms
+    # (v, L, R), where None stands for an identity
+    equations = [(n.dim[a.target] * m.dim[a.source],
+                  [(a.source, na.a, None), (a.target, None, -ma.a)])
+                 for a, ma, na in zip(m.quiver.arrows, m.maps, n.maps)]
+    for v, (xv, yv) in enumerate(zip(x, y)):
+        equations += [(n.dim[v] * xv.cols, [(v, None, xv.a)]),
+                      (yv.rows * m.dim[v], [(v, yv.a, None)])]
+    system = np.zeros((sum(height for height, _ in equations), offsets[-1]), dtype=np.int64)
+    start = 0
+    for height, terms in equations:
+        for v, left, right in terms:
+            if height and offsets[v + 1] > offsets[v]:
+                left = np.eye(n.dim[v], dtype=np.int64) if left is None else left
+                right = np.eye(m.dim[v], dtype=np.int64) if right is None else right
+                # vec(L f R) = (L kron R^T) vec(f) for the row-major vec
+                system[start:start + height, offsets[v]:offsets[v + 1]] += np.kron(left, right.T)
+        start += height
+    return Matrix(m.p, system)
+
+
 def hom_space(m: Representation, n: Representation) -> list[RepMorphism]:
     """Deterministic basis of the space of morphisms m -> n.
 
-    The intertwiner equations are assembled into one linear system (one block
-    row per arrow, one block column per vertex, row-major flattening) and the
-    kernel basis of that system is unpacked into morphisms.  Results are
-    cached; the cache is semantically invisible since all inputs and outputs
-    are immutable.
+    Hom(m, n) is the kernel of the intertwiner system (_intertwiner_system),
+    the same system whose cokernel is Ext(m, n); its kernel basis is
+    unpacked into morphisms.  Results are cached; the cache is semantically
+    invisible since all inputs and outputs are immutable.
     """
     if m.quiver != n.quiver or m.p != n.p:
         raise ValidationError("hom requires representations over the same quiver and field")
@@ -389,38 +440,10 @@ def hom_space(m: Representation, n: Representation) -> list[RepMorphism]:
     cached = _hom_cache.get(key)
     if cached is not None:
         return list(cached)
-    p = m.p
-    sizes = [n.dim[v] * m.dim[v] for v in range(m.quiver.vertex_count)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    total = int(offsets[-1])
-    rows = []
-    for a, ma, na in zip(m.quiver.arrows, m.maps, n.maps):
-        block_rows = n.dim[a.target] * m.dim[a.source]
-        if block_rows == 0:
-            continue
-        row = np.zeros((block_rows, total), dtype=np.int64)
-        # vec(N_a @ f_src) = (N_a kron I) vec(f_src), row-major vec
-        if sizes[a.source]:
-            row[:, offsets[a.source]:offsets[a.source + 1]] = np.kron(
-                na.a, np.eye(m.dim[a.source], dtype=np.int64))
-        # vec(f_tgt @ M_a) = (I kron M_a^T) vec(f_tgt)
-        if sizes[a.target]:
-            row[:, offsets[a.target]:offsets[a.target + 1]] -= np.kron(
-                np.eye(n.dim[a.target], dtype=np.int64), ma.a.T)
-        rows.append(row)
-    if rows:
-        system = Matrix(p, np.vstack(rows) % p)
-    else:
-        system = Matrix.zeros(p, 0, total)
-    kernel = system.kernel_basis()
-    basis = []
-    for k in range(kernel.cols):
-        vec = kernel.a[:, k]
-        comps = []
-        for v in range(m.quiver.vertex_count):
-            block = vec[offsets[v]:offsets[v + 1]]
-            comps.append(Matrix(p, block, shape=(n.dim[v], m.dim[v])))
-        basis.append(RepMorphism(m, n, comps, check=False))
+    kernel = _intertwiner_system(m, n).kernel_basis()
+    shapes = _hom_shapes(m, n)
+    basis = [RepMorphism(m, n, _unflatten(m.p, kernel.a[:, k], shapes), check=False)
+             for k in range(kernel.cols)]
     _hom_cache[key] = tuple(basis)
     return basis
 
@@ -428,16 +451,12 @@ def hom_space(m: Representation, n: Representation) -> list[RepMorphism]:
 def hom_coordinates(f: RepMorphism, basis: Sequence[RepMorphism]) -> Matrix:
     """Coordinates of f in a hom-space basis (column vector)."""
     p = f.source.p
-    def flatten(g: RepMorphism) -> np.ndarray:
-        if g.components:
-            return np.concatenate([m.a.reshape(-1) for m in g.components])
-        return np.zeros(0, dtype=np.int64)
     if not basis:
         if not f.is_zero():
             raise ValidationError("morphism is not in the span of an empty basis")
         return Matrix.zeros(p, 0, 1)
-    b = Matrix(p, np.stack([flatten(g) for g in basis], axis=1))
-    x = b.solve(Matrix(p, flatten(f).reshape(-1, 1)))
+    b = Matrix(p, np.stack([_flatten(g.components) for g in basis], axis=1))
+    x = b.solve(Matrix(p, _flatten(f.components).reshape(-1, 1)))
     if x is None:
         raise ValidationError("morphism is not in the span of the given basis")
     return x
@@ -458,10 +477,6 @@ def _hom_component_stacks(basis: Sequence[RepMorphism], m: Representation,
 def _combo_components(coeffs: np.ndarray, stacks: list[np.ndarray], p: int) -> list[np.ndarray]:
     return [np.tensordot(coeffs, s, axes=1) % p if s.shape[0] else s.sum(axis=0)
             for s in stacks]
-
-
-def _rank_np(a: np.ndarray, p: int) -> int:
-    return Matrix(p, a).rank()
 
 
 # -- direct sums ------------------------------------------------------------
@@ -515,45 +530,10 @@ def direct_power(m: Representation, k: int) -> Representation:
     return acc
 
 
-def power_injections(m: Representation, k: int) -> list[RepMorphism]:
-    """The k canonical injections m -> m^k (direct_power layout)."""
-    power = direct_power(m, k)
-    p = m.p
-    out = []
-    for idx in range(k):
-        comps = []
-        for v in range(m.quiver.vertex_count):
-            d = m.dim[v]
-            blocks = [Matrix.zeros(p, d * idx, d),
-                      Matrix.identity(p, d),
-                      Matrix.zeros(p, d * (k - idx - 1), d)]
-            comps.append(Matrix.vstack(p, blocks, cols=d))
-        out.append(RepMorphism(m, power, comps, check=False))
-    return out
-
-
-def power_projections(m: Representation, k: int) -> list[RepMorphism]:
-    """The k canonical projections m^k -> m (direct_power layout)."""
-    power = direct_power(m, k)
-    p = m.p
-    out = []
-    for idx in range(k):
-        comps = []
-        for v in range(m.quiver.vertex_count):
-            d = m.dim[v]
-            blocks = [Matrix.zeros(p, d, d * idx),
-                      Matrix.identity(p, d),
-                      Matrix.zeros(p, d, d * (k - idx - 1))]
-            comps.append(Matrix.hstack(p, blocks, rows=d))
-        out.append(RepMorphism(power, m, comps, check=False))
-    return out
-
-
 # -- subobjects and quotients ------------------------------------------------
 
 def kernel_sub(f: RepMorphism) -> tuple[Representation, RepMorphism]:
     """Kernel subrepresentation with its inclusion into f.source."""
-    p = f.source.p
     bases = [m.kernel_basis() for m in f.components]
     return _sub_from_bases(f.source, bases)
 
@@ -578,15 +558,6 @@ def _sub_from_bases(ambient: Representation,
     sub = Representation(quiver, p, dim, maps)
     incl = RepMorphism(sub, ambient, bases, check=False)
     return sub, incl
-
-
-def subrep_from_subspaces(ambient: Representation,
-                          bases: Sequence[Matrix]) -> tuple[Representation, RepMorphism]:
-    """Subrepresentation spanned by the given vertexwise column bases.
-
-    Raises ValidationError when the subspaces are not arrow-closed.
-    """
-    return _sub_from_bases(ambient, bases)
 
 
 def cokernel_quot(f: RepMorphism) -> tuple[Representation, RepMorphism]:
@@ -625,6 +596,11 @@ def iso_key(m: Representation):
     return (m.dim, arrow_ranks, tuple(path_ranks))
 
 
+def _canonical_key(m: Representation):
+    """Sort key of the deterministic orders: (total dim, dim, iso_key, map bytes)."""
+    return (m.total_dim, m.dim, iso_key(m), tuple(mm.a.tobytes() for mm in m.maps))
+
+
 def _invariants_match(m: Representation, n: Representation) -> bool:
     if m.dim != n.dim or iso_key(m) != iso_key(n):
         return False
@@ -653,7 +629,7 @@ def _invertible_combo_search(m: Representation, n: Representation) -> Optional[R
     def witness_from(coeffs: np.ndarray) -> Optional[RepMorphism]:
         comps = _combo_components(coeffs, stacks, p)
         for v, c in enumerate(comps):
-            if c.shape[0] != c.shape[1] or _rank_np(c, p) != c.shape[0]:
+            if c.shape[0] != c.shape[1] or Matrix(p, c).rank() != c.shape[0]:
                 return None
         return RepMorphism(m, n, [Matrix(p, c) for c in comps], check=False)
 
@@ -854,11 +830,7 @@ def krull_schmidt(m: Representation) -> list[tuple[Representation, int]]:
                 break
         else:
             groups.append((piece, 1))
-    def sort_key(item):
-        rep, _ = item
-        return (rep.total_dim, rep.dim, iso_key(rep),
-                tuple(mm.a.tobytes() for mm in rep.maps))
-    return sorted(groups, key=sort_key)
+    return sorted(groups, key=lambda item: _canonical_key(item[0]))
 
 
 # -- enumeration --------------------------------------------------------------
@@ -902,8 +874,7 @@ def enumerate_indecomposables(quiver: Quiver, p: int,
             if any(is_isomorphic(rep, seen) for seen in found if seen.dim == dim):
                 continue
             found.append(rep)
-    found.sort(key=lambda r: (r.total_dim, r.dim, iso_key(r),
-                              tuple(mm.a.tobytes() for mm in r.maps)))
+    found.sort(key=_canonical_key)
     _indec_cache[key] = tuple(found)
     return list(found)
 
@@ -933,8 +904,7 @@ def enumerate_reps(quiver: Quiver, p: int, max_dim: Sequence[int]) -> list[Repre
                        tuple(r - d for d, r in zip(piece.dim, remaining)))
 
     extend(0, Representation.zero(quiver, p), bound)
-    results.sort(key=lambda r: (r.total_dim, r.dim, iso_key(r),
-                                tuple(mm.a.tobytes() for mm in r.maps)))
+    results.sort(key=_canonical_key)
     _reps_cache[key] = tuple(results)
     return list(results)
 

@@ -147,6 +147,31 @@ def test_cli_reorder_from_file(capsys, tmp_path):
     assert labels == sorted(labels, reverse=True)
 
 
+@pytest.mark.parametrize("case", ["malformed json", "non-integer dim", "maps as a list",
+                                  "entry past int64"])
+def test_cli_bad_input_never_raises(capsys, tmp_path, case):
+    ws = tmp_path / "a2.ws"
+    ws.write_text(MINIMAL)
+    if case == "entry past int64":
+        # entries are residues mod p, so the workspace is valid and reads as entry 1
+        expected = run(capsys, "-w", str(ws), "hom", "P1", "P1")
+        ws.write_text(MINIMAL.replace("mat a 1 1 1", "mat a 1 1 99999999999999999999999"))
+        assert run(capsys, "-w", str(ws), "hom", "P1", "P1") == expected
+        return
+    status, doc = run(capsys, "-w", str(ws), "filter", "P1", "--theta", "full")
+    assert status == 0
+    step = doc["filtration"]["steps"][0]
+    if case == "non-integer dim":
+        step["sub"]["dim"] = ["one", 0]
+    elif case == "maps as a list":
+        step["middle"]["maps"] = [[[1]]]
+    path = tmp_path / "f.json"
+    path.write_text("{not json" if case == "malformed json" else json.dumps(doc))
+    status, doc = run(capsys, "-w", str(ws), "reorder", "--filtration", str(path))
+    assert status == 2
+    assert list(doc) == ["error"]
+
+
 def test_cli_precover(capsys):
     status, doc = run(capsys, "-w", A2_WS, "precover", "S1", "--theta", "full",
                       "--verify", "--max-dim", "3,3")

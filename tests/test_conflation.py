@@ -195,7 +195,7 @@ def test_conflation_direct_sum_adds_classes(s1, s2):
     assert not split
 
 
-def test_conflations_equivalent_same_class(s1, s2):
+def test_conflations_equivalent_same_class(s1, s2, a3):
     space = ext_space(s1, s2)
     c1 = realize(space.element([1]))
     rng = random.Random(30)
@@ -206,6 +206,19 @@ def test_conflations_equivalent_same_class(s1, s2):
     # the split conflation over the same ends is not equivalent
     c3 = Conflation.split(s2, s1)
     assert conflations_equivalent(c1, c3) is None
+    # over A3 at p = 3 the middle objects have nontrivial automorphisms, so
+    # the comparison map is a genuine solve rather than the identity
+    moved = 0
+    for _ in range(30):
+        c1 = random_conflation(rng, a3, 3, (2, 2, 2))
+        c2 = scramble_middle(rng, c1)
+        moved += c2.x != c1.x
+        b = conflations_equivalent(c1, c2)
+        assert b is not None and b.is_isomorphism()
+        assert b @ c1.x == c2.x and c2.y @ b == c1.y
+        split = conflations_equivalent(c1, Conflation.split(c1.A, c1.C))
+        assert (split is None) == (not class_of(c1).is_zero())
+    assert moved >= 20
 
 
 def test_identity_conflations(s2):
