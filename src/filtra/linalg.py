@@ -5,6 +5,14 @@ represents a linear map F_p^c -> F_p^r and composition g o f is the product
 g @ f.  Elimination always picks the leftmost available pivot, so ranks,
 kernels, solutions and quotient projections are deterministic: repeated calls
 yield bit-identical results.
+
+``Matrix.rref`` picks one of two Gauss-Jordan eliminations by the number of
+entries.  Matrices of at most ``_RREF_SMALL_ENTRIES`` (100) entries are
+eliminated as Python int lists, where numpy's per-call overhead would cost
+more than the arithmetic.  Larger ones get one numpy rank-1 update per
+pivot, applied only to the rows with a nonzero entry in the pivot column and
+only to the columns from the pivot column onward.  The reduced row echelon
+form is unique, so both give the same matrix and pivots.
 """
 
 from __future__ import annotations
@@ -17,6 +25,10 @@ import numpy as np
 from .errors import DimensionMismatch, ValidationError
 
 __all__ = ["PrimeField", "Matrix"]
+
+# Matrix.rref eliminates matrices of at most this many entries as Python int
+# rows; perfbench's RREF_SMALL_ENTRIES splits its traced rref time here too
+_RREF_SMALL_ENTRIES = 100
 
 
 def _is_prime(n: int) -> bool:
@@ -201,29 +213,13 @@ class Matrix:
         Returns (R, pivots) where pivots lists the pivot column of each
         nonzero row of R in order.
         """
-        p = self.p
-        a = np.array(self.a, dtype=np.int64)
-        m, n = a.shape
-        pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            rows_below = np.nonzero(a[r:, c])[0]
-            if rows_below.size == 0:
-                continue
-            i = r + int(rows_below[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            inv = pow(int(a[r, c]), p - 2, p)
-            a[r] = (a[r] * inv) % p
-            for j in range(m):
-                if j != r and a[j, c] != 0:
-                    a[j] = (a[j] - a[j, c] * a[r]) % p
-            pivots.append(c)
-            r += 1
-        a.setflags(write=False)
-        return Matrix(p, a), tuple(pivots)
+        m, n = self.shape
+        if m * n <= _RREF_SMALL_ENTRIES:
+            rows, pivots = _rref_int_rows(self.a.tolist(), n, self.p)
+            a = np.array(rows, dtype=np.int64).reshape(m, n)
+        else:
+            a, pivots = _rref_rank1(self.a, self.p)
+        return Matrix(self.p, a), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -235,13 +231,12 @@ class Matrix:
         minus the echelon entry at each pivot position, 0 elsewhere.
         """
         R, pivots = self.rref()
-        n = self.cols
-        free = [c for c in range(n) if c not in pivots]
-        basis = np.zeros((n, len(free)), dtype=np.int64)
-        for k, f in enumerate(free):
-            basis[f, k] = 1
-            for i, pc in enumerate(pivots):
-                basis[pc, k] = (-R.a[i, f]) % self.p
+        is_free = np.ones(self.cols, dtype=bool)
+        is_free[list(pivots)] = False
+        free = np.flatnonzero(is_free)
+        basis = np.zeros((self.cols, free.size), dtype=np.int64)
+        basis[free, np.arange(free.size)] = 1
+        basis[list(pivots)] = -R.a[:len(pivots), free]
         return Matrix(self.p, basis)
 
     def solve(self, rhs: "Matrix") -> Optional["Matrix"]:
@@ -259,8 +254,7 @@ class Matrix:
         if any(c >= n for c in pivots):
             return None
         x = np.zeros((n, rhs.cols), dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            x[pc] = R.a[i, n:]
+        x[list(pivots)] = R.a[:len(pivots), n:]
         return Matrix(self.p, x)
 
     def right_inverse(self) -> Optional["Matrix"]:
@@ -286,3 +280,56 @@ class Matrix:
         _, pivots = self.rref()
         return Matrix(self.p, self.a[:, list(pivots)])
 
+
+def _rref_int_rows(rows: list[list[int]], n: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination of a small matrix held as Python int rows."""
+    m = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        i = next((i for i in range(r, m) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        pivot_row = rows[r] = [x * inv % p for x in rows[r]]
+        for j, row in enumerate(rows):
+            f = row[c]
+            if f and j != r:
+                rows[j] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _rref_rank1(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan elimination with one rank-1 numpy update per pivot.
+
+    Rows from r down are zero left of column c, so the swap, the scaling and
+    the update touch only columns c onward.  Entries stay in [0, p) and
+    p < 2**15, so the products cannot overflow int64.
+    """
+    a = a.copy()
+    m, n = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        below = np.flatnonzero(a[r:, c])
+        if below.size == 0:
+            continue
+        i = r + int(below[0])
+        if i != r:
+            a[[r, i], c:] = a[[i, r], c:]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        factors = a[:, c].copy()
+        factors[r] = 0
+        targets = np.flatnonzero(factors)
+        if targets.size:
+            a[targets, c:] = (a[targets, c:] - np.outer(factors[targets], a[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots

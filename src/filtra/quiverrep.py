@@ -394,6 +394,17 @@ def _unflatten(p: int, vec: np.ndarray, shapes: Sequence[tuple[int, int]]) -> li
     return out
 
 
+def _kron_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """L kron R^T, so that vec(L f R) = (L kron R^T) vec(f) for the row-major vec.
+
+    A broadcast product: numpy's generic kron costs several times more on
+    the tiny blocks that most systems are made of.
+    """
+    rt = right.T
+    return (left[:, None, :, None] * rt[None, :, None, :]).reshape(
+        left.shape[0] * rt.shape[0], left.shape[1] * rt.shape[1])
+
+
 def _intertwiner_system(m: Representation, n: Representation,
                         x: Sequence[Matrix] = (), y: Sequence[Matrix] = ()) -> Matrix:
     """The linear system of morphisms m -> n in _flatten coordinates.
@@ -420,8 +431,7 @@ def _intertwiner_system(m: Representation, n: Representation,
             if height and offsets[v + 1] > offsets[v]:
                 left = np.eye(n.dim[v], dtype=np.int64) if left is None else left
                 right = np.eye(m.dim[v], dtype=np.int64) if right is None else right
-                # vec(L f R) = (L kron R^T) vec(f) for the row-major vec
-                system[start:start + height, offsets[v]:offsets[v + 1]] += np.kron(left, right.T)
+                system[start:start + height, offsets[v]:offsets[v + 1]] += _kron_block(left, right)
         start += height
     return Matrix(m.p, system)
 

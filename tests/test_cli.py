@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from filtra import ParseError, ValidationError
+from filtra import ParseError, ValidationError, filtration
 from filtra.cli import main, parse_workspace, serialize_workspace
 
 DATA = Path(__file__).parent / "data"
@@ -205,8 +205,18 @@ def test_cli_missing_workspace_exits_2(capsys):
     assert "workspace" in doc["error"]
 
 
+def test_cli_filter_over_f3(capsys, tmp_path):
+    # runs before test_cli_budget_env and leaves this decision in the memo
+    ws = tmp_path / "a2f3.ws"
+    ws.write_text(MINIMAL.replace("field 2", "field 3"))
+    status, doc = run(capsys, "-w", str(ws), "filter", "P1", "--theta", "full")
+    assert status == 0
+    assert doc["member"] is True
+
+
 def test_cli_budget_env(capsys, monkeypatch, tmp_path):
-    # a field the decision memo has never seen, so the search actually runs
+    # an empty decision memo, so the search runs whatever the process decided before
+    monkeypatch.setattr(filtration, "_decide_memo", {})
     ws = tmp_path / "a2f3.ws"
     ws.write_text(MINIMAL.replace("field 2", "field 3"))
     monkeypatch.setenv("FILTRA_BUDGET", "1")

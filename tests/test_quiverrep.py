@@ -2,13 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from filtra import (Quiver, RepMorphism, Representation, ThetaFamily,
+from filtra import (Matrix, Quiver, RepMorphism, Representation, ThetaFamily,
                     ValidationError, direct_power, direct_sum,
                     enumerate_indecomposables, enumerate_reps, euler_pairing,
                     hom_space, is_indecomposable, is_isomorphic, iso_witness,
                     krull_schmidt)
+from filtra import quiverrep
 from filtra.quiverrep import enumerate_subreps
 
 
@@ -147,3 +149,35 @@ def test_theta_family_ordering_enforced(s1, s2):
 def test_theta_family_rejects_zero_member(a2, s1):
     with pytest.raises(ValidationError):
         ThetaFamily((s1, Representation.zero(a2, 2)))
+
+
+def test_intertwiner_blocks_match_numpy_kron(monkeypatch):
+    # 2040 random pairs, zero vertex dimensions included; half of them also
+    # carry the extra rows of a conflation equivalence
+    rng = random.Random(12)
+    quivers = [
+        (Quiver.from_edges(2, [("a", 0, 1)]), (3, 3)),
+        (Quiver.from_edges(3, [("a", 0, 1), ("b", 1, 2)]), (2, 2, 2)),
+        (Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)]), (3, 3)),
+        (Quiver.from_edges(4, [("a", 0, 1), ("b", 0, 2), ("c", 0, 3)]), (3, 2, 2, 2)),
+    ]
+    cases = []
+    for quiver, bound in quivers:
+        for p in (2, 3, 5):
+            for k in range(170):
+                m = Representation.random(quiver, p, bound, rng)
+                n = Representation.random(quiver, p, bound, rng)
+                x = y = ()
+                if k % 2:
+                    x = [Matrix(p, [[rng.randrange(p) for _ in range(d)] for _ in range(dm)],
+                                shape=(dm, d)) for dm, d in zip(m.dim, bound)]
+                    y = [Matrix(p, [[rng.randrange(p) for _ in range(dn)] for _ in range(d)],
+                                shape=(d, dn)) for dn, d in zip(n.dim, bound)]
+                cases.append((m, n, x, y))
+    systems = [quiverrep._intertwiner_system(*case) for case in cases]
+    monkeypatch.setattr(quiverrep, "_kron_block", lambda left, right: np.kron(left, right.T))
+    assert len(cases) == 2040
+    for case, system in zip(cases, systems):
+        expected = quiverrep._intertwiner_system(*case)
+        assert system.shape == expected.shape
+        assert system.a.tobytes() == expected.a.tobytes()
