@@ -6,8 +6,8 @@ procedure with an independent oracle, and preenvelope/precover constructions.
 """
 
 from .errors import (Budget, BudgetExceeded, DimensionMismatch, ExtObstruction,
-                     FiltraError, ParseError, SearchBoundExceeded,
-                     ValidationError, ZeroExt, default_budget)
+                     FiltraError, ParseError, ValidationError, ZeroExt,
+                     default_budget)
 from .linalg import Matrix, PrimeField
 from .quiverrep import (Arrow, Quiver, RepMorphism, Representation, ThetaFamily,
                         direct_sum, direct_power, enumerate_indecomposables,

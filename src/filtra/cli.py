@@ -29,7 +29,7 @@ import numpy as np
 from .approx import (ApproxResult, perp_class, precover, preenvelope,
                      verify_precover, verify_preenvelope)
 from .conflation import Conflation, ext_space, realize
-from .errors import Budget, FiltraError, ParseError, ValidationError
+from .errors import FiltraError, ParseError, ValidationError, searching
 from .filtration import (Filtration, FiltrationStep, decide_filtered,
                          oracle_filtered, reorder)
 from .linalg import Matrix, PrimeField
@@ -387,10 +387,10 @@ def _cmd_filter(ws: Workspace, args) -> int:
     theta = ws.theta_family(args.theta)
     m = ws.rep(args.module)
     if args.oracle:
-        member = oracle_filtered(m, theta, Budget())
+        member = oracle_filtered(m, theta)
         _emit({"member": member})
         return 0 if member else 1
-    f = decide_filtered(m, theta, Budget())
+    f = decide_filtered(m, theta)
     if f is None:
         _emit({"member": False})
         return 1
@@ -523,41 +523,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    if args.command == "selftest":
+        return _cmd_selftest(args)
+    if not args.workspace:
+        raise ValidationError("--workspace is required for this command")
+    with open(args.workspace, "r", encoding="utf-8") as fh:
+        ws = parse_workspace(fh.read())
+    if args.command == "hom":
+        return _cmd_hom(ws, args)
+    if args.command == "ext":
+        return _cmd_ext(ws, args)
+    if args.command == "realize":
+        return _cmd_realize(ws, args)
+    if args.command == "check-theta":
+        return _cmd_check_theta(ws, args)
+    if args.command == "filter":
+        return _cmd_filter(ws, args)
+    if args.command == "reorder":
+        return _cmd_reorder(ws, args)
+    if args.command == "preenvelope":
+        return _cmd_approx(ws, args, "envelope")
+    if args.command == "precover":
+        return _cmd_approx(ws, args, "cover")
+    if args.command == "perp":
+        return _cmd_perp(ws, args)
+    if args.command == "enumerate":
+        return _cmd_enumerate(ws, args)
+    raise ValidationError(f"unknown command {args.command!r}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command under one search budget (FILTRA_BUDGET, if set)."""
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        if not args.workspace:
-            raise ValidationError("--workspace is required for this command")
-        with open(args.workspace, "r", encoding="utf-8") as fh:
-            ws = parse_workspace(fh.read())
-        if args.command == "hom":
-            return _cmd_hom(ws, args)
-        if args.command == "ext":
-            return _cmd_ext(ws, args)
-        if args.command == "realize":
-            return _cmd_realize(ws, args)
-        if args.command == "check-theta":
-            return _cmd_check_theta(ws, args)
-        if args.command == "filter":
-            return _cmd_filter(ws, args)
-        if args.command == "reorder":
-            return _cmd_reorder(ws, args)
-        if args.command == "preenvelope":
-            return _cmd_approx(ws, args, "envelope")
-        if args.command == "precover":
-            return _cmd_approx(ws, args, "cover")
-        if args.command == "perp":
-            return _cmd_perp(ws, args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(ws, args)
-        raise ValidationError(f"unknown command {args.command!r}")
-    except FiltraError as exc:
-        _emit({"error": str(exc)})
-        return 2
-    except OSError as exc:
+        with searching():
+            return _run(args)
+    except (FiltraError, OSError) as exc:
         _emit({"error": str(exc)})
         return 2
 

@@ -148,12 +148,6 @@ class Conflation:
             raise ValidationError("quotient transport needs an isomorphism out of C")
         return Conflation(self.A, self.B, phi.target, self.x, phi @ self.y)
 
-    def with_sub(self, phi: RepMorphism) -> "Conflation":
-        """Replace A by an isomorphic object via phi: A -> A'."""
-        if phi.source != self.A or not phi.is_isomorphism():
-            raise ValidationError("sub transport needs an isomorphism out of A")
-        return Conflation(phi.target, self.B, self.C, self.x @ phi.inverse(), self.y)
-
     # -- vertexwise splitting data -------------------------------------------
 
     def splitting_data(self) -> tuple[list[Matrix], list[Matrix]]:

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import os
+from typing import Iterator, Optional
 
-#: Exhaustive searches over Hom/End spaces are allowed while the space has at
-#: most this many elements; larger spaces fall back to randomized attempts
-#: that fail loudly instead of silently returning a wrong answer.
-SEARCH_BOUND = 2 ** 16
-
-#: Default number of search nodes (hom-space elements scanned plus recursion
-#: steps) granted to backtracking searches when the caller does not supply a
-#: budget.  Overridable through the FILTRA_BUDGET environment variable.
+#: Default number of search nodes granted to one search when the caller does
+#: not supply a budget.  A node is one step of an exhaustive scan: a Hom or
+#: End element tried, a Fitting attempt, a raw representation or a subspace
+#: choice enumerated, a dimension vector listed.  2M nodes cover every
+#: element of a 2^20-element space at p = 2.  Overridable through the
+#: FILTRA_BUDGET environment variable.
 DEFAULT_BUDGET = 2_000_000
 
 
@@ -44,14 +45,6 @@ class ZeroExt(FiltraError):
     """A universal extension was requested over a zero ext group."""
 
 
-class SearchBoundExceeded(FiltraError):
-    """An exhaustive search space is too large and sampling found nothing.
-
-    Raised instead of guessing: the caller learns that the answer is unknown,
-    never receives a silently wrong one.
-    """
-
-
 class BudgetExceeded(FiltraError):
     """A backtracking search ran out of its node budget."""
 
@@ -66,12 +59,9 @@ def default_budget() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise ValidationError(f"FILTRA_BUDGET must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValidationError("FILTRA_BUDGET must be positive")
-    return value
 
 
 class Budget:
@@ -81,9 +71,40 @@ class Budget:
 
     def __init__(self, limit: int | None = None):
         self.limit = default_budget() if limit is None else limit
+        if self.limit <= 0:
+            raise ValidationError(
+                f"the search budget (FILTRA_BUDGET or --budget) must be positive, got {self.limit}")
         self.used = 0
 
     def spend(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
             raise BudgetExceeded(self.limit)
+
+
+_running: contextvars.ContextVar[Optional[Budget]] = contextvars.ContextVar(
+    "filtra_running_budget", default=None)
+
+
+@contextlib.contextmanager
+def searching(budget: Optional[Budget] = None) -> Iterator[Budget]:
+    """Charge every spend() inside the block to one budget.
+
+    That budget is the one given, else the budget of the enclosing search,
+    else a fresh Budget(); so a search called from inside another one draws
+    on the caller's budget.
+    """
+    if budget is None:
+        budget = _running.get()
+        if budget is None:
+            budget = Budget()
+    token = _running.set(budget)
+    try:
+        yield budget
+    finally:
+        _running.reset(token)
+
+
+def spend(n: int = 1) -> None:
+    """Charge n nodes to the running budget; call it only inside searching()."""
+    _running.get().spend(n)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .conflation import (Conflation, et4_compose, et4op_compose, ext_space,
                          is_split)
-from .errors import Budget, ExtObstruction, ValidationError
+from .errors import Budget, ExtObstruction, ValidationError, searching, spend
 from .linalg import Matrix
 from .quiverrep import (Representation, RepMorphism, ThetaFamily, direct_power,
                         direct_sum, _combo_components, _hom_component_stacks,
@@ -379,9 +379,9 @@ def star_membership(m: Representation,
     The witness is a list of conflations 0 = N_0 -> N_1 -> ... -> N_k = m,
     one per class in order, whose i-th quotient satisfies classes[i].  The
     search enumerates subrepresentations as kernels of candidate top
-    deflations and recurses; results are memoized per (object, depth).
+    deflations and recurses; results are memoized per (object, depth).  The
+    budget pays for the subspaces and tuples that enumerate_subreps walks.
     """
-    budget = budget if budget is not None else Budget()
     classes = list(classes)
     memo: dict[tuple[Representation, int], Optional[tuple[Conflation, ...]]] = {}
 
@@ -393,7 +393,6 @@ def star_membership(m: Representation,
             return memo[key]
         result = None
         for sub, incl in enumerate_subreps(cur):
-            budget.spend()
             quot, proj = cokernel_quot(incl)
             if not classes[k - 1](quot):
                 continue
@@ -404,7 +403,8 @@ def star_membership(m: Representation,
         memo[key] = result
         return result
 
-    chain = go(m, len(classes))
+    with searching(budget):
+        chain = go(m, len(classes))
     return list(chain) if chain is not None else None
 
 
@@ -455,9 +455,9 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
     object also has an ordered filtration (whose top label is minimal).
     Results, positive and negative, are memoized up to isomorphism together
     with the minimum-label bound; a cached filtration of an isomorphic
-    object is transported along an isomorphism witness.
+    object is transported along an isomorphism witness.  Every coefficient
+    vector of the peel and of the memo's iso scans costs one budget node.
     """
-    budget = budget if budget is not None else Budget()
     t = len(theta)
     theta_dims = tuple(mem.dim for mem in theta.members)
     memo = _decide_memo.setdefault(theta, {})
@@ -485,7 +485,7 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
             basis = hom_space(cur, member)
             stacks = _hom_component_stacks(basis, cur, member)
             for coeffs in _normalized_coefficients(cur.p, len(basis)):
-                budget.spend()
+                spend()
                 comps = _combo_components(coeffs, stacks, cur.p)
                 if any(Matrix(cur.p, c).rank() != member.dim[v]
                        for v, c in enumerate(comps)):
@@ -504,7 +504,8 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
         memo.setdefault(key, []).append((cur, result))
         return result
 
-    return peel(m, 0)
+    with searching(budget):
+        return peel(m, 0)
 
 
 def oracle_filtered(m: Representation, theta: ThetaFamily,
@@ -514,9 +515,9 @@ def oracle_filtered(m: Representation, theta: ThetaFamily,
     Recursive search over all subrepresentations: m is filtered iff it is
     zero or some subrepresentation with quotient isomorphic to a family
     member is filtered.  No ordering shortcut and no hom-space enumeration;
-    memoized up to isomorphism.
+    memoized up to isomorphism.  The budget pays for the subspaces and
+    tuples that enumerate_subreps walks and for the iso scans.
     """
-    budget = budget if budget is not None else Budget()
     memo = _oracle_memo.setdefault(theta, {})
 
     def go(cur: Representation) -> bool:
@@ -528,7 +529,6 @@ def oracle_filtered(m: Representation, theta: ThetaFamily,
                 return cached
         answer = False
         for sub, incl in enumerate_subreps(cur):
-            budget.spend()
             qdim = tuple(dc - ds for dc, ds in zip(cur.dim, sub.dim))
             candidates = [mem for mem in theta.members if mem.dim == qdim]
             if not candidates:
@@ -540,4 +540,5 @@ def oracle_filtered(m: Representation, theta: ThetaFamily,
         memo.setdefault(key, []).append((cur, answer))
         return answer
 
-    return go(m)
+    with searching(budget):
+        return go(m)

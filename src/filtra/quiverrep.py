@@ -6,27 +6,23 @@ are vertex-indexed families of matrices satisfying the intertwiner law
 
     target.arrow_maps[a] @ components[i] == components[j] @ source.arrow_maps[a]
 
-for every arrow a: i -> j.  Everything here is exact and deterministic;
-the only randomized ingredient (splitting searches past the exhaustive
-bound) uses a fixed input-independent seed and fails loudly via
-SearchBoundExceeded rather than ever guessing.
+for every arrow a: i -> j.  Everything here is exact and deterministic.
+Isomorphism, splitting and enumeration are exhaustive scans: every step of
+one is charged to the running search budget (errors.searching), so a scan
+too large for FILTRA_BUDGET raises BudgetExceeded instead of running on.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    SEARCH_BOUND,
-    DimensionMismatch,
-    SearchBoundExceeded,
-    ValidationError,
-)
+from .errors import DimensionMismatch, ValidationError, searching, spend
 from .linalg import Matrix
 
 __all__ = [
@@ -52,8 +48,6 @@ __all__ = [
     "iso_key",
     "euler_pairing",
 ]
-
-_FIXED_SEED = 0xF117A
 
 
 @dataclass(frozen=True)
@@ -210,9 +204,6 @@ class Representation:
         return Representation(quiver, p, dim, maps)
 
     # -- queries -----------------------------------------------------------
-
-    def map_of(self, arrow_name: str) -> Matrix:
-        return self.maps[self.quiver.arrow_index(arrow_name)]
 
     @property
     def total_dim(self) -> int:
@@ -621,52 +612,11 @@ def _invariants_match(m: Representation, n: Representation) -> bool:
     return True
 
 
-def _invertible_combo_search(m: Representation, n: Representation) -> Optional[RepMorphism]:
-    """Search Hom(m, n) for a vertexwise invertible element.
-
-    Exhaustive over the whole space while it has at most SEARCH_BOUND
-    elements; beyond that, fixed-seed random sampling.  Returns a witness or
-    None (None from the sampling path never proves anything by itself, the
-    caller must fall back or raise).
-    """
-    basis = hom_space(m, n)
-    h = len(basis)
-    p = m.p
-    if h == 0:
-        return None
-    stacks = _hom_component_stacks(basis, m, n)
-
-    def witness_from(coeffs: np.ndarray) -> Optional[RepMorphism]:
-        comps = _combo_components(coeffs, stacks, p)
-        for v, c in enumerate(comps):
-            if c.shape[0] != c.shape[1] or Matrix(p, c).rank() != c.shape[0]:
-                return None
-        return RepMorphism(m, n, [Matrix(p, c) for c in comps], check=False)
-
-    if p ** h <= SEARCH_BOUND:
-        for combo in itertools.product(range(p), repeat=h):
-            if not any(combo):
-                continue
-            w = witness_from(np.asarray(combo, dtype=np.int64))
-            if w is not None:
-                return w
-        return None
-    rng = random.Random(_FIXED_SEED)
-    for _ in range(4096):
-        coeffs = np.asarray([rng.randrange(p) for _ in range(h)], dtype=np.int64)
-        if not coeffs.any():
-            continue
-        w = witness_from(coeffs)
-        if w is not None:
-            return w
-    return None
-
-
 def iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
-    """An invertible morphism m -> n, or None when provably non-isomorphic.
+    """An invertible morphism m -> n, or None when m and n are not isomorphic.
 
-    Raises SearchBoundExceeded when neither a witness nor a proof of
-    non-isomorphism fits inside the search bound.
+    Past the cheap invariants, an exhaustive scan of Hom(m, n) for a
+    vertexwise invertible element, one budget node per coefficient vector.
     """
     if m.quiver != n.quiver or m.p != n.p:
         return None
@@ -674,26 +624,22 @@ def iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
         return RepMorphism.identity(m)
     if not _invariants_match(m, n):
         return None
-    w = _invertible_combo_search(m, n)
-    if w is not None:
-        return w
-    if m.p ** len(hom_space(m, n)) <= SEARCH_BOUND:
-        return None  # the search above was exhaustive
-    # decompose both sides and match indecomposable summands
-    try:
-        return _iso_via_decomposition(m, n)
-    except SearchBoundExceeded:
-        raise SearchBoundExceeded(
-            f"cannot decide isomorphism for dims {m.dim} vs {n.dim} within the search bound")
+    basis = hom_space(m, n)
+    stacks = _hom_component_stacks(basis, m, n)
+    p = m.p
+    with searching():
+        for combo in itertools.product(range(p), repeat=len(basis)):
+            spend()
+            if not any(combo):
+                continue
+            comps = _combo_components(np.asarray(combo, dtype=np.int64), stacks, p)
+            if all(Matrix(p, c).rank() == len(c) for c in comps):
+                return RepMorphism(m, n, [Matrix(p, c) for c in comps], check=False)
+    return None
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
     return iso_witness(m, n) is not None
-
-
-def _endo_stacks(m: Representation):
-    basis = hom_space(m, m)
-    return basis, _hom_component_stacks(basis, m, m)
 
 
 def _fitting_split(m: Representation, phi_comps: list[np.ndarray]) -> Optional[tuple]:
@@ -717,57 +663,49 @@ def _fitting_split(m: Representation, phi_comps: list[np.ndarray]) -> Optional[t
 
 
 def _try_split(m: Representation) -> Optional[tuple]:
-    """Find a direct-sum splitting of m, exactly if possible.
+    """Find a direct-sum splitting of m, or None when m is indecomposable.
 
-    Order of attack: Fitting powers of endo basis elements and pairwise sums
-    (deterministic), exhaustive idempotent scan while |End| <= SEARCH_BOUND,
-    then fixed-seed random Fitting.  Returns the 4-tuple from _fitting_split,
-    None when m is certainly indecomposable, and raises SearchBoundExceeded
-    when undecided.
+    Fitting powers of the End basis elements and of their pairwise sums
+    first, then an exhaustive scan of End(m) for a nontrivial idempotent;
+    every Fitting attempt and every scanned vector costs one budget node.
+    Returns the 4-tuple from _fitting_split.  Call it inside searching().
     """
     if m.total_dim == 0:
         return None
-    basis, stacks = _endo_stacks(m)
-    h = len(basis)
     p = m.p
+    basis = hom_space(m, m)
     for f in basis:
+        spend()
         split = _fitting_split(m, [c.a for c in f.components])
         if split is not None:
             return split
     for f, g in itertools.combinations(basis, 2):
+        spend()
         split = _fitting_split(m, [(a.a + b.a) % p for a, b in zip(f.components, g.components)])
         if split is not None:
             return split
-    if p ** h <= SEARCH_BOUND:
-        identity = [np.eye(d, dtype=np.int64) for d in m.dim]
-        for combo in itertools.product(range(p), repeat=h):
-            coeffs = np.asarray(combo, dtype=np.int64)
-            comps = _combo_components(coeffs, stacks, p)
-            if all((c == 0).all() for c in comps):
-                continue
-            if all(np.array_equal(c, i) for c, i in zip(comps, identity)):
-                continue
-            if all(np.array_equal((c @ c) % p, c) for c in comps):
-                split = _fitting_split(m, comps)
-                if split is not None:
-                    return split
-        return None
-    rng = random.Random(_FIXED_SEED)
-    for _ in range(4096):
-        coeffs = np.asarray([rng.randrange(p) for _ in range(h)], dtype=np.int64)
-        comps = _combo_components(coeffs, stacks, p)
-        split = _fitting_split(m, comps)
-        if split is not None:
-            return split
-    raise SearchBoundExceeded(
-        f"cannot certify indecomposability for dim {m.dim}: |End| = {p}^{h} exceeds the bound")
+    stacks = _hom_component_stacks(basis, m, m)
+    identity = [np.eye(d, dtype=np.int64) for d in m.dim]
+    for combo in itertools.product(range(p), repeat=len(basis)):
+        spend()
+        comps = _combo_components(np.asarray(combo, dtype=np.int64), stacks, p)
+        if all((c == 0).all() for c in comps):
+            continue
+        if all(np.array_equal(c, i) for c, i in zip(comps, identity)):
+            continue
+        if all(np.array_equal((c @ c) % p, c) for c in comps):
+            split = _fitting_split(m, comps)
+            if split is not None:
+                return split
+    return None
 
 
 def is_indecomposable(m: Representation) -> bool:
     """True when m is nonzero with no nontrivial direct-sum splitting."""
     if m.total_dim == 0:
         return False
-    return _try_split(m) is None
+    with searching():
+        return _try_split(m) is None
 
 
 def _decompose(m: Representation) -> list[tuple[Representation, RepMorphism, RepMorphism]]:
@@ -797,49 +735,21 @@ def _decompose(m: Representation) -> list[tuple[Representation, RepMorphism, Rep
     return out
 
 
-def _iso_via_decomposition(m: Representation, n: Representation) -> Optional[RepMorphism]:
-    left = _decompose(m)
-    right = _decompose(n)
-    if len(left) != len(right):
-        return None
-    used = [False] * len(right)
-    matches: list[tuple[int, int, RepMorphism]] = []
-    for i, (piece, _, _) in enumerate(left):
-        found = False
-        for j, (other, _, _) in enumerate(right):
-            if used[j]:
-                continue
-            w = iso_witness(piece, other)
-            if w is not None:
-                used[j] = True
-                matches.append((i, j, w))
-                found = True
-                break
-        if not found:
-            return None
-    total = RepMorphism.zero(m, n)
-    for i, j, w in matches:
-        total = total + (right[j][1] @ w @ left[i][2])
-    if not total.is_isomorphism():
-        return None
-    return total
-
-
 def krull_schmidt(m: Representation) -> list[tuple[Representation, int]]:
     """Indecomposable summands with multiplicities.
 
     Deterministic order: sorted by (total dimension, dim vector, cheap iso
     key, matrix bytes of the chosen representative).
     """
-    pieces = [piece for piece, _, _ in _decompose(m)]
     groups: list[tuple[Representation, int]] = []
-    for piece in pieces:
-        for k, (rep, count) in enumerate(groups):
-            if is_isomorphic(piece, rep):
-                groups[k] = (rep, count + 1)
-                break
-        else:
-            groups.append((piece, 1))
+    with searching():
+        for piece, _, _ in _decompose(m):
+            for k, (rep, count) in enumerate(groups):
+                if is_isomorphic(piece, rep):
+                    groups[k] = (rep, count + 1)
+                    break
+            else:
+                groups.append((piece, 1))
     return sorted(groups, key=lambda item: _canonical_key(item[0]))
 
 
@@ -854,6 +764,7 @@ def _all_raw_reps(quiver: Quiver, p: int, dim: tuple[int, ...]) -> Iterator[Repr
     sizes = [r * c for r, c in shapes]
     total = sum(sizes)
     for flat in itertools.product(range(p), repeat=total):
+        spend()
         maps = []
         pos = 0
         for (r, c), size in zip(shapes, sizes):
@@ -863,6 +774,7 @@ def _all_raw_reps(quiver: Quiver, p: int, dim: tuple[int, ...]) -> Iterator[Repr
 
 
 def _dim_vectors_under(bound: tuple[int, ...]) -> list[tuple[int, ...]]:
+    spend(math.prod(b + 1 for b in bound))
     return sorted(itertools.product(*[range(b + 1) for b in bound]))
 
 
@@ -875,15 +787,16 @@ def enumerate_indecomposables(quiver: Quiver, p: int,
     if cached is not None:
         return list(cached)
     found: list[Representation] = []
-    for dim in _dim_vectors_under(bound):
-        if sum(dim) == 0:
-            continue
-        for rep in _all_raw_reps(quiver, p, dim):
-            if not is_indecomposable(rep):
+    with searching():
+        for dim in _dim_vectors_under(bound):
+            if sum(dim) == 0:
                 continue
-            if any(is_isomorphic(rep, seen) for seen in found if seen.dim == dim):
-                continue
-            found.append(rep)
+            for rep in _all_raw_reps(quiver, p, dim):
+                if not is_indecomposable(rep):
+                    continue
+                if any(is_isomorphic(rep, seen) for seen in found if seen.dim == dim):
+                    continue
+                found.append(rep)
     found.sort(key=_canonical_key)
     _indec_cache[key] = tuple(found)
     return list(found)
@@ -920,7 +833,10 @@ def enumerate_reps(quiver: Quiver, p: int, max_dim: Sequence[int]) -> list[Repre
 
 
 def _subspaces(p: int, d: int) -> list[Matrix]:
-    """All subspaces of F_p^d as column-basis matrices in echelon order."""
+    """All subspaces of F_p^d as column-basis matrices in echelon order.
+
+    Each subspace costs one budget node.
+    """
     out = []
     for k in range(d + 1):
         for pivots in itertools.combinations(range(d), k):
@@ -929,6 +845,7 @@ def _subspaces(p: int, d: int) -> list[Matrix]:
                 if i not in pivots
             ]
             for values in itertools.product(range(p), repeat=len(free_positions)):
+                spend()
                 basis = np.zeros((d, k), dtype=np.int64)
                 for r, pc in enumerate(pivots):
                     basis[pc, r] = 1
@@ -942,15 +859,18 @@ def enumerate_subreps(m: Representation) -> list[tuple[Representation, RepMorphi
     """All subrepresentations of m as (sub, inclusion) pairs.
 
     Walks the product of the vertexwise subspace lattices in echelon order
-    and keeps the arrow-closed tuples; deterministic.
+    and keeps the arrow-closed tuples; deterministic.  Each subspace listed
+    and each tuple tried costs one budget node.
     """
-    lattices = [_subspaces(m.p, d) for d in m.dim]
     out = []
-    for choice in itertools.product(*lattices):
-        try:
-            out.append(_sub_from_bases(m, list(choice)))
-        except ValidationError:
-            continue
+    with searching():
+        lattices = [_subspaces(m.p, d) for d in m.dim]
+        for choice in itertools.product(*lattices):
+            spend()
+            try:
+                out.append(_sub_from_bases(m, list(choice)))
+            except ValidationError:
+                continue
     return out
 
 

@@ -19,7 +19,7 @@ from .approx import (is_theta_injective, is_theta_projective, perp_class,
                      precover, preenvelope, verify_precover, verify_preenvelope)
 from .conflation import (Conflation, class_of, ext_space, is_split, et4_compose,
                          pullback, pushforward, realize)
-from .errors import Budget
+from .errors import Budget, searching
 from .filtration import (Filtration, FiltrationStep, decide_filtered, group,
                          in_add, multiplicities, oracle_filtered, reorder,
                          star_membership)
@@ -498,13 +498,18 @@ CRITERIA: list[Callable[[random.Random, Budget], CriterionResult]] = [
 
 
 def run_criteria(seed: int = 0, budget_limit: Optional[int] = None) -> list[CriterionResult]:
-    """Run all criteria with a fresh seeded RNG and budget per criterion."""
+    """Run all criteria with a fresh seeded RNG and budget per criterion.
+
+    Every search a criterion runs, iso and split scans included, is charged
+    to its budget; an invalid budget_limit raises before any criterion runs.
+    """
     results = []
     for fn in CRITERIA:
         rng = random.Random(seed)
         budget = Budget(budget_limit)
         try:
-            results.append(fn(rng, budget))
+            with searching(budget):
+                results.append(fn(rng, budget))
         except Exception as exc:  # a crash is a failure, not an abort
             index = len(results) + 1
             results.append(CriterionResult(index, fn.__name__, False,

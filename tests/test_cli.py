@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from filtra import ParseError, ValidationError, filtration
+from filtra import ParseError, ValidationError, filtration, quiverrep
 from filtra.cli import main, parse_workspace, serialize_workspace
 
 DATA = Path(__file__).parent / "data"
@@ -148,7 +148,8 @@ def test_cli_reorder_from_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["malformed json", "non-integer dim", "maps as a list",
-                                  "entry past int64"])
+                                  "entry past int64", "max-dim past int64",
+                                  "selftest budget 0", "selftest budget -1"])
 def test_cli_bad_input_never_raises(capsys, tmp_path, case):
     ws = tmp_path / "a2.ws"
     ws.write_text(MINIMAL)
@@ -158,16 +159,23 @@ def test_cli_bad_input_never_raises(capsys, tmp_path, case):
         ws.write_text(MINIMAL.replace("mat a 1 1 1", "mat a 1 1 99999999999999999999999"))
         assert run(capsys, "-w", str(ws), "hom", "P1", "P1") == expected
         return
-    status, doc = run(capsys, "-w", str(ws), "filter", "P1", "--theta", "full")
-    assert status == 0
-    step = doc["filtration"]["steps"][0]
-    if case == "non-integer dim":
-        step["sub"]["dim"] = ["one", 0]
-    elif case == "maps as a list":
-        step["middle"]["maps"] = [[[1]]]
-    path = tmp_path / "f.json"
-    path.write_text("{not json" if case == "malformed json" else json.dumps(doc))
-    status, doc = run(capsys, "-w", str(ws), "reorder", "--filtration", str(path))
+    if case == "max-dim past int64":
+        # no natural bound rejects it: listing its dimension vectors overruns the budget
+        status, doc = run(capsys, "-w", str(ws), "enumerate",
+                          "--max-dim", "99999999999999999999,1")
+    elif case.startswith("selftest budget"):
+        status, doc = run(capsys, "selftest", "--budget", case.split()[-1])
+    else:
+        status, doc = run(capsys, "-w", str(ws), "filter", "P1", "--theta", "full")
+        assert status == 0
+        step = doc["filtration"]["steps"][0]
+        if case == "non-integer dim":
+            step["sub"]["dim"] = ["one", 0]
+        elif case == "maps as a list":
+            step["middle"]["maps"] = [[[1]]]
+        path = tmp_path / "f.json"
+        path.write_text("{not json" if case == "malformed json" else json.dumps(doc))
+        status, doc = run(capsys, "-w", str(ws), "reorder", "--filtration", str(path))
     assert status == 2
     assert list(doc) == ["error"]
 
@@ -214,13 +222,24 @@ def test_cli_filter_over_f3(capsys, tmp_path):
     assert doc["member"] is True
 
 
-def test_cli_budget_env(capsys, monkeypatch, tmp_path):
-    # an empty decision memo, so the search runs whatever the process decided before
-    monkeypatch.setattr(filtration, "_decide_memo", {})
+@pytest.mark.parametrize("command", [
+    "enumerate --max-dim 1,1",
+    "perp full --side ext-right --max-dim 1,1",
+    "preenvelope S2 --theta full --verify --max-dim 1,1",
+    "precover S1 --theta full --verify --max-dim 1,1",
+    "filter P1 --theta full --oracle",
+    "filter P1 --theta full",
+], ids=["enumerate", "perp", "preenvelope --verify", "precover --verify",
+        "filter --oracle", "filter"])
+def test_cli_budget_env(capsys, monkeypatch, tmp_path, command):
+    # empty memos, so the search runs whatever the process decided before
+    for module, name in ((filtration, "_decide_memo"), (filtration, "_oracle_memo"),
+                         (quiverrep, "_indec_cache"), (quiverrep, "_reps_cache")):
+        monkeypatch.setattr(module, name, {})
     ws = tmp_path / "a2f3.ws"
     ws.write_text(MINIMAL.replace("field 2", "field 3"))
     monkeypatch.setenv("FILTRA_BUDGET", "1")
-    status, doc = run(capsys, "-w", str(ws), "filter", "P1", "--theta", "full")
+    status, doc = run(capsys, "-w", str(ws), *command.split())
     assert status == 2
     assert "budget of 1" in doc["error"]
 

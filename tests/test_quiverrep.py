@@ -10,7 +10,8 @@ from filtra import (Matrix, Quiver, RepMorphism, Representation, ThetaFamily,
                     enumerate_indecomposables, enumerate_reps, euler_pairing,
                     hom_space, is_indecomposable, is_isomorphic, iso_witness,
                     krull_schmidt)
-from filtra import quiverrep
+from filtra import Budget, BudgetExceeded, quiverrep
+from filtra.errors import searching
 from filtra.quiverrep import enumerate_subreps
 
 
@@ -136,6 +137,24 @@ def test_subrepresentations_of_p1(p1):
     for sub, incl in subs:
         assert incl.source == sub and incl.target == p1
         assert incl.is_vertexwise_injective()
+
+
+def test_every_scan_charges_the_running_budget(a2, monkeypatch):
+    monkeypatch.setattr(quiverrep, "_indec_cache", {})
+    p1 = Representation.projective(a2, 3, 0)
+    scrambled = Representation.from_dict(a2, 3, (1, 1), {"a": [[2]]})
+    scans = [lambda: iso_witness(p1, scrambled), lambda: is_indecomposable(p1),
+             lambda: krull_schmidt(p1), lambda: enumerate_subreps(p1),
+             lambda: enumerate_indecomposables(a2, 3, (1, 1))]
+    for scan in scans:
+        with pytest.raises(BudgetExceeded), searching(Budget(1)):
+            scan()
+    # a scan inside another search draws on the enclosing budget
+    with searching() as budget:
+        assert iso_witness(p1, scrambled) is not None
+        used = budget.used
+        assert is_indecomposable(p1)
+    assert 0 < used < budget.used
 
 
 def test_theta_family_ordering_enforced(s1, s2):
