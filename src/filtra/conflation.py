@@ -104,24 +104,6 @@ class Conflation:
         return Conflation(A, ds.rep, C, ds.inject_left, ds.project_right)
 
     @staticmethod
-    def from_inclusion(incl: RepMorphism) -> "Conflation":
-        """Sub -> ambient -> cokernel for a vertexwise injective morphism."""
-        from .quiverrep import cokernel_quot
-        if not incl.is_vertexwise_injective():
-            raise ValidationError("from_inclusion needs a vertexwise injective morphism")
-        quot, proj = cokernel_quot(incl)
-        return Conflation(incl.source, incl.target, quot, incl, proj)
-
-    @staticmethod
-    def from_surjection(proj: RepMorphism) -> "Conflation":
-        """Kernel -> source -> target for a vertexwise surjective morphism."""
-        from .quiverrep import kernel_sub
-        if not proj.is_vertexwise_surjective():
-            raise ValidationError("from_surjection needs a vertexwise surjective morphism")
-        ker, incl = kernel_sub(proj)
-        return Conflation(ker, proj.source, proj.target, incl, proj)
-
-    @staticmethod
     def identity_right(m: Representation) -> "Conflation":
         """m -> m -> 0."""
         zero = Representation.zero(m.quiver, m.p)

@@ -77,9 +77,11 @@ class Budget:
         self.used = 0
 
     def spend(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.limit:
+        """Charge n nodes as n single steps: an overrun stops at the first node past the limit."""
+        if self.used + n > self.limit:
+            self.used = max(self.used, self.limit) + 1
             raise BudgetExceeded(self.limit)
+        self.used += n
 
 
 _running: contextvars.ContextVar[Optional[Budget]] = contextvars.ContextVar(

@@ -16,19 +16,16 @@ quotient carries the smallest label.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .conflation import (Conflation, et4_compose, et4op_compose, ext_space,
                          is_split)
-from .errors import Budget, ExtObstruction, ValidationError, searching, spend
+from .errors import Budget, ExtObstruction, ValidationError, searching
 from .linalg import Matrix
 from .quiverrep import (Representation, RepMorphism, ThetaFamily, direct_power,
-                        direct_sum, _combo_components, _hom_component_stacks,
+                        direct_sum, _rank_mask, _scan,
                         cokernel_quot, enumerate_subreps, hom_space,
                         is_isomorphic, iso_key, iso_witness, kernel_sub,
                         krull_schmidt)
@@ -425,19 +422,6 @@ def _dim_feasible(theta_dims: tuple[tuple[int, ...], ...],
     return False
 
 
-def _normalized_coefficients(p: int, h: int):
-    """Nonzero coefficient tuples with leading nonzero entry 1.
-
-    Scaling a morphism does not change its kernel or surjectivity, so one
-    representative per line through the origin suffices.
-    """
-    for coeffs in itertools.product(range(p), repeat=h):
-        first = next((c for c in coeffs if c), None)
-        if first != 1:
-            continue
-        yield np.asarray(coeffs, dtype=np.int64)
-
-
 # cross-call memo tables, keyed by the family; entries are grouped under a
 # cheap iso invariant and resolved to true iso classes on lookup
 _decide_memo: dict[ThetaFamily,
@@ -453,10 +437,16 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
     the hom space and recurse on their kernels.  Along any peel sequence the
     labels are non-decreasing, which is complete because every filtered
     object also has an ordered filtration (whose top label is minimal).
-    Results, positive and negative, are memoized up to isomorphism together
-    with the minimum-label bound; a cached filtration of an isomorphic
-    object is transported along an isomorphism witness.  Every coefficient
-    vector of the peel and of the memo's iso scans costs one budget node.
+    The epimorphisms are tried in itertools.product order of their
+    coefficient vectors, one per line through the origin (leading nonzero
+    coefficient 1), by a chunked scan (quiverrep._scan) that yields them
+    one at a time.  Results, positive and negative, are memoized up to
+    isomorphism together with the minimum-label bound; a cached filtration
+    of an isomorphic object is transported along the first isomorphism
+    witness (iso_witness).  Every coefficient vector of the peel and of the
+    memo's iso scans costs one budget node, charged when the scan reaches
+    it, so budget.used and the point of any BudgetExceeded are those of a
+    loop over the vectors one at a time.
     """
     t = len(theta)
     theta_dims = tuple(mem.dim for mem in theta.members)
@@ -482,14 +472,9 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
             member = theta[i]
             if any(dc < dm for dc, dm in zip(cur.dim, member.dim)):
                 continue
-            basis = hom_space(cur, member)
-            stacks = _hom_component_stacks(basis, cur, member)
-            for coeffs in _normalized_coefficients(cur.p, len(basis)):
-                spend()
-                comps = _combo_components(coeffs, stacks, cur.p)
-                if any(Matrix(cur.p, c).rank() != member.dim[v]
-                       for v, c in enumerate(comps)):
-                    continue
+            epis = _scan(hom_space(cur, member), cur, member,
+                         lambda cs: _rank_mask(cs, member.dim, cur.p), leading_one=True)
+            for comps in epis:
                 epi = RepMorphism(cur, member,
                                   [Matrix(cur.p, c) for c in comps], check=False)
                 sub, incl = kernel_sub(epi)

@@ -13,6 +13,12 @@ more than the arithmetic.  Larger ones get one numpy rank-1 update per
 pivot, applied only to the rows with a nonzero entry in the pivot column and
 only to the columns from the pivot column onward.  The reduced row echelon
 form is unique, so both give the same matrix and pivots.
+
+``stack_ranks`` is the batched kernel beside ``rref``: it takes an (N, r, c)
+int64 stack of entries in [0, p) and returns the N ranks without building a
+``Matrix``.  It makes one vectorised Gauss-Jordan step per column across the
+whole stack, which is what lets the exhaustive Hom and End scans of
+``quiverrep`` test thousands of candidate morphisms per numpy call.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 
-__all__ = ["PrimeField", "Matrix"]
+__all__ = ["PrimeField", "Matrix", "stack_ranks"]
 
 # Matrix.rref eliminates matrices of at most this many entries as Python int
 # rows; perfbench's RREF_SMALL_ENTRIES splits its traced rref time here too
@@ -333,3 +339,37 @@ def _rref_rank1(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def stack_ranks(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of a stack of matrices, shape (N, r, c), entries in [0, p).
+
+    One elimination step per column of the narrower side, applied to every
+    matrix of the stack at once.  Without row swaps: the pivot is the first
+    row with a nonzero entry in the column, and every row becomes
+    pivot * row - entry * pivot_row, written only on the later columns since
+    the column is not read again.  That zeroes the pivot row and eliminates
+    the column from the others while keeping the span of all rows together
+    with the pivot row, so the rank is the number of pivots.  Entries stay
+    in [0, p) with p < 2**15, so no product overflows int64.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.shape[2] > a.shape[1]:
+        a = a.transpose(0, 2, 1)
+    a = a.copy()
+    n, _, c = a.shape
+    ranks = np.zeros(n, dtype=np.int64)
+    every = np.arange(n)
+    for j in range(c):
+        col = a[:, :, j]
+        nonzero = col != 0
+        has = nonzero.any(axis=1)
+        ranks += has
+        if j + 1 < c:
+            piv = nonzero.argmax(axis=1)
+            # scale 1 where the column is zero, which leaves the matrix as it is
+            scale = np.where(has, col[every, piv], 1)
+            prow = a[every, piv, j + 1:]
+            a[:, :, j + 1:] = (a[:, :, j + 1:] * scale[:, None, None]
+                               - col[:, :, None] * prow[:, None, :]) % p
+    return ranks

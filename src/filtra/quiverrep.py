@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, searching, spend
-from .linalg import Matrix
+from .linalg import Matrix, stack_ranks
 
 __all__ = [
     "Arrow",
@@ -124,7 +124,7 @@ class Quiver:
 class Representation:
     """A point of the representation variety: dims plus one matrix per arrow."""
 
-    __slots__ = ("quiver", "p", "dim", "maps", "_hash")
+    __slots__ = ("quiver", "p", "dim", "maps", "_hash", "_iso_key")
 
     def __init__(self, quiver: Quiver, p: int, dim: Sequence[int], maps: Sequence[Matrix]):
         dim = tuple(int(d) for d in dim)
@@ -148,6 +148,7 @@ class Representation:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_iso_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
@@ -463,21 +464,74 @@ def hom_coordinates(f: RepMorphism, basis: Sequence[RepMorphism]) -> Matrix:
     return x
 
 
-def _hom_component_stacks(basis: Sequence[RepMorphism], m: Representation,
-                          n: Representation) -> list[np.ndarray]:
-    """Per-vertex arrays of shape (len(basis), n.dim[v], m.dim[v])."""
-    stacks = []
-    for v in range(m.quiver.vertex_count):
-        if basis:
-            stacks.append(np.stack([f.components[v].a for f in basis]))
-        else:
-            stacks.append(np.zeros((0, n.dim[v], m.dim[v]), dtype=np.int64))
-    return stacks
+# chunk sizes of _scan, growing 4x: most scans hit early, and past 256 the
+# work wasted beyond a hit outweighs the per-chunk overhead
+_SCAN_FIRST_CHUNK = 32
+_SCAN_MAX_CHUNK = 256
 
 
-def _combo_components(coeffs: np.ndarray, stacks: list[np.ndarray], p: int) -> list[np.ndarray]:
-    return [np.tensordot(coeffs, s, axes=1) % p if s.shape[0] else s.sum(axis=0)
-            for s in stacks]
+def _scan(basis: Sequence[RepMorphism], m: Representation, n: Representation, test,
+          leading_one: bool = False) -> Iterator[list[np.ndarray]]:
+    """Components of the elements of Hom(m, n) that pass test, in scan order.
+
+    The elements are the combinations of the h basis elements for the
+    coefficient vectors in itertools.product(range(p), repeat=h) order, or
+    with leading_one only those whose leading nonzero entry is 1.  A chunk
+    of vectors is the base-p digits of an arange (only the low digits it
+    reaches, so p ** h may pass int64), its combinations are one matrix
+    product, and test maps their per-vertex (N, r, c) stacks to a hit mask.
+
+    Each vector costs one budget node, charged as a loop over the vectors
+    would: up to and including a hit before it is yielded, so a chunk that
+    passes the limit raises BudgetExceeded at the loop's count.
+    """
+    p, h = m.p, len(basis)
+    shapes = _hom_shapes(m, n)
+    bounds = list(itertools.accumulate((r * c for r, c in shapes), initial=0))
+    flat = np.array([_flatten(f.components) for f in basis], dtype=np.int64).reshape(h, bounds[-1])
+    total = p ** h
+    start, size = 0, _SCAN_FIRST_CHUNK
+    while start < total:
+        stop = min(total, start + size)
+        index = np.arange(start, stop, dtype=np.int64)
+        coeffs = np.zeros((index.size, h), dtype=np.int64)
+        for k in range(h - 1, -1, -1):
+            if not index.any():
+                break
+            index, coeffs[:, k] = np.divmod(index, p)
+        if leading_one:
+            first_nonzero = np.cumsum(coeffs != 0, axis=1) == 1
+            coeffs = coeffs[((coeffs == 1) & first_nonzero).any(axis=1)]
+        combos = coeffs @ flat % p
+        comps = [combos[:, lo:hi].reshape(len(coeffs), r, c)
+                 for lo, hi, (r, c) in zip(bounds, bounds[1:], shapes)]
+        charged = 0
+        for j in np.flatnonzero(test(comps)).tolist():
+            spend(j + 1 - charged)
+            charged = j + 1
+            yield [c[j] for c in comps]
+        if len(coeffs) > charged:
+            spend(len(coeffs) - charged)
+        start, size = stop, min(4 * size, _SCAN_MAX_CHUNK)
+
+
+def _rank_mask(comps: list[np.ndarray], ranks: Sequence[int], p: int) -> np.ndarray:
+    """Which combinations have the given rank at every vertex."""
+    ok = np.ones(len(comps[0]), dtype=bool)
+    for c, rank in zip(comps, ranks):
+        keep = np.flatnonzero(ok)
+        ok[keep] = stack_ranks(c[keep], p) == rank
+    return ok
+
+
+def _nontrivial_idempotent_mask(comps: list[np.ndarray], p: int) -> np.ndarray:
+    """Which combinations satisfy e @ e == e and are neither 0 nor 1."""
+    idem, zero, one = (np.ones(len(comps[0]), dtype=bool) for _ in range(3))
+    for c in comps:
+        idem &= (np.matmul(c, c) % p == c).all(axis=(1, 2))
+        zero &= ~c.any(axis=(1, 2))
+        one &= (c == np.eye(c.shape[1], dtype=np.int64)).all(axis=(1, 2))
+    return idem & ~zero & ~one
 
 
 # -- direct sums ------------------------------------------------------------
@@ -585,16 +639,27 @@ def cokernel_quot(f: RepMorphism) -> tuple[Representation, RepMorphism]:
 
 # -- isomorphism, indecomposability, Krull-Schmidt ---------------------------
 
+# each distinct iso_key once, shared by the representations that have it
+_iso_keys: dict[tuple, tuple] = {}
+
+
 def iso_key(m: Representation):
-    """Cheap iso-invariant: dims, arrow ranks and path-composite ranks."""
-    arrow_ranks = tuple(mm.rank() for mm in m.maps)
-    path_ranks = []
-    for path in m.quiver.paths():
-        acc = m.maps[m.quiver.arrow_index(path[0].name)]
-        for a in path[1:]:
-            acc = m.maps[m.quiver.arrow_index(a.name)] @ acc
-        path_ranks.append(acc.rank())
-    return (m.dim, arrow_ranks, tuple(path_ranks))
+    """Cheap iso-invariant: dims, arrow ranks and path-composite ranks.
+
+    Kept on m after the first call, which is invisible since m is immutable.
+    """
+    key = m._iso_key
+    if key is None:
+        path_ranks = []
+        for path in m.quiver.paths():
+            acc = m.maps[m.quiver.arrow_index(path[0].name)]
+            for a in path[1:]:
+                acc = m.maps[m.quiver.arrow_index(a.name)] @ acc
+            path_ranks.append(acc.rank())
+        key = (m.dim, tuple(mm.rank() for mm in m.maps), tuple(path_ranks))
+        key = _iso_keys.setdefault(key, key)
+        object.__setattr__(m, "_iso_key", key)
+    return key
 
 
 def _canonical_key(m: Representation):
@@ -615,8 +680,10 @@ def _invariants_match(m: Representation, n: Representation) -> bool:
 def iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
     """An invertible morphism m -> n, or None when m and n are not isomorphic.
 
-    Past the cheap invariants, an exhaustive scan of Hom(m, n) for a
-    vertexwise invertible element, one budget node per coefficient vector.
+    Past the cheap invariants, an exhaustive scan of Hom(m, n) (_scan) for
+    a vertexwise invertible element.  The witness is the first one in
+    itertools.product order of the coefficient vectors, and every vector up
+    to it costs one budget node; a miss costs p ** dim Hom(m, n) nodes.
     """
     if m.quiver != n.quiver or m.p != n.p:
         return None
@@ -624,18 +691,12 @@ def iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
         return RepMorphism.identity(m)
     if not _invariants_match(m, n):
         return None
-    basis = hom_space(m, n)
-    stacks = _hom_component_stacks(basis, m, n)
     p = m.p
     with searching():
-        for combo in itertools.product(range(p), repeat=len(basis)):
-            spend()
-            if not any(combo):
-                continue
-            comps = _combo_components(np.asarray(combo, dtype=np.int64), stacks, p)
-            if all(Matrix(p, c).rank() == len(c) for c in comps):
-                return RepMorphism(m, n, [Matrix(p, c) for c in comps], check=False)
-    return None
+        comps = next(_scan(hom_space(m, n), m, n, lambda cs: _rank_mask(cs, n.dim, p)), None)
+    if comps is None:
+        return None
+    return RepMorphism(m, n, [Matrix(p, c) for c in comps], check=False)
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
@@ -666,9 +727,11 @@ def _try_split(m: Representation) -> Optional[tuple]:
     """Find a direct-sum splitting of m, or None when m is indecomposable.
 
     Fitting powers of the End basis elements and of their pairwise sums
-    first, then an exhaustive scan of End(m) for a nontrivial idempotent;
-    every Fitting attempt and every scanned vector costs one budget node.
-    Returns the 4-tuple from _fitting_split.  Call it inside searching().
+    first, then an exhaustive scan of End(m) (_scan) for a nontrivial
+    idempotent, which splits along the first one in itertools.product order
+    of the coefficient vectors.  Every Fitting attempt and every scanned
+    vector up to that idempotent costs one budget node.  Returns the
+    4-tuple from _fitting_split.  Call it inside searching().
     """
     if m.total_dim == 0:
         return None
@@ -684,19 +747,10 @@ def _try_split(m: Representation) -> Optional[tuple]:
         split = _fitting_split(m, [(a.a + b.a) % p for a, b in zip(f.components, g.components)])
         if split is not None:
             return split
-    stacks = _hom_component_stacks(basis, m, m)
-    identity = [np.eye(d, dtype=np.int64) for d in m.dim]
-    for combo in itertools.product(range(p), repeat=len(basis)):
-        spend()
-        comps = _combo_components(np.asarray(combo, dtype=np.int64), stacks, p)
-        if all((c == 0).all() for c in comps):
-            continue
-        if all(np.array_equal(c, i) for c, i in zip(comps, identity)):
-            continue
-        if all(np.array_equal((c @ c) % p, c) for c in comps):
-            split = _fitting_split(m, comps)
-            if split is not None:
-                return split
+    for comps in _scan(basis, m, m, lambda cs: _nontrivial_idempotent_mask(cs, p)):
+        split = _fitting_split(m, comps)
+        if split is not None:
+            return split
     return None
 
 

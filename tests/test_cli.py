@@ -1,5 +1,6 @@
 """Workspace parsing, serialization, and the command surface."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,6 +11,8 @@ from filtra.cli import main, parse_workspace, serialize_workspace
 
 DATA = Path(__file__).parent / "data"
 A2_WS = str(DATA / "a2.ws")
+A2_F3_WS = str(DATA / "a2f3.ws")
+A3_WS = str(DATA / "a3.ws")
 
 MINIMAL = """\
 field 2
@@ -249,3 +252,31 @@ def test_cli_output_is_deterministic(capsys):
     first = capsys.readouterr().out
     main(["-w", A2_WS, "enumerate", "--max-dim", "2,2"])
     assert capsys.readouterr().out == first
+
+
+# sha256 of stdout, taken before the Hom scans were batched: the printed
+# epimorphisms are the first hits of the decide_filtered peel, Y's decisions
+# run memo iso scans, and the others run the split and iso scans
+PINNED = [
+    (A2_F3_WS, "filter X --theta mixed", 0,
+     "d727538477164566c6dde73092a5d45b81a66c88b3fbf83560442915dfcb44af"),
+    (A2_F3_WS, "filter X --theta full", 0,
+     "47bd0074b1486597529243ea8e50378625f9d765caa11aa319c49871a20801a6"),
+    (A2_F3_WS, "filter Y --theta mixed", 1,
+     "d02ba242cb261c22fe7573813011af3d4e223e42a9f0063c557965ef3c1de603"),
+    (A2_F3_WS, "filter Y --theta full", 0,
+     "05260d8d38c2d632cd6ab4a507034ffc6cb4fc8dd55c04aa714005c9e3d99ec4"),
+    (A3_WS, "enumerate --max-dim 2,2,1", 0,
+     "c3ba4d6c9303f1e785169283a0ac10e2b5bd5a82d4322bed0cfe2ac7890abbb4"),
+    (A3_WS, "perp mixed --side ext-right --max-dim 2,2,1", 0,
+     "9e23c3b5883beeda5807c05aec9d352afeca69c9b2b8826f784263e218cc01f9"),
+    (A3_WS, "preenvelope S3 --theta full --verify --max-dim 2,2,1", 0,
+     "ff8c85f1eb8e9f241f1b037ca198567abef03e8b81330f2aed9f35281bb35313"),
+]
+
+
+def test_cli_stdout_pinned(capsys):
+    for ws, command, expected_status, digest in PINNED:
+        status = main(["-w", ws] + command.split())
+        out = capsys.readouterr().out
+        assert (status, hashlib.sha256(out.encode()).hexdigest()) == (expected_status, digest), command

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtra import Matrix, ValidationError
-from filtra.linalg import _RREF_SMALL_ENTRIES, PrimeField
+from filtra.linalg import _RREF_SMALL_ENTRIES, PrimeField, stack_ranks
 
 
 def random_matrix(rng, p, rows, cols):
@@ -215,3 +215,29 @@ def test_elimination_matches_reference(system):
     q_ref = _reference_kernel_basis(m.transpose()).transpose()
     assert d == q_ref.rows and _same_bytes(q, q_ref)
 
+
+
+@st.composite
+def _stacks(draw):
+    """A stack of matrices of drawn ranks and zero patterns, all of one shape."""
+    p = draw(st.sampled_from([2, 3, 5, 32749]))
+    rows, cols = draw(st.one_of(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        st.sampled_from([(1, 9), (9, 1), (3, 12), (12, 3), (2, 30), (30, 2)])))
+    n = draw(st.sampled_from([0, 1, 37]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ranks = rng.integers(0, min(rows, cols) + 1, n)
+    a = np.zeros((n, rows, cols), dtype=np.int64)
+    for k, rank in enumerate(ranks):
+        a[k] = rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols)) % p
+    a *= rng.random(a.shape) < draw(st.sampled_from([0.3, 1.0]))
+    return p, a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+def test_stack_ranks_match_matrix_rank(stack):
+    p, a = stack
+    ranks = stack_ranks(a, p)
+    assert ranks.shape == (len(a),)
+    assert ranks.tolist() == [Matrix(p, m).rank() for m in a]

@@ -1,0 +1,352 @@
+"""The chunked Hom scans against the per-vector loops they replaced.
+
+The reference functions below are the one-vector-at-a-time scans of
+quiverrep.iso_witness, quiverrep._try_split and the filtration.decide_filtered
+peel as they were before the scans were batched, kept verbatim apart from
+their names.  The batched scans must return the same first hit and charge the
+same budget, including the point where a BudgetExceeded is raised.
+"""
+
+import itertools
+import random
+from typing import Optional, Sequence
+
+import numpy as np
+import pytest
+
+from filtra import (Budget, BudgetExceeded, Matrix, Quiver, Representation,
+                    RepMorphism, ThetaFamily, ValidationError, decide_filtered,
+                    direct_sum, filtration, iso_witness, krull_schmidt, quiverrep)
+from filtra.conflation import Conflation
+from filtra.errors import searching, spend
+from filtra.filtration import Filtration, FiltrationStep, _dim_feasible, transport_top
+from filtra.quiverrep import (_canonical_key, _fitting_split, _invariants_match,
+                              hom_space, iso_key, kernel_sub)
+
+
+# -- the per-vector loops, kept as oracles -------------------------------------
+
+def _hom_component_stacks(basis: Sequence[RepMorphism], m: Representation,
+                          n: Representation) -> list[np.ndarray]:
+    """Per-vertex arrays of shape (len(basis), n.dim[v], m.dim[v])."""
+    stacks = []
+    for v in range(m.quiver.vertex_count):
+        if basis:
+            stacks.append(np.stack([f.components[v].a for f in basis]))
+        else:
+            stacks.append(np.zeros((0, n.dim[v], m.dim[v]), dtype=np.int64))
+    return stacks
+
+
+def _combo_components(coeffs: np.ndarray, stacks: list[np.ndarray], p: int) -> list[np.ndarray]:
+    return [np.tensordot(coeffs, s, axes=1) % p if s.shape[0] else s.sum(axis=0)
+            for s in stacks]
+
+
+def reference_iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
+    if m.quiver != n.quiver or m.p != n.p:
+        return None
+    if m == n:
+        return RepMorphism.identity(m)
+    if not _invariants_match(m, n):
+        return None
+    basis = hom_space(m, n)
+    stacks = _hom_component_stacks(basis, m, n)
+    p = m.p
+    with searching():
+        for combo in itertools.product(range(p), repeat=len(basis)):
+            spend()
+            if not any(combo):
+                continue
+            comps = _combo_components(np.asarray(combo, dtype=np.int64), stacks, p)
+            if all(Matrix(p, c).rank() == len(c) for c in comps):
+                return RepMorphism(m, n, [Matrix(p, c) for c in comps], check=False)
+    return None
+
+
+def reference_try_split(m: Representation) -> Optional[tuple]:
+    if m.total_dim == 0:
+        return None
+    p = m.p
+    basis = hom_space(m, m)
+    for f in basis:
+        spend()
+        split = _fitting_split(m, [c.a for c in f.components])
+        if split is not None:
+            return split
+    for f, g in itertools.combinations(basis, 2):
+        spend()
+        split = _fitting_split(m, [(a.a + b.a) % p for a, b in zip(f.components, g.components)])
+        if split is not None:
+            return split
+    stacks = _hom_component_stacks(basis, m, m)
+    identity = [np.eye(d, dtype=np.int64) for d in m.dim]
+    for combo in itertools.product(range(p), repeat=len(basis)):
+        spend()
+        comps = _combo_components(np.asarray(combo, dtype=np.int64), stacks, p)
+        if all((c == 0).all() for c in comps):
+            continue
+        if all(np.array_equal(c, i) for c, i in zip(comps, identity)):
+            continue
+        if all(np.array_equal((c @ c) % p, c) for c in comps):
+            split = _fitting_split(m, comps)
+            if split is not None:
+                return split
+    return None
+
+
+def reference_decompose(m: Representation) -> list[tuple[Representation, RepMorphism, RepMorphism]]:
+    if m.total_dim == 0:
+        return []
+    split = reference_try_split(m)
+    if split is None:
+        ident = RepMorphism.identity(m)
+        return [(m, ident, ident)]
+    im, incl_im, ker, incl_ker = split
+    p = m.p
+    proj_im_comps, proj_ker_comps = [], []
+    for v in range(m.quiver.vertex_count):
+        basis = Matrix.hstack(p, [incl_im.components[v], incl_ker.components[v]], rows=m.dim[v])
+        inv = basis.inverse()
+        assert inv is not None  # complementary subspaces span
+        proj_im_comps.append(Matrix(p, inv.a[: im.dim[v], :]))
+        proj_ker_comps.append(Matrix(p, inv.a[im.dim[v]:, :]))
+    proj_im = RepMorphism(m, im, proj_im_comps, check=False)
+    proj_ker = RepMorphism(m, ker, proj_ker_comps, check=False)
+    out = []
+    for piece, incl, proj in ((im, incl_im, proj_im), (ker, incl_ker, proj_ker)):
+        for small, small_incl, small_proj in reference_decompose(piece):
+            out.append((small, incl @ small_incl, small_proj @ proj))
+    return out
+
+
+def reference_krull_schmidt(m: Representation) -> list[tuple[Representation, int]]:
+    groups: list[tuple[Representation, int]] = []
+    with searching():
+        for piece, _, _ in reference_decompose(m):
+            for k, (rep, count) in enumerate(groups):
+                if reference_iso_witness(piece, rep) is not None:
+                    groups[k] = (rep, count + 1)
+                    break
+            else:
+                groups.append((piece, 1))
+    return sorted(groups, key=lambda item: _canonical_key(item[0]))
+
+
+def _normalized_coefficients(p: int, h: int):
+    for coeffs in itertools.product(range(p), repeat=h):
+        first = next((c for c in coeffs if c), None)
+        if first != 1:
+            continue
+        yield np.asarray(coeffs, dtype=np.int64)
+
+
+def reference_decide_filtered(m: Representation, theta: ThetaFamily, memo: dict,
+                              budget: Optional[Budget] = None) -> Optional[Filtration]:
+    t = len(theta)
+    theta_dims = tuple(mem.dim for mem in theta.members)
+
+    def peel(cur: Representation, min_label: int) -> Optional[Filtration]:
+        if cur.total_dim == 0:
+            return Filtration(theta, ())
+        if not _dim_feasible(theta_dims, cur.dim, min_label):
+            return None
+        key = (iso_key(cur), min_label)
+        for rep, cached in memo.get(key, []):
+            if rep == cur:
+                return cached
+            phi = reference_iso_witness(rep, cur)
+            if phi is None:
+                continue
+            if cached is None:
+                return None
+            return transport_top(cached, phi)
+        result = None
+        for i in range(min_label, t):
+            member = theta[i]
+            if any(dc < dm for dc, dm in zip(cur.dim, member.dim)):
+                continue
+            basis = hom_space(cur, member)
+            stacks = _hom_component_stacks(basis, cur, member)
+            for coeffs in _normalized_coefficients(cur.p, len(basis)):
+                spend()
+                comps = _combo_components(coeffs, stacks, cur.p)
+                if any(Matrix(cur.p, c).rank() != member.dim[v]
+                       for v, c in enumerate(comps)):
+                    continue
+                epi = RepMorphism(cur, member,
+                                  [Matrix(cur.p, c) for c in comps], check=False)
+                sub, incl = kernel_sub(epi)
+                below = peel(sub, i)
+                if below is not None:
+                    step = FiltrationStep(Conflation(sub, cur, member, incl, epi),
+                                          i, RepMorphism.identity(member))
+                    result = Filtration(theta, below.steps + (step,))
+                    break
+            if result is not None:
+                break
+        memo.setdefault(key, []).append((cur, result))
+        return result
+
+    with searching(budget):
+        return peel(m, 0)
+
+
+# -- cases ------------------------------------------------------------------------
+
+QUIVERS = {
+    "A2": (Quiver.from_edges(2, [("a", 0, 1)]), (2, 2)),
+    "A3": (Quiver.from_edges(3, [("a", 0, 1), ("b", 1, 2)]), (2, 2, 1)),
+    "Kronecker": (Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)]), (2, 2)),
+    "D4": (Quiver.from_edges(4, [("a", 0, 1), ("b", 0, 2), ("c", 0, 3)]), (2, 1, 1, 1)),
+}
+BUDGETS = (None, 1, 3, 17, 40)
+# scans are kept to at most this many vectors, so the reference loops stay quick
+MAX_SCAN = 800
+
+
+def _invertible(rng: random.Random, p: int, d: int) -> Matrix:
+    while True:
+        g = Matrix(p, [[rng.randrange(p) for _ in range(d)] for _ in range(d)], shape=(d, d))
+        if g.rank() == d:
+            return g
+
+
+def _scrambled(rng: random.Random, m: Representation) -> Representation:
+    """m under a random vertexwise change of basis."""
+    g = [_invertible(rng, m.p, d) for d in m.dim]
+    maps = [g[a.target] @ mm @ g[a.source].inverse()
+            for a, mm in zip(m.quiver.arrows, m.maps)]
+    return Representation(m.quiver, m.p, m.dim, maps)
+
+
+def _charged(run, limit):
+    """(result, budget.used) of run() under a fresh budget; BudgetExceeded is a result."""
+    budget = Budget(limit)
+    try:
+        with searching(budget):
+            result = run(budget)
+    except BudgetExceeded:
+        result = BudgetExceeded
+    return result, budget.used
+
+
+def _random_at(rng: random.Random, quiver: Quiver, p: int, dim) -> Representation:
+    maps = [Matrix(p, [[rng.randrange(p) for _ in range(dim[a.source])]
+                       for _ in range(dim[a.target])], shape=(dim[a.target], dim[a.source]))
+            for a in quiver.arrows]
+    return Representation(quiver, p, dim, maps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("quiver_name", list(QUIVERS))
+def test_scans_match_the_per_vector_loops(quiver_name, p, monkeypatch):
+    quiver, bound = QUIVERS[quiver_name]
+    rng = random.Random(f"{quiver_name}-{p}")
+    modules = [Representation.random(quiver, p, bound, rng) for _ in range(12)]
+    checked = {"iso": 0, "split": 0, "decide": 0}
+    for m in modules:
+        # iso: a scrambled copy, and a random module of the same dimension
+        for n in (_scrambled(rng, m), _random_at(rng, quiver, p, m.dim)):
+            if p ** len(hom_space(m, n)) > MAX_SCAN:
+                continue
+            for limit in BUDGETS:
+                assert (_charged(lambda b: iso_witness(m, n), limit)
+                        == _charged(lambda b: reference_iso_witness(m, n), limit))
+                checked["iso"] += 1
+        # split: the Krull-Schmidt decomposition runs _try_split at every level;
+        # its Fitting attempts settle nearly every split, so here the End scan
+        # mostly runs to the end on indecomposable pieces (hits are tested below)
+        if p ** len(hom_space(m, m)) <= MAX_SCAN:
+            for limit in BUDGETS:
+                assert (_charged(lambda b: krull_schmidt(m), limit)
+                        == _charged(lambda b: reference_krull_schmidt(m), limit))
+                checked["split"] += 1
+    # decide: a module, then a scrambled copy, which the memo answers by transport
+    simples = [Representation.simple(quiver, p, v) for v in range(quiver.vertex_count)]
+    families = [ThetaFamily(simples)]
+    try:
+        families.append(ThetaFamily([simples[0], Representation.projective(quiver, p, 0)]))
+    except ValidationError:
+        pass
+    for theta in families:
+        for m in modules[:6]:
+            if p ** m.total_dim > MAX_SCAN:
+                continue
+            chain = [m, _scrambled(rng, m), _scrambled(rng, m)]
+            for limit in BUDGETS:
+                monkeypatch.setattr(filtration, "_decide_memo", {})
+                memo = {}
+                for x in chain:
+                    assert (_charged(lambda b: decide_filtered(x, theta, b), limit)
+                            == _charged(lambda b: reference_decide_filtered(x, theta, memo, b),
+                                        limit))
+                    checked["decide"] += 1
+    assert all(checked.values()), checked
+
+
+def test_wide_hom_scan_stops_at_the_budget():
+    # dim Hom = 73 at p = 2: the scan's vector indices run far past int64
+    a2 = Quiver.from_edges(2, [("a", 0, 1)])
+    m = Representation.from_dict(a2, 2, (9, 1), {"a": [[0] * 8 + [1]]})
+    n = Representation.from_dict(a2, 2, (9, 1), {"a": [[1] + [0] * 8]})
+    assert len(hom_space(m, n)) == 73
+    for scan in (iso_witness, reference_iso_witness):
+        budget = Budget(1000)
+        with pytest.raises(BudgetExceeded), searching(budget):
+            scan(m, n)
+        assert budget.used == 1001
+
+
+def _reference_hits(stacks, p, dims, kind):
+    """The vectors the loops above accept, one at a time, as a generator."""
+    identity = [np.eye(d, dtype=np.int64) for d in dims]
+    for combo in itertools.product(range(p), repeat=len(stacks[0])):
+        if kind == "epi" and next((c for c in combo if c), None) != 1:
+            continue
+        spend()
+        comps = _combo_components(np.asarray(combo, dtype=np.int64), stacks, p)
+        if kind == "idempotent":
+            if all((c == 0).all() for c in comps):
+                continue
+            if all(np.array_equal(c, i) for c, i in zip(comps, identity)):
+                continue
+            if all(np.array_equal((c @ c) % p, c) for c in comps):
+                yield comps
+        elif all(Matrix(p, c).rank() == d for c, d in zip(comps, dims)):
+            yield comps
+
+
+def _first_hits(scan, k=6):
+    return [b"".join(c.tobytes() for c in comps) for comps in itertools.islice(scan, k)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("quiver_name", list(QUIVERS))
+def test_scan_yields_every_hit_in_loop_order(quiver_name, p):
+    # several hits per scan, where the callers above mostly stop at the first:
+    # idempotents of End(m) for a scrambled m = x + y, epimorphisms m -> x
+    quiver, bound = QUIVERS[quiver_name]
+    rng = random.Random(f"hits-{quiver_name}-{p}")
+    hits = {"idempotent": 0, "epi": 0}
+    for _ in range(10):
+        x, y = (Representation.random(quiver, p, bound, rng) for _ in range(2))
+        m = _scrambled(rng, direct_sum(x, y).rep)
+        n = x if x.total_dim else y
+        for kind, target in (("idempotent", m), ("epi", n)):
+            basis = hom_space(m, target)
+            if m.total_dim == 0 or p ** len(basis) > MAX_SCAN:
+                continue
+            if kind == "idempotent":
+                test = lambda cs: quiverrep._nontrivial_idempotent_mask(cs, p)  # noqa: E731
+            else:
+                test = lambda cs: quiverrep._rank_mask(cs, target.dim, p)  # noqa: E731
+            stacks = _hom_component_stacks(basis, m, target)
+            for limit in BUDGETS:
+                got = _charged(lambda b: _first_hits(
+                    quiverrep._scan(basis, m, target, test, leading_one=kind == "epi")), limit)
+                assert got == _charged(
+                    lambda b: _first_hits(_reference_hits(stacks, p, target.dim, kind)), limit)
+                if limit is None:
+                    hits[kind] += len(got[0])
+    assert all(hits.values()), hits
