@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .conflation import (Conflation, connecting_map, et4_compose,
-                         et4op_compose, ext_space, realize)
+from .conflation import Conflation, et4_compose, et4op_compose, ext_space, realize
 from .errors import ExtObstruction, ValidationError, ZeroExt
 from .filtration import Filtration, extend, power_filtration
 from .linalg import Matrix
@@ -73,9 +72,10 @@ def universal_extension_cover(c_obj: Representation, a_obj: Representation) -> C
     """The conflation A^n -> B -> C whose class stacks a basis of ext(C, A).
 
     n is the ext dimension; pushing the class forward along the k-th power
-    projection recovers the k-th basis class.  The connecting map
-    hom(A^n, A) -> ext(C, A) is verified to be surjective, and when
-    ext(A, A) = 0 the middle term satisfies ext(B, A) = 0 (also verified).
+    projection recovers the k-th basis class.  So the connecting map
+    hom(A^n, A) -> ext(C, A) is surjective, and when ext(A, A) = 0 the middle
+    term satisfies ext(B, A) = 0.  Both are asserted by
+    tests/test_approx.py::test_universal_extensions_hit_a_basis_of_ext.
     """
     space = ext_space(c_obj, a_obj)
     n = space.dimension
@@ -89,12 +89,7 @@ def universal_extension_cover(c_obj: Representation, a_obj: Representation) -> C
     for k, arrow in enumerate(a_obj.quiver.arrows):
         blocks = [g[k] for g in basis_cocycles]
         stacked.append(Matrix.vstack(p, blocks, cols=c_obj.dim[arrow.source]))
-    c = realize(target.element(target.coordinates(stacked)))
-    connecting = connecting_map(c, a_obj, side="right")
-    assert connecting.rank() == n  # a basis of ext(C, A) is hit by construction
-    if ext_space(a_obj, a_obj).dimension == 0:
-        assert ext_space(c.B, a_obj).dimension == 0
-    return c
+    return realize(target.element(target.coordinates(stacked)))
 
 
 def universal_extension_env(n_obj: Representation, t_obj: Representation) -> Conflation:
@@ -102,9 +97,11 @@ def universal_extension_env(n_obj: Representation, t_obj: Representation) -> Con
 
     m is the dimension of ext(T, N); when m = 0 the identity conflation
     N -> N -> 0 is returned unchanged.  Pulling the class back along the
-    k-th power injection recovers the k-th basis class.  After the step
-    ext(T, B) = 0 must hold; that can only fail when ext(T, T) is nonzero,
-    which is reported as an obstruction.
+    k-th power injection recovers the k-th basis class, so the connecting map
+    hom(T, T^m) -> ext(T, N) is surjective, as
+    tests/test_approx.py::test_universal_extensions_hit_a_basis_of_ext
+    asserts.  After the step ext(T, B) = 0 must hold; that can only fail when
+    ext(T, T) is nonzero, which is reported as an obstruction.
     """
     space = ext_space(t_obj, n_obj)
     m = space.dimension
@@ -119,8 +116,6 @@ def universal_extension_env(n_obj: Representation, t_obj: Representation) -> Con
         blocks = [g[k] for g in basis_cocycles]
         stacked.append(Matrix.hstack(p, blocks, rows=n_obj.dim[arrow.target]))
     c = realize(target.element(target.coordinates(stacked)))
-    connecting = connecting_map(c, t_obj, side="left")
-    assert connecting.rank() == m  # a basis of ext(T, N) is hit by construction
     if ext_space(t_obj, c.B).dimension != 0:
         d = ext_space(t_obj, t_obj).dimension
         raise ExtObstruction(
@@ -152,7 +147,11 @@ def preenvelope(x: Representation, theta: ThetaFamily) -> ApproxResult:
     power of theta[i], and the running conflation is recomposed so the final
     quotient is explicitly filtered with non-increasing labels.  Stages with
     vanishing ext are skipped, so an already perpendicular x returns the
-    identity inflation with zero quotient.
+    identity inflation with zero quotient.  After stage i, ext(theta[j], -)
+    vanishes on the middle for every j >= i, because the one-way ext
+    vanishing of the family keeps it at zero for j > i.  So the final middle
+    is theta-injective.  test_approximation_staircases_over_a3_and_d4 in
+    tests/test_approx.py asserts this at every stage.
     """
     t = len(theta)
     running: Optional[Conflation] = None
@@ -170,13 +169,9 @@ def preenvelope(x: Representation, theta: ThetaFamily) -> ApproxResult:
                 composed = et4_compose(running, eta)
                 running = composed.composite
                 filtered = extend(composed.quotient, filtered, layer)
-        cur = running.B if running is not None else x
-        for j in range(i, t):
-            assert ext_space(theta[j], cur).dimension == 0
     if running is None:
         running = Conflation.identity_right(x)
         filtered = Filtration(theta, ())
-    assert is_theta_injective(running.B, theta)
     return ApproxResult(running, running.x, "envelope", theta, filtered)
 
 
@@ -186,7 +181,10 @@ def precover(x: Representation, theta: ThetaFamily) -> ApproxResult:
     Dual staircase, walking the family upward from the first member; stage i
     covers the current middle by a universal extension with kernel a power
     of theta[i], and the running conflation is recomposed so the final
-    kernel is explicitly filtered with non-increasing labels.
+    kernel is explicitly filtered with non-increasing labels.  After stage
+    i, ext(-, theta[j]) vanishes on the middle for every j <= i, so the
+    final middle is theta-projective; the same test as for preenvelope
+    asserts this at every stage.
     """
     t = len(theta)
     running: Optional[Conflation] = None
@@ -204,13 +202,9 @@ def precover(x: Representation, theta: ThetaFamily) -> ApproxResult:
                 composed = et4op_compose(xi, running)
                 running = composed.composite
                 filtered = extend(composed.kernel, layer, filtered)
-        cur = running.B if running is not None else x
-        for j in range(i + 1):
-            assert ext_space(cur, theta[j]).dimension == 0
     if running is None:
         running = Conflation.identity_left(x)
         filtered = Filtration(theta, ())
-    assert is_theta_projective(running.B, theta)
     return ApproxResult(running, running.y, "cover", theta, filtered)
 
 

@@ -14,6 +14,11 @@ def a3():
 
 
 @pytest.fixture(scope="session")
+def d4():
+    return Quiver.from_edges(4, [("a", 0, 1), ("b", 0, 2), ("c", 0, 3)])
+
+
+@pytest.fixture(scope="session")
 def s1(a2):
     return Representation.simple(a2, 2, 0)
 

@@ -2,7 +2,9 @@
 
 Criteria 1-8 are the shared invariant suites from filtra.selftest, run here
 with a fixed seed and asserted together with their wall-clock bounds;
-criterion 9 drives the command line surface end to end.
+criterion 9 drives the command line surface end to end.  The last test runs
+the composition, reorder and approximation criteria in both orders from
+empty caches.
 """
 
 import json
@@ -10,8 +12,9 @@ import random
 import time
 from pathlib import Path
 
+from filtra import conflation, filtration, quiverrep
 from filtra.cli import main
-from filtra.errors import Budget
+from filtra.errors import Budget, searching
 from filtra.selftest import (criterion_approx, criterion_compose,
                              criterion_decision, criterion_ext_dimensions,
                              criterion_perp, criterion_reorder, criterion_split,
@@ -100,3 +103,25 @@ def test_criterion_9_cli_worked_examples(capsys):
         line += "; " + "; ".join(failures)
     print(line)
     assert not failures, line
+
+
+def test_criteria_ignore_call_order_and_cache_state(monkeypatch):
+    # each pass starts from empty caches, so no answer can lean on an entry
+    # that another criterion (or an earlier test) left behind
+    order = [criterion_compose, criterion_reorder, criterion_approx]
+    passes = []
+    for fns in (order, order[::-1]):
+        for module, name in ((quiverrep, "_hom_cache"), (conflation, "_ext_cache"),
+                             (quiverrep, "_indec_cache"), (quiverrep, "_reps_cache"),
+                             (filtration, "_decide_memo"), (filtration, "_oracle_memo"),
+                             (quiverrep, "_iso_keys")):
+            monkeypatch.setattr(module, name, {})
+        filtration._dim_feasible.cache_clear()
+        results = {}
+        for fn in fns:
+            budget = Budget()
+            with searching(budget):
+                results[fn.__name__] = fn(random.Random(0), budget)
+        passes.append(results)
+    assert passes[0] == passes[1]
+    assert all(r.passed for r in passes[0].values())

@@ -1,15 +1,21 @@
 """Universal extensions, preenvelopes, precovers, and their verification."""
 
 import dataclasses
+import random
 
 import pytest
 
 from filtra import (Conflation, ExtObstruction, RepMorphism, Representation,
-                    ThetaFamily, ValidationError, ZeroExt, direct_sum,
+                    ThetaFamily, ValidationError, ZeroExt, connecting_map,
+                    direct_power, direct_sum, enumerate_indecomposables,
                     enumerate_reps, ext_space, group, is_isomorphic,
                     is_theta_injective, is_theta_projective, oracle_filtered,
                     perp_class, precover, preenvelope, universal_extension_cover,
                     universal_extension_env, verify_precover, verify_preenvelope)
+from filtra.selftest import standard_families
+
+# every indecomposable of A3 and of D4 lies under these bounds
+INDECOMPOSABLE_BOUNDS = {3: (1, 1, 1), 4: (2, 1, 1, 1)}
 
 
 def test_universal_extension_cover_of_s1(s1, s2, p1):
@@ -42,6 +48,42 @@ def test_universal_extension_env_obstructed(s1, s2):
     assert ext_space(both, both).dimension == 1
     with pytest.raises(ExtObstruction, match="dimension 1"):
         universal_extension_env(s2, both)
+
+
+def test_universal_extensions_hit_a_basis_of_ext(a3, d4):
+    # the connecting map onto ext has full rank, and the middle has no ext
+    # against the power object once that object has no self-extensions
+    rng = random.Random(41)
+    rigid_covers = rigid_envs = 0
+    for quiver in (a3, d4):
+        for p in (2, 3):
+            bound = (2,) * quiver.vertex_count
+            indecs = enumerate_indecomposables(quiver, p, INDECOMPOSABLE_BOUNDS[quiver.vertex_count])
+            for _ in range(25):
+                # an indecomposable of a Dynkin quiver has no self-extensions
+                power = (indecs[rng.randrange(len(indecs))] if rng.random() < 0.5
+                         else Representation.random(quiver, p, bound, rng))
+                other = Representation.random(quiver, p, bound, rng)
+                rigid = ext_space(power, power).dimension == 0
+                n = ext_space(other, power).dimension
+                if n:
+                    c = universal_extension_cover(other, power)
+                    assert c.A == direct_power(power, n) and c.C == other
+                    assert connecting_map(c, power, side="right").rank() == n
+                    if rigid:
+                        rigid_covers += 1
+                        assert ext_space(c.B, power).dimension == 0
+                m = ext_space(power, other).dimension
+                try:
+                    c = universal_extension_env(other, power)
+                except ExtObstruction:
+                    assert not rigid
+                    continue
+                assert c.A == other and c.C == direct_power(power, m)
+                assert connecting_map(c, power, side="left").rank() == m
+                assert ext_space(power, c.B).dimension == 0
+                rigid_envs += rigid and m > 0
+    assert rigid_covers >= 15 and rigid_envs >= 15
 
 
 def test_preenvelope_spot_value(full_family, s1, s2, p1):
@@ -84,6 +126,28 @@ def test_approximations_over_the_desk(a2, full_family):
         assert oracle_filtered(cov.triangle.A, full_family)
         assert cov.filtered_part.is_ordered()
         assert len(group(cov.filtered_part)) <= len(full_family)
+
+
+def test_approximation_staircases_over_a3_and_d4(a3, d4):
+    # the staircase of a family walks its suffixes (envelope) and prefixes
+    # (cover), so every stage of the full walk is the last stage of one of these
+    rng = random.Random(42)
+    for quiver in (a3, d4):
+        for p in (2, 3):
+            families = standard_families(quiver, p)
+            assert len(families) == 4
+            for _ in range(5):
+                x = Representation.random(quiver, p, (2,) * quiver.vertex_count, rng)
+                for theta in families:
+                    for i in range(len(theta)):
+                        suffix = ThetaFamily(theta.members[i:])
+                        env = preenvelope(x, suffix)
+                        assert env.triangle.A == x
+                        assert is_theta_injective(env.triangle.B, suffix)
+                        prefix = ThetaFamily(theta.members[:i + 1])
+                        cov = precover(x, prefix)
+                        assert cov.triangle.C == x
+                        assert is_theta_projective(cov.triangle.B, prefix)
 
 
 def test_verify_preenvelope_passes_and_sorts(full_family, s1, s2, p1):

@@ -1,10 +1,13 @@
 """Workspace parsing, serialization, and the command surface."""
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtra import ParseError, ValidationError, filtration, quiverrep
 from filtra.cli import main, parse_workspace, serialize_workspace
@@ -254,9 +257,11 @@ def test_cli_output_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-# sha256 of stdout, taken before the Hom scans were batched: the printed
-# epimorphisms are the first hits of the decide_filtered peel, Y's decisions
-# run memo iso scans, and the others run the split and iso scans
+# sha256 of stdout.  The first seven were taken before the Hom scans were
+# batched: the printed epimorphisms are the first hits of the decide_filtered
+# peel, Y's decisions run memo iso scans, and the others run the split and iso
+# scans.  The last four pin the staircases of universal extensions and their
+# compositions that preenvelope and precover print.
 PINNED = [
     (A2_F3_WS, "filter X --theta mixed", 0,
      "d727538477164566c6dde73092a5d45b81a66c88b3fbf83560442915dfcb44af"),
@@ -272,6 +277,14 @@ PINNED = [
      "9e23c3b5883beeda5807c05aec9d352afeca69c9b2b8826f784263e218cc01f9"),
     (A3_WS, "preenvelope S3 --theta full --verify --max-dim 2,2,1", 0,
      "ff8c85f1eb8e9f241f1b037ca198567abef03e8b81330f2aed9f35281bb35313"),
+    (A2_F3_WS, "preenvelope X --theta full", 0,
+     "e70e700545e0254d0ab864d94728044ff50aef6c16139074fea5cf329afc9bb8"),
+    (A2_F3_WS, "precover Y --theta full", 0,
+     "60969c885a26cdccb2c25e212679cb97bd8461176c980df3162d9c67293023d9"),
+    (A2_F3_WS, "preenvelope Y --theta mixed", 0,
+     "29b5dc1aefce6db13bffc85679e4949a3027680ab0aa403f2d32c69479f5307d"),
+    (A2_F3_WS, "precover X --theta mixed", 0,
+     "55545588be60ca58c90109aa1c6f57eb88257cdc4257b185503cc043682a560a"),
 ]
 
 
@@ -280,3 +293,70 @@ def test_cli_stdout_pinned(capsys):
         status = main(["-w", ws] + command.split())
         out = capsys.readouterr().out
         assert (status, hashlib.sha256(out.encode()).hexdigest()) == (expected_status, digest), command
+
+
+REP_NAMES = ("S1", "S2", "P1", "X")
+ARROW_NAMES = ("a", "b", "c")
+
+
+@st.composite
+def _workspace_texts(draw):
+    """Workspace text from the grammar's own directives with random arguments,
+    with two representation names and a family name to run commands on.
+
+    The lines follow the documented order with arguments that usually fit,
+    so most texts parse; about one token in sixteen is replaced by a wrong
+    one, and a line may be repeated out of place.
+    """
+    def token(valid):
+        if draw(st.integers(0, 15)) < 15:
+            return str(valid)
+        return str(draw(st.one_of(st.integers(-1, 3), st.sampled_from(["x", "1.5"]))))
+
+    nverts = draw(st.integers(1, 3))
+    lines = ["field " + token(draw(st.sampled_from([2, 3, 5]))),
+             "vertices " + token(nverts)]
+    edges = [(s, t) for s in range(nverts) for t in range(s + 1, nverts)]
+    arrows = {}
+    if edges:
+        for name in draw(st.lists(st.sampled_from(ARROW_NAMES), max_size=3, unique=True)):
+            src, tgt = draw(st.sampled_from(edges))
+            arrows[name] = (src, tgt)
+            lines.append(f"arrow {name} {token(src + 1)} {token(tgt + 1)}")
+    reps = draw(st.lists(st.sampled_from(REP_NAMES), max_size=4, unique=True))
+    for name in reps:
+        lines.append(f"rep {name}")
+        dim = draw(st.lists(st.integers(0, 2), min_size=nverts, max_size=nverts))
+        lines.append("dim " + " ".join(token(d) for d in dim))
+        for arrow in draw(st.lists(st.sampled_from(sorted(arrows)), unique=True)) if arrows else ():
+            src, tgt = arrows[arrow]
+            rows, cols = dim[tgt], dim[src]
+            count = max(0, rows * cols + draw(st.sampled_from([0] * 8 + [1, -1])))
+            entries = draw(st.lists(st.integers(), min_size=count, max_size=count))
+            lines.append(f"mat {token(arrow)} {token(rows)} {token(cols)} "
+                         + " ".join(map(str, entries)))
+    thetas = draw(st.lists(st.sampled_from(["full", "mixed"]), max_size=2, unique=True)) \
+        if reps else []
+    for name in thetas:
+        members = draw(st.lists(st.sampled_from(reps), min_size=1, max_size=3))
+        lines.append(f"theta {name} {' '.join(token(m) for m in members)}")
+    if draw(st.integers(0, 7)) == 7:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    known = st.sampled_from(reps + ["NOPE"])
+    return ("\n".join(lines) + "\n", draw(st.tuples(known, known)),
+            draw(st.sampled_from(thetas + ["NOPE"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_workspace_texts())
+def test_cli_fuzzed_workspaces_exit_cleanly(tmp_path_factory, case):
+    text, names, theta = case
+    ws = tmp_path_factory.getbasetemp() / "fuzzed.ws"
+    ws.write_text(text)
+    for command in (["hom", *names], ["ext", *names], ["check-theta", theta]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(["-w", str(ws), *command])
+        assert status in (0, 1, 2), command
+        doc = json.loads(out.getvalue())
+        assert status != 2 or list(doc) == ["error"], command

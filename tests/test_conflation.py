@@ -11,7 +11,7 @@ from filtra import (Conflation, DimensionMismatch, Representation,
                     hom_space, is_isomorphic, is_split, pullback, pushforward,
                     realize, shift_base)
 from filtra.quiverrep import RepMorphism
-from filtra.selftest import random_conflation, scramble_middle
+from filtra.selftest import _random_automorphism, random_conflation, scramble_middle
 
 
 def test_ext_dimension_spot_values(s1, s2, p1):
@@ -131,59 +131,101 @@ def test_complete_square_and_morphism_of_extensions(s1, s2, p1):
     assert induced == RepMorphism.identity(s1)
 
 
-def test_shift_base_pushout(a2, s1, s2):
+def _random_morphism(rng, source, target):
+    f = RepMorphism.zero(source, target)
+    for g in hom_space(source, target):
+        f = f + g.scale(rng.randrange(source.p))
+    return f
+
+
+def test_complete_square_random(a2, a3):
+    # squares that commute by construction: the pushout squares of shift_base,
+    # and b = identity between a scrambled conflation and its twist by
+    # automorphisms of the end objects
+    rng = random.Random(32)
+    twisted = 0
+    for quiver in (a2, a3):
+        bound = (2,) * quiver.vertex_count
+        for p in (2, 3):
+            for _ in range(15):
+                c1 = random_conflation(rng, quiver, p, bound)
+                x = Representation.random(quiver, p, bound, rng)
+                a = _random_morphism(rng, c1.A, x)
+                c2, b = shift_base(a, c1)
+                # (a, b, c2, the induced map on quotients)
+                squares = [(a, b, c2, RepMorphism.identity(c1.C))]
+                phi = _random_automorphism(rng, c1.A)
+                psi = _random_automorphism(rng, c1.C)
+                if phi is not None and psi is not None:
+                    twist = Conflation(c1.A, c1.B, c1.C, c1.x @ phi.inverse(), psi @ c1.y)
+                    squares.append((phi, RepMorphism.identity(c1.B), twist, psi))
+                    twisted += psi != RepMorphism.identity(c1.C)
+                for a, b, c2, expected in squares:
+                    c = complete_square(a, b, c1, c2)
+                    assert c @ c1.y == c2.y @ b
+                    assert pushforward(a, class_of(c1)) == pullback(c, class_of(c2))
+                    assert c == expected
+    assert twisted >= 20
+
+
+def test_shift_base_pushout(a2, a3):
     rng = random.Random(27)
-    for _ in range(20):
-        c = random_conflation(rng, a2, 2, (2, 2))
-        x = Representation.random(a2, 2, (2, 2), rng)
-        basis = hom_space(c.A, x)
-        if not basis:
-            continue
-        a = basis[rng.randrange(len(basis))]
-        shifted, b = shift_base(a, c)
-        assert shifted.A == x and shifted.C == c.C
-        assert class_of(shifted) == pushforward(a, class_of(c))
-        assert b @ c.x == shifted.x @ a
-        assert shifted.y @ b == c.y
+    for quiver in (a2, a3):
+        bound = (2,) * quiver.vertex_count
+        for p in (2, 3):
+            for _ in range(20):
+                c = random_conflation(rng, quiver, p, bound)
+                x = Representation.random(quiver, p, bound, rng)
+                basis = hom_space(c.A, x)
+                if not basis:
+                    continue
+                a = basis[rng.randrange(len(basis))].scale(1 + rng.randrange(p - 1))
+                shifted, b = shift_base(a, c)
+                assert shifted.A == x and shifted.C == c.C
+                assert class_of(shifted) == pushforward(a, class_of(c))
+                assert b @ c.x == shifted.x @ a
+                assert shifted.y @ b == c.y
 
 
 def test_et4_compose_compatibilities(a2, a3):
     rng = random.Random(28)
     for quiver in (a2, a3):
         bound = (1,) * quiver.vertex_count
-        for _ in range(25):
-            c1 = random_conflation(rng, quiver, 2, bound)
-            f_obj = Representation.random(quiver, 2, bound, rng)
-            space = ext_space(f_obj, c1.B)
-            c2 = realize(space.element([rng.randrange(2)
-                                        for _ in range(space.dimension)]))
-            res = et4_compose(c1, c2)
-            assert res.composite.A == c1.A and res.composite.B == c2.B
-            assert res.quotient.A == c1.C and res.quotient.C == c2.C
-            assert class_of(res.quotient) == pushforward(c1.y, class_of(c2))
-            assert pullback(res.d, class_of(res.composite)) == class_of(c1)
-            assert pushforward(c1.x, class_of(res.composite)) == \
-                pullback(res.e, class_of(c2))
+        for p in (2, 3):
+            for _ in range(25):
+                c1 = random_conflation(rng, quiver, p, bound)
+                f_obj = Representation.random(quiver, p, bound, rng)
+                space = ext_space(f_obj, c1.B)
+                c2 = realize(space.element([rng.randrange(p)
+                                            for _ in range(space.dimension)]))
+                res = et4_compose(c1, c2)
+                assert res.composite.A == c1.A and res.composite.B == c2.B
+                assert res.quotient.A == c1.C and res.quotient.C == c2.C
+                assert class_of(res.quotient) == pushforward(c1.y, class_of(c2))
+                assert pullback(res.d, class_of(res.composite)) == class_of(c1)
+                assert pushforward(c1.x, class_of(res.composite)) == \
+                    pullback(res.e, class_of(c2))
 
 
 def test_et4op_compose_compatibilities(a2, a3):
     rng = random.Random(29)
     for quiver in (a2, a3):
         bound = (1,) * quiver.vertex_count
-        for _ in range(25):
-            c2 = random_conflation(rng, quiver, 2, bound)
-            a_obj = Representation.random(quiver, 2, bound, rng)
-            # realize keeps the base object literal, so c1's quotient is c2.B
-            space = ext_space(c2.B, a_obj)
-            c1 = realize(space.element([rng.randrange(2)
-                                        for _ in range(space.dimension)]))
-            res = et4op_compose(c1, c2)
-            assert res.composite.B == c1.B and res.composite.C == c2.C
-            assert res.kernel.A == c1.A and res.kernel.C == c2.A
-            assert class_of(res.kernel) == pullback(c2.x, class_of(c1))
-            assert pushforward(res.b, class_of(res.composite)) == class_of(c2)
-            assert pullback(c2.y, class_of(res.composite)) == \
-                pushforward(res.a, class_of(c1))
+        for p in (2, 3):
+            for _ in range(25):
+                c2 = random_conflation(rng, quiver, p, bound)
+                a_obj = Representation.random(quiver, p, bound, rng)
+                # realize keeps the base object literal, so c1's quotient is c2.B
+                space = ext_space(c2.B, a_obj)
+                c1 = realize(space.element([rng.randrange(p)
+                                            for _ in range(space.dimension)]))
+                res = et4op_compose(c1, c2)
+                assert res.composite.B == c1.B and res.composite.C == c2.C
+                assert res.kernel.A == c1.A and res.kernel.C == c2.A
+                assert class_of(res.kernel) == pullback(c2.x, class_of(c1))
+                assert pushforward(res.b, class_of(res.composite)) == class_of(c2)
+                assert pullback(c2.y, class_of(res.composite)) == \
+                    pushforward(res.a, class_of(c1))
 
 
 def test_conflation_direct_sum_adds_classes(s1, s2):
