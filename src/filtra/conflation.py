@@ -25,10 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import quiverrep
 from .errors import DimensionMismatch, ValidationError
 from .linalg import Matrix
 from .quiverrep import (Representation, RepMorphism, _flatten, _hom_shapes,
-                        _intertwiner_system, _unflatten, direct_sum)
+                        _intertwiner_system, _unflatten, direct_sum, euler_pairing)
 
 __all__ = [
     "Conflation",
@@ -161,6 +162,12 @@ class ExtSpace:
     class is the k-th coordinate vector; coordinates() is the corresponding
     projection, well defined modulo coboundaries.  All choices come from the
     deterministic elimination in linalg, so bases are reproducible.
+
+    When the Hom basis of (C, A) is already cached, the dimension comes from
+    rank-nullity on d, dim Ext = dim Hom - euler_pairing(C, A), with no
+    elimination; the coboundary, the cokernel projection and its section are
+    then built on first use.  Otherwise they are built on construction.
+    Either way they are the same matrices.
     """
 
     __slots__ = ("C", "A", "cocycle_shapes", "dimension",
@@ -170,17 +177,29 @@ class ExtSpace:
         if C.quiver != A.quiver or C.p != A.p:
             raise ValidationError("ext requires representations over the same quiver and field")
         shapes = tuple((A.dim[a.target], C.dim[a.source]) for a in C.quiver.arrows)
-        coboundary = _intertwiner_system(C, A)
-        projection, dimension = coboundary.cokernel_projection()
-        section = projection.right_inverse()
-        assert section is not None  # projection has full row rank
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "cocycle_shapes", shapes)
+        hom = quiverrep._hom_cache.get((C, A))
+        dimension = (self._projection.rows if hom is None
+                     else len(hom) - euler_pairing(C, A))
         object.__setattr__(self, "dimension", dimension)
+
+    def __getattr__(self, name):
+        """Build the coboundary, projection and section on first use of one.
+
+        Python calls this only for a slot that is still unset.
+        """
+        if name not in ("_coboundary", "_projection", "_section"):
+            raise AttributeError(name)
+        coboundary = _intertwiner_system(self.C, self.A)
+        projection, _ = coboundary.cokernel_projection()
+        section = projection.right_inverse()
+        assert section is not None  # projection has full row rank
         object.__setattr__(self, "_coboundary", coboundary)
         object.__setattr__(self, "_projection", projection)
         object.__setattr__(self, "_section", section)
+        return getattr(self, name)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtSpace is immutable")

@@ -59,10 +59,11 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        # the size check first: trial division costs time in sqrt(p)
+        if isinstance(self.p, int) and self.p >= 2 ** 15:
+            raise ValidationError(f"modulus {self.p} is too large for exact int64 arithmetic here")
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValidationError(f"modulus must be a prime integer, got {self.p!r}")
-        if self.p >= 2 ** 15:
-            raise ValidationError(f"modulus {self.p} is too large for exact int64 arithmetic here")
 
     def inv(self, x: int) -> int:
         x %= self.p

@@ -14,6 +14,7 @@ too large for FILTRA_BUDGET raises BudgetExceeded instead of running on.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -81,18 +82,22 @@ class Quiver:
         return Quiver(vertex_count, tuple(Arrow(n, s, t) for n, s, t in edges))
 
     def topological_order(self) -> tuple[int, ...]:
+        """Kahn's order: sources by index, then each vertex as its last
+        incoming arrow is removed, arrows taken in declaration order."""
         indeg = [0] * self.vertex_count
+        out: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for a in self.arrows:
             indeg[a.target] += 1
-        order, queue = [], [v for v in range(self.vertex_count) if indeg[v] == 0]
+            out[a.source].append(a.target)
+        order = []
+        queue = collections.deque(v for v in range(self.vertex_count) if indeg[v] == 0)
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             order.append(v)
-            for a in self.arrows:
-                if a.source == v:
-                    indeg[a.target] -= 1
-                    if indeg[a.target] == 0:
-                        queue.append(a.target)
+            for t in out[v]:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    queue.append(t)
         if len(order) != self.vertex_count:
             raise ValidationError("quiver must be acyclic")
         return tuple(order)
@@ -931,8 +936,11 @@ def enumerate_subreps(m: Representation) -> list[tuple[Representation, RepMorphi
 def euler_pairing(m: Representation, n: Representation) -> int:
     """Sum_v dimM_v dimN_v - sum_{a: i->j} dimM_i dimN_j.
 
-    For an acyclic quiver this equals dim Hom(m,n) - dim Ext(m,n), which the
-    test suite uses as an independent cross-check of both computations.
+    For an acyclic quiver this equals dim Hom(m,n) - dim Ext(m,n): it is
+    the column count minus the row count of the intertwiner system, whose
+    kernel is Hom and whose cokernel is Ext (rank-nullity).  ExtSpace uses
+    it to read dim Ext off a cached Hom basis; the test suite and the
+    selftest check it against an independent elimination of the cokernel.
     """
     value = sum(dm * dn for dm, dn in zip(m.dim, n.dim))
     for a in m.quiver.arrows:

@@ -25,8 +25,8 @@ from .filtration import (Filtration, FiltrationStep, decide_filtered, group,
                          star_membership)
 from .linalg import Matrix
 from .quiverrep import (Quiver, Representation, RepMorphism, ThetaFamily,
-                        enumerate_indecomposables, enumerate_reps, euler_pairing,
-                        hom_space, is_isomorphic)
+                        _intertwiner_system, enumerate_indecomposables, enumerate_reps,
+                        euler_pairing, hom_space, is_isomorphic)
 
 __all__ = [
     "CriterionResult",
@@ -148,10 +148,15 @@ def criterion_ext_dimensions(rng: random.Random, budget: Budget) -> CriterionRes
     for m in desk:
         for n in desk:
             pairs += 1
-            lhs = len(hom_space(m, n)) - ext_space(m, n).dimension
-            if lhs != euler_pairing(m, n):
+            # the cokernel is eliminated here on its own: ext_space takes its
+            # dimension from the cached Hom basis and the Euler form
+            _, cokernel = _intertwiner_system(m, n).cokernel_projection()
+            if len(hom_space(m, n)) - cokernel != euler_pairing(m, n):
                 ok = False
                 notes.append(f"Euler mismatch at dims {m.dim}, {n.dim}")
+            if ext_space(m, n).dimension != cokernel:
+                ok = False
+                notes.append(f"ext dimension mismatch at dims {m.dim}, {n.dim}")
     detail = f"6 pinned dimensions, {pairs} Euler-form pairs"
     if notes:
         detail += "; " + "; ".join(notes[:4])

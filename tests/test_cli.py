@@ -285,6 +285,17 @@ PINNED = [
      "29b5dc1aefce6db13bffc85679e4949a3027680ab0aa403f2d32c69479f5307d"),
     (A2_F3_WS, "precover X --theta mixed", 0,
      "55545588be60ca58c90109aa1c6f57eb88257cdc4257b185503cc043682a560a"),
+    # hom before ext: ext X Y takes its dimension from the cached Hom basis
+    (A2_F3_WS, "hom X Y", 0,
+     "455005267870947a01a0aec0c746248e267a2cc77599caeec19b3ba844e6376b"),
+    (A2_F3_WS, "ext X Y", 0,
+     "1b4998d8d1aeccb781e767d34b53f4bb4455440fe137bed889c1706f3ae2abe0"),
+    (A2_F3_WS, "ext Y X", 0,
+     "dc77bfe9864d61f6d1f4b50b6612c61895659e48870bdda6015334d7de09ed4b"),
+    (A2_F3_WS, "realize X Y --class 1", 0,
+     "93dcf17ac8514ac3eb222905155f25c5bfc4fe5b55d6428c0da9ee9213d8f18a"),
+    (A3_WS, "ext S2 S3", 0,
+     "eb171e3c7b05fa4f22b2439b7f5008d5ddae5dfe4075b97ffbec71e4e5ddfc74"),
 ]
 
 

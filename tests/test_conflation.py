@@ -10,6 +10,7 @@ from filtra import (Conflation, DimensionMismatch, Representation,
                     connecting_map, et4_compose, et4op_compose, ext_space,
                     hom_space, is_isomorphic, is_split, pullback, pushforward,
                     realize, shift_base)
+from filtra import Matrix, Quiver, conflation, quiverrep
 from filtra.quiverrep import RepMorphism
 from filtra.selftest import _random_automorphism, random_conflation, scramble_middle
 
@@ -21,6 +22,53 @@ def test_ext_dimension_spot_values(s1, s2, p1):
     assert ext_space(p1, s1).dimension == 0
     assert ext_space(p1, s2).dimension == 0
     assert ext_space(p1, p1).dimension == 0
+
+
+def _matrix_bytes(m: Matrix):
+    return m.p, m.shape, m.a.tobytes()
+
+
+def _ext_state(space):
+    return (space.dimension,
+            [_matrix_bytes(m) for m in (space._coboundary, space._projection, space._section)],
+            [[_matrix_bytes(g) for g in cls.cocycles()] for cls in space.basis])
+
+
+def test_ext_space_ignores_call_order(monkeypatch, a2, a3, d4):
+    """Ext built before Hom eliminates its cokernel at once; Ext built after
+    Hom takes its dimension from the Hom basis and eliminates nothing until
+    the cokernel is asked for.  Both give the same matrices and bases."""
+    kronecker = Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)])
+    rref_calls = []
+    rref = Matrix.rref
+
+    def counted_rref(self):
+        rref_calls.append(self.shape)
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted_rref)
+    rng = random.Random(81)
+    for quiver, bound in ((a2, (2, 3)), (a3, (2, 2, 2)), (kronecker, (3, 3)),
+                          (d4, (2, 2, 1, 2))):
+        dimensions = []
+        for p in (2, 3, 5):
+            for _ in range(6):
+                c = Representation.random(quiver, p, bound, rng)
+                a = Representation.random(quiver, p, bound, rng)
+                monkeypatch.setattr(quiverrep, "_hom_cache", {})
+                monkeypatch.setattr(conflation, "_ext_cache", {})
+                ext_first = _ext_state(ext_space(c, a))
+                monkeypatch.setattr(quiverrep, "_hom_cache", {})
+                monkeypatch.setattr(conflation, "_ext_cache", {})
+                hom_space(c, a)
+                rref_calls.clear()
+                space = ext_space(c, a)
+                assert space.dimension == ext_first[0]
+                assert rref_calls == [], (quiver, p, c.dim, a.dim)
+                assert _ext_state(space) == ext_first, (quiver, p, c.dim, a.dim)
+                assert rref_calls
+                dimensions.append(space.dimension)
+        assert max(dimensions) > 0, quiver
 
 
 def test_conflation_validates_exactness(s1, s2, p1):

@@ -23,6 +23,15 @@ def test_prime_field_rejects_composites():
             PrimeField(bad)
 
 
+def test_prime_field_checks_size_before_primality():
+    # 2^61 - 1 is prime: trial division would run to about 1.5e9
+    with pytest.raises(ValidationError, match="too large"):
+        PrimeField(2 ** 61 - 1)
+    with pytest.raises(ValidationError, match="too large"):
+        PrimeField(2 ** 15)
+    PrimeField(32749)
+
+
 def test_matmul_and_identity():
     m = Matrix.from_rows(5, [[1, 2], [3, 4]])
     assert (Matrix.identity(5, 2) @ m) == m

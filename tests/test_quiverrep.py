@@ -20,6 +20,44 @@ def test_cyclic_quiver_rejected():
         Quiver.from_edges(2, [("a", 0, 1), ("b", 1, 0)])
 
 
+def _quadratic_topological_order(quiver):
+    """The former queue.pop(0) and arrow-scan order, kept as the oracle."""
+    indeg = [0] * quiver.vertex_count
+    for a in quiver.arrows:
+        indeg[a.target] += 1
+    order, queue = [], [v for v in range(quiver.vertex_count) if indeg[v] == 0]
+    while queue:
+        v = queue.pop(0)
+        order.append(v)
+        for a in quiver.arrows:
+            if a.source == v:
+                indeg[a.target] -= 1
+                if indeg[a.target] == 0:
+                    queue.append(a.target)
+    return tuple(order)
+
+
+def test_topological_order_matches_the_quadratic_scan():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randrange(1, 8)
+        edges = [(s, t) for s in range(n) for t in range(n) if s != t]
+        rank = list(range(n))
+        rng.shuffle(rank)
+        chosen = [(s, t) for s, t in edges if rank[s] < rank[t] and rng.random() < 0.4]
+        rng.shuffle(chosen)
+        quiver = Quiver.from_edges(n, [(f"a{k}", s, t) for k, (s, t) in enumerate(chosen)])
+        assert quiver.topological_order() == _quadratic_topological_order(quiver)
+
+
+def test_topological_order_of_long_paths():
+    n = 40_000
+    forward = Quiver.from_edges(n, [(f"a{v}", v, v + 1) for v in range(n - 1)])
+    assert forward.topological_order() == tuple(range(n))
+    backward = Quiver.from_edges(n, [(f"a{v}", v + 1, v) for v in range(n - 1)])
+    assert backward.topological_order() == tuple(range(n - 1, -1, -1))
+
+
 def test_duplicate_arrow_names_rejected():
     with pytest.raises(ValidationError):
         Quiver.from_edges(3, [("a", 0, 1), ("a", 1, 2)])
@@ -66,7 +104,11 @@ def test_euler_pairing_matches_hom_minus_ext(a2):
             m = Representation.random(quiver, p, bound, rng)
             n = Representation.random(quiver, p, bound, rng)
             basis = hom_space(m, n)
-            assert len(basis) - ext_space(m, n).dimension == euler_pairing(m, n)
+            # ext_space reads its dimension off the cached Hom basis and the
+            # Euler form, so the cokernel is eliminated here independently
+            _, cokernel = quiverrep._intertwiner_system(m, n).cokernel_projection()
+            assert len(basis) - cokernel == euler_pairing(m, n)
+            assert ext_space(m, n).dimension == cokernel
             for f in basis:
                 RepMorphism(m, n, f.components)  # checks the intertwiner law
 
