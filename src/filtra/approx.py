@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .conflation import Conflation, et4_compose, et4op_compose, ext_space, realize
 from .errors import ExtObstruction, ValidationError, ZeroExt
 from .filtration import Filtration, extend, power_filtration
 from .linalg import Matrix
-from .quiverrep import (Representation, RepMorphism, ThetaFamily, _canonical_key,
-                        direct_power, hom_coordinates, hom_space)
+from .quiverrep import (Representation, RepMorphism, ThetaFamily, _canonical_key, _flatten,
+                        direct_power, hom_space)
 
 __all__ = [
     "ApproxResult",
@@ -226,32 +228,24 @@ class VerifyReport:
         return all(ok for _, ok in self.entries)
 
 
-def _postcomposition_surjective(before: Representation, after: Representation,
-                                f: RepMorphism, test: Representation) -> bool:
-    """Is hom(after, test) -> hom(before, test), g -> g o f, surjective?"""
-    target_basis = hom_space(before, test)
-    if not target_basis:
-        return True
-    source_basis = hom_space(after, test)
-    columns = [hom_coordinates(g @ f, target_basis) for g in source_basis]
-    if not columns:
-        return False
-    stacked = Matrix.hstack(f.source.p, columns, rows=len(target_basis))
-    return stacked.rank() == len(target_basis)
+def _induced_onto(f: RepMorphism, test: Representation, side: str) -> bool:
+    """Is the map f induces on hom spaces onto?
 
-
-def _precomposition_surjective(before: Representation, after: Representation,
-                               f: RepMorphism, test: Representation) -> bool:
-    """Is hom(test, before) -> hom(test, after), g -> f o g, surjective?"""
-    target_basis = hom_space(test, after)
-    if not target_basis:
+    envelope: g -> g o f, hom(f.target, test) -> hom(f.source, test);
+    cover: g -> f o g, hom(test, f.source) -> hom(test, f.target).  The
+    composites of a source basis lie in the target hom space, so the map is
+    onto iff their flattened components have rank equal to its dimension.
+    """
+    envelope = side == "envelope"
+    need = len(hom_space(f.source, test) if envelope else hom_space(test, f.target))
+    if not need:
         return True
-    source_basis = hom_space(test, before)
-    columns = [hom_coordinates(f @ g, target_basis) for g in source_basis]
-    if not columns:
+    composites = ([g @ f for g in hom_space(f.target, test)] if envelope
+                  else [f @ g for g in hom_space(test, f.source)])
+    if not composites:
         return False
-    stacked = Matrix.hstack(f.source.p, columns, rows=len(target_basis))
-    return stacked.rank() == len(target_basis)
+    flat = np.stack([_flatten(g.components) for g in composites])
+    return Matrix(f.source.p, flat).rank() == need
 
 
 def verify_preenvelope(result: ApproxResult,
@@ -259,33 +253,35 @@ def verify_preenvelope(result: ApproxResult,
     """Check the preenvelope property against concrete test objects.
 
     Every morphism from the source into a perpendicular test object must
-    factor through the envelope, i.e. composition with the inflation must
-    map hom(envelope, test) onto hom(source, test).  Objects that are not
-    perpendicular are skipped and reported, not failed.
+    factor through the envelope, i.e. composition with the inflation f must
+    map hom(envelope, test) onto hom(source, test).  The composites g o f of
+    a basis of hom(envelope, test) already lie in hom(source, test), so the
+    map is onto iff they have rank dim hom(source, test).  Objects that are
+    not perpendicular are skipped and reported, not failed.
     """
     if result.side != "envelope":
         raise ValidationError("verify_preenvelope needs an envelope result")
-    x, y = result.triangle.A, result.triangle.B
     entries, skipped = [], []
     for obj in sorted(test_objects, key=_canonical_key):
         if not is_theta_injective(obj, result.theta):
             skipped.append(obj)
             continue
-        entries.append((obj, _postcomposition_surjective(x, y, result.map, obj)))
+        entries.append((obj, _induced_onto(result.map, obj, "envelope")))
     return VerifyReport("envelope", tuple(entries), tuple(skipped))
 
 
 def verify_precover(result: ApproxResult,
                     test_objects: Sequence[Representation]) -> VerifyReport:
-    """Dual check: composition with the deflation must map hom(test, cover)
-    onto hom(test, target) for every perpendicular test object."""
+    """Dual check: composition with the deflation f must map hom(test, cover)
+    onto hom(test, target) for every perpendicular test object.  The
+    composites f o g of a basis of hom(test, cover) lie in hom(test, target),
+    so the map is onto iff they have rank dim hom(test, target)."""
     if result.side != "cover":
         raise ValidationError("verify_precover needs a cover result")
-    x, q = result.triangle.C, result.triangle.B
     entries, skipped = [], []
     for obj in sorted(test_objects, key=_canonical_key):
         if not is_theta_projective(obj, result.theta):
             skipped.append(obj)
             continue
-        entries.append((obj, _precomposition_surjective(q, x, result.map, obj)))
+        entries.append((obj, _induced_onto(result.map, obj, "cover")))
     return VerifyReport("cover", tuple(entries), tuple(skipped))

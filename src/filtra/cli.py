@@ -186,6 +186,11 @@ def parse_workspace(text: str) -> Workspace:
                          for i, a in enumerate(args))
             if any(d < 0 for d in dims):
                 raise ParseError("dimensions must be nonnegative", lineno, 2)
+            for i, d in enumerate(dims):
+                # one vertex this large already needs a Hom system with 2**30 unknowns
+                if d >= 2 ** 15:
+                    raise ParseError(f"dimension {d} is too large (at most {2 ** 15 - 1})",
+                                     lineno, 2 + i)
             rep_dim = dims
         elif head == "mat":
             if rep_name is None:
@@ -559,8 +564,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with searching():
             return _run(args)
-    except (FiltraError, OSError) as exc:
-        _emit({"error": str(exc)})
+    except (FiltraError, OSError, MemoryError) as exc:
+        _emit({"error": str(exc) or type(exc).__name__})
         return 2
 
 

@@ -134,12 +134,10 @@ class GroupedFiltration:
 
     __slots__ = ("theta", "steps")
 
-    def __init__(self, theta: ThetaFamily, steps: Sequence[GroupedStep], check: bool = True):
-        steps = tuple(steps)
+    def __init__(self, theta: ThetaFamily, steps: Sequence[GroupedStep]):
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "steps", steps)
-        if check:
-            self.validate()
+        object.__setattr__(self, "steps", tuple(steps))
+        self.validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupedFiltration is immutable")

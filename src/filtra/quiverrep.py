@@ -108,13 +108,15 @@ class Quiver:
                 return k
         raise KeyError(name)
 
-    def paths(self, max_length: int | None = None) -> list[tuple[Arrow, ...]]:
-        """All nontrivial directed paths, sorted by (length, arrow name sequence)."""
-        limit = self.vertex_count if max_length is None else max_length
+    def paths(self) -> list[tuple[Arrow, ...]]:
+        """All nontrivial directed paths, sorted by (length, arrow name sequence).
+
+        The quiver is acyclic, so no path has more than n - 1 arrows and the
+        frontier runs dry.
+        """
         found: list[tuple[Arrow, ...]] = []
         frontier: list[tuple[Arrow, ...]] = [(a,) for a in self.arrows]
-        length = 1
-        while frontier and length <= limit:
+        while frontier:
             found.extend(frontier)
             nxt = []
             for path in frontier:
@@ -122,7 +124,6 @@ class Quiver:
                     if a.source == path[-1].target:
                         nxt.append(path + (a,))
             frontier = nxt
-            length += 1
         return sorted(found, key=lambda path: (len(path), tuple(a.name for a in path)))
 
 
@@ -453,20 +454,6 @@ def hom_space(m: Representation, n: Representation) -> list[RepMorphism]:
              for k in range(kernel.cols)]
     _hom_cache[key] = tuple(basis)
     return basis
-
-
-def hom_coordinates(f: RepMorphism, basis: Sequence[RepMorphism]) -> Matrix:
-    """Coordinates of f in a hom-space basis (column vector)."""
-    p = f.source.p
-    if not basis:
-        if not f.is_zero():
-            raise ValidationError("morphism is not in the span of an empty basis")
-        return Matrix.zeros(p, 0, 1)
-    b = Matrix(p, np.stack([_flatten(g.components) for g in basis], axis=1))
-    x = b.solve(Matrix(p, _flatten(f.components).reshape(-1, 1)))
-    if x is None:
-        raise ValidationError("morphism is not in the span of the given basis")
-    return x
 
 
 # chunk sizes of _scan, growing 4x: most scans hit early, and past 256 the
@@ -815,7 +802,6 @@ def krull_schmidt(m: Representation) -> list[tuple[Representation, int]]:
 # -- enumeration --------------------------------------------------------------
 
 _indec_cache: dict[tuple[Quiver, int, tuple[int, ...]], tuple[Representation, ...]] = {}
-_reps_cache: dict[tuple[Quiver, int, tuple[int, ...]], tuple[Representation, ...]] = {}
 
 
 def _all_raw_reps(quiver: Quiver, p: int, dim: tuple[int, ...]) -> Iterator[Representation]:
@@ -870,10 +856,6 @@ def enumerate_reps(quiver: Quiver, p: int, max_dim: Sequence[int]) -> list[Repre
     non-isomorphic).
     """
     bound = tuple(int(b) for b in max_dim)
-    key = (quiver, p, bound)
-    cached = _reps_cache.get(key)
-    if cached is not None:
-        return list(cached)
     indecs = enumerate_indecomposables(quiver, p, bound)
     results: list[Representation] = []
 
@@ -887,8 +869,7 @@ def enumerate_reps(quiver: Quiver, p: int, max_dim: Sequence[int]) -> list[Repre
 
     extend(0, Representation.zero(quiver, p), bound)
     results.sort(key=_canonical_key)
-    _reps_cache[key] = tuple(results)
-    return list(results)
+    return results
 
 
 def _subspaces(p: int, d: int) -> list[Matrix]:

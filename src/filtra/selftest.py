@@ -1,9 +1,11 @@
 """Invariant suites shared by the test suite and the command line selftest.
 
 Each criterion function returns a CriterionResult with a pass flag and a
-short human-readable detail line.  Randomized criteria take a seeded RNG so
-identical invocations produce identical outcomes; searches that could blow
-up take a Budget.
+short human-readable detail line.  A criterion records a note for every
+failed check and passes iff it recorded none; the first notes tail the
+detail line.  Randomized criteria take a seeded RNG so identical
+invocations produce identical outcomes; searches that could blow up take a
+Budget.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from .errors import Budget, searching
 from .filtration import (Filtration, FiltrationStep, decide_filtered, group,
                          in_add, multiplicities, oracle_filtered, reorder,
                          star_membership)
-from .linalg import Matrix
-from .quiverrep import (Quiver, Representation, RepMorphism, ThetaFamily,
+from .quiverrep import (Quiver, Representation, RepMorphism, ThetaFamily, _flatten,
                         _intertwiner_system, enumerate_indecomposables, enumerate_reps,
                         euler_pairing, hom_space, is_isomorphic)
 
@@ -46,6 +47,14 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+
+
+def _result(index: int, name: str, detail: str, notes: Sequence[str],
+            shown: int = 3) -> CriterionResult:
+    """Pass iff no note was recorded; the first `shown` notes tail the detail."""
+    if notes:
+        detail += "; " + "; ".join(notes[:shown])
+    return CriterionResult(index, name, not notes, detail)
 
 
 def a2_quiver() -> Quiver:
@@ -129,7 +138,6 @@ def criterion_ext_dimensions(rng: random.Random, budget: Budget) -> CriterionRes
     s1 = Representation.simple(quiver, p, 0)
     s2 = Representation.simple(quiver, p, 1)
     p1 = Representation.projective(quiver, p, 0)
-    ok = True
     notes = []
     spot = {
         ("S1", "S2"): (ext_space(s1, s2).dimension, 1),
@@ -141,7 +149,6 @@ def criterion_ext_dimensions(rng: random.Random, budget: Budget) -> CriterionRes
     }
     for (cn, an), (got, want) in spot.items():
         if got != want:
-            ok = False
             notes.append(f"ext({cn},{an}) = {got}, expected {want}")
     desk = enumerate_reps(quiver, p, (3, 3))
     pairs = 0
@@ -152,54 +159,27 @@ def criterion_ext_dimensions(rng: random.Random, budget: Budget) -> CriterionRes
             # dimension from the cached Hom basis and the Euler form
             _, cokernel = _intertwiner_system(m, n).cokernel_projection()
             if len(hom_space(m, n)) - cokernel != euler_pairing(m, n):
-                ok = False
                 notes.append(f"Euler mismatch at dims {m.dim}, {n.dim}")
             if ext_space(m, n).dimension != cokernel:
-                ok = False
                 notes.append(f"ext dimension mismatch at dims {m.dim}, {n.dim}")
     detail = f"6 pinned dimensions, {pairs} Euler-form pairs"
-    if notes:
-        detail += "; " + "; ".join(notes[:4])
-    return CriterionResult(1, "ext dimensions with Euler cross-check", ok, detail)
+    return _result(1, "ext dimensions with Euler cross-check", detail, notes, shown=4)
 
 
 # -- criterion 2: split criterion equivalences ---------------------------------
 
-def _exists_identity_combo(products: list[Matrix], shapes: Sequence[int], p: int) -> bool:
-    """Is some linear combination of the products the identity family?
+def _identity_in_span(composites: Sequence[RepMorphism], obj: Representation) -> bool:
+    """Is some linear combination of the composites the identity of obj?
 
-    products[k] is the flattened vertexwise family of the k-th basis
-    composite; the target is the flattened identity family.
+    Tries every coefficient vector, so it does not lean on is_split.
     """
-    target = np.concatenate([np.eye(d, dtype=np.int64).reshape(-1) for d in shapes]) \
-        if shapes else np.zeros(0, dtype=np.int64)
-    if not products:
-        return bool(target.size == 0 or not target.any())
-    flat = np.stack([m.a.reshape(-1) for m in products])
-    combos = np.array(list(itertools.product(range(p), repeat=len(products))), dtype=np.int64)
-    return bool((((combos @ flat) % p) == target).all(axis=1).any())
-
-
-def _retraction_exists(c: Conflation) -> bool:
-    basis = hom_space(c.B, c.A)
-    flats = []
-    for f in basis:
-        parts = [(f.components[v] @ c.x.components[v]).a.reshape(-1)
-                 for v in range(c.B.quiver.vertex_count)]
-        flats.append(Matrix(c.B.p, np.concatenate(parts).reshape(1, -1)
-                            if parts else np.zeros((1, 0), dtype=np.int64)))
-    return _exists_identity_combo(flats, c.A.dim, c.B.p)
-
-
-def _section_exists(c: Conflation) -> bool:
-    basis = hom_space(c.C, c.B)
-    flats = []
-    for f in basis:
-        parts = [(c.y.components[v] @ f.components[v]).a.reshape(-1)
-                 for v in range(c.B.quiver.vertex_count)]
-        flats.append(Matrix(c.B.p, np.concatenate(parts).reshape(1, -1)
-                            if parts else np.zeros((1, 0), dtype=np.int64)))
-    return _exists_identity_combo(flats, c.C.dim, c.B.p)
+    target = _flatten(RepMorphism.identity(obj).components)
+    if not composites:
+        return not target.any()
+    flat = np.stack([_flatten(f.components) for f in composites])
+    combos = np.array(list(itertools.product(range(obj.p), repeat=len(composites))),
+                      dtype=np.int64)
+    return bool((((combos @ flat) % obj.p) == target).all(axis=1).any())
 
 
 def criterion_split(rng: random.Random, budget: Budget) -> CriterionResult:
@@ -209,7 +189,6 @@ def criterion_split(rng: random.Random, budget: Budget) -> CriterionResult:
     ]
     per = 130
     checked = split_count = 0
-    ok = True
     notes = []
     for quiver, p, max_dim in setups:
         for _ in range(per):
@@ -217,10 +196,9 @@ def criterion_split(rng: random.Random, budget: Budget) -> CriterionResult:
             c = random_conflation(rng, quiver, p, max_dim)
             zero = class_of(c).is_zero()
             split, witness = is_split(c)
-            retraction = _retraction_exists(c)
-            section = _section_exists(c)
+            retraction = _identity_in_span([r @ c.x for r in hom_space(c.B, c.A)], c.A)
+            section = _identity_in_span([c.y @ s for s in hom_space(c.C, c.B)], c.C)
             if not (zero == split == retraction == section):
-                ok = False
                 notes.append(
                     f"disagreement at p={p} dims {c.B.dim}: zero={zero} split={split} "
                     f"retraction={retraction} section={section}")
@@ -233,13 +211,10 @@ def criterion_split(rng: random.Random, budget: Budget) -> CriterionResult:
                 if (w.retraction @ c.x != ident_a or c.y @ w.section != ident_c
                         or not (w.retraction @ w.section).is_zero()
                         or c.x @ w.retraction + w.section @ c.y != ident_b):
-                    ok = False
                     notes.append(f"bad split witness at p={p} dims {c.B.dim}")
             checked += 1
     detail = f"{checked} conflations, {split_count} split"
-    if notes:
-        detail += "; " + "; ".join(notes[:3])
-    return CriterionResult(2, "split criterion equivalences", ok, detail)
+    return _result(2, "split criterion equivalences", detail, notes)
 
 
 # -- criterion 3: composition compatibilities ----------------------------------
@@ -248,7 +223,6 @@ def criterion_compose(rng: random.Random, budget: Budget) -> CriterionResult:
     setups = [(a2_quiver(), 2, (1, 1)), (a3_quiver(), 2, (1, 1, 1)),
               (a2_quiver(), 3, (1, 1))]
     checked = 0
-    ok = True
     notes = []
     target = 120
     while checked < target:
@@ -265,13 +239,10 @@ def criterion_compose(rng: random.Random, budget: Budget) -> CriterionResult:
         eq2 = pullback(res.d, delta3) == delta1
         eq3 = pushforward(c1.x, delta3) == pullback(res.e, delta2)
         if not (eq1 and eq2 and eq3):
-            ok = False
             notes.append(f"compatibility failure at p={p} dims {res.composite.B.dim}")
         checked += 1
     detail = f"{checked} composable pairs"
-    if notes:
-        detail += "; " + "; ".join(notes[:3])
-    return CriterionResult(3, "inflation composition compatibilities", ok, detail)
+    return _result(3, "inflation composition compatibilities", detail, notes)
 
 
 # -- criterion 4: reorder and group --------------------------------------------
@@ -279,7 +250,6 @@ def criterion_compose(rng: random.Random, budget: Budget) -> CriterionResult:
 def criterion_reorder(rng: random.Random, budget: Budget) -> CriterionResult:
     pools = [(q, standard_families(q, 2)) for q in (a2_quiver(), a3_quiver())]
     checked = 0
-    ok = True
     notes = []
     target = 240
     while checked < target:
@@ -289,40 +259,30 @@ def criterion_reorder(rng: random.Random, budget: Budget) -> CriterionResult:
         budget.spend()
         g = reorder(f)
         if g.top != f.top:
-            ok = False
             notes.append("reorder changed the filtered object")
         if multiplicities(g) != multiplicities(f):
-            ok = False
             notes.append("reorder changed multiplicities")
         if not g.is_ordered():
-            ok = False
             notes.append("reorder output is not ordered")
         grouped = group(g)
         labels = grouped.labels
         if any(labels[i] <= labels[i + 1] for i in range(len(labels) - 1)):
-            ok = False
             notes.append("grouped labels not strictly decreasing")
         if len(grouped) > len(theta):
-            ok = False
             notes.append("grouped filtration longer than the family")
         if grouped.top != f.top:
-            ok = False
             notes.append("group changed the filtered object")
         if grouped.multiplicity_vector != multiplicities(f):
-            ok = False
             notes.append("group changed multiplicities")
         checked += 1
     detail = f"{checked} random filtrations"
-    if notes:
-        detail += "; " + "; ".join(sorted(set(notes))[:3])
-    return CriterionResult(4, "reorder and group invariants", ok, detail)
+    return _result(4, "reorder and group invariants", detail, sorted(set(notes)))
 
 
 # -- criterion 5: decision procedure against the oracle ------------------------
 
 def criterion_decision(rng: random.Random, budget: Budget) -> CriterionResult:
     setups = [(a2_quiver(), 2, (3, 3)), (a3_quiver(), 2, (2, 2, 2))]
-    ok = True
     notes = []
     compared = 0
     for quiver, p, bound in setups:
@@ -332,12 +292,10 @@ def criterion_decision(rng: random.Random, budget: Budget) -> CriterionResult:
                 found = decide_filtered(m, theta, budget)
                 accepted = oracle_filtered(m, theta, budget)
                 if (found is not None) != accepted:
-                    ok = False
                     notes.append(
                         f"disagreement at dims {m.dim} for family {[x.dim for x in theta.members]}")
                 if found is not None:
                     if found.top != m:
-                        ok = False
                         notes.append(f"filtration top mismatch at dims {m.dim}")
                     counts = multiplicities(found)
                     total = [0] * quiver.vertex_count
@@ -345,7 +303,6 @@ def criterion_decision(rng: random.Random, budget: Budget) -> CriterionResult:
                         for v in range(quiver.vertex_count):
                             total[v] += mult * theta[i].dim[v]
                     if tuple(total) != m.dim:
-                        ok = False
                         notes.append(f"dimension additivity fails at dims {m.dim}")
                 compared += 1
     # spot check: with the (simple, projective) family over the two-vertex
@@ -358,12 +315,9 @@ def criterion_decision(rng: random.Random, budget: Budget) -> CriterionResult:
     pred = in_add([s1, p1])
     for m in enumerate_reps(quiver, p, (3, 3)):
         if (decide_filtered(m, theta, budget) is not None) != pred(m):
-            ok = False
             notes.append(f"spot-family mismatch at dims {m.dim}")
     detail = f"{compared} decisions compared"
-    if notes:
-        detail += "; " + "; ".join(notes[:3])
-    return CriterionResult(5, "filtration decision against the oracle", ok, detail)
+    return _result(5, "filtration decision against the oracle", detail, notes)
 
 
 # -- criterion 6: approximation triangles ---------------------------------------
@@ -377,54 +331,41 @@ def criterion_approx(rng: random.Random, budget: Budget) -> CriterionResult:
     indecs = enumerate_indecomposables(quiver, p, (3, 3))
     injectives = perp_class(theta, "ext-right", indecs)
     projectives = perp_class(theta, "ext-left", indecs)
-    ok = True
     notes = []
     if not (len(injectives) == 2 and any(is_isomorphic(x, s1) for x in injectives)
             and any(is_isomorphic(x, p1) for x in injectives)):
-        ok = False
         notes.append("injective side of the perpendicular class is not {S1, P1}")
     if not (len(projectives) == 2 and any(is_isomorphic(x, s2) for x in projectives)
             and any(is_isomorphic(x, p1) for x in projectives)):
-        ok = False
         notes.append("projective side of the perpendicular class is not {S2, P1}")
     count = 0
     for x in enumerate_reps(quiver, p, (2, 2)):
         budget.spend()
         env = preenvelope(x, theta)
         if any(ext_space(member, env.triangle.B).dimension for member in theta.members):
-            ok = False
             notes.append(f"envelope middle not perpendicular at dims {x.dim}")
         if not oracle_filtered(env.triangle.C, theta, budget):
-            ok = False
             notes.append(f"envelope quotient not filtered at dims {x.dim}")
         report = verify_preenvelope(env, injectives)
         if not (report.passed and not report.skipped):
-            ok = False
             notes.append(f"preenvelope verification failed at dims {x.dim}")
         cov = precover(x, theta)
         if any(ext_space(cov.triangle.B, member).dimension for member in theta.members):
-            ok = False
             notes.append(f"cover middle not perpendicular at dims {x.dim}")
         if not oracle_filtered(cov.triangle.A, theta, budget):
-            ok = False
             notes.append(f"cover kernel not filtered at dims {x.dim}")
         report = verify_precover(cov, projectives)
         if not (report.passed and not report.skipped):
-            ok = False
             notes.append(f"precover verification failed at dims {x.dim}")
         count += 1
     env = preenvelope(s2, theta)
     if not (is_isomorphic(env.triangle.B, p1) and is_isomorphic(env.triangle.C, s1)):
-        ok = False
         notes.append("preenvelope of S2 is not P1 with quotient S1")
     cov = precover(s1, theta)
     if not (is_isomorphic(cov.triangle.B, p1) and is_isomorphic(cov.triangle.A, s2)):
-        ok = False
         notes.append("precover of S1 is not P1 with kernel S2")
     detail = f"{count} objects enveloped and covered"
-    if notes:
-        detail += "; " + "; ".join(notes[:3])
-    return CriterionResult(6, "approximation triangles and verification", ok, detail)
+    return _result(6, "approximation triangles and verification", detail, notes)
 
 
 # -- criterion 7: perpendicular reduction ---------------------------------------
@@ -435,7 +376,6 @@ def criterion_perp(rng: random.Random, budget: Budget) -> CriterionResult:
                          Representation.simple(quiver, p, 1)))
     desk = enumerate_reps(quiver, p, (3, 3))
     filtered = [m for m in desk if decide_filtered(m, theta, budget) is not None]
-    ok = True
     notes = []
     for a in desk:
         left_family = is_theta_projective(a, theta)
@@ -443,15 +383,11 @@ def criterion_perp(rng: random.Random, budget: Budget) -> CriterionResult:
         right_family = is_theta_injective(a, theta)
         right_class = all(ext_space(m, a).dimension == 0 for m in filtered)
         if left_family != left_class:
-            ok = False
             notes.append(f"projective-side mismatch at dims {a.dim}")
         if right_family != right_class:
-            ok = False
             notes.append(f"injective-side mismatch at dims {a.dim}")
     detail = f"{len(desk)} candidates against {len(filtered)} filtered objects"
-    if notes:
-        detail += "; " + "; ".join(notes[:3])
-    return CriterionResult(7, "perpendicular class reduction", ok, detail)
+    return _result(7, "perpendicular class reduction", detail, notes)
 
 
 # -- criterion 8: star associativity and monotonicity ---------------------------
@@ -459,7 +395,6 @@ def criterion_perp(rng: random.Random, budget: Budget) -> CriterionResult:
 def criterion_star(rng: random.Random, budget: Budget) -> CriterionResult:
     quiver, p = a2_quiver(), 2
     desk = enumerate_reps(quiver, p, (2, 2))
-    ok = True
     notes = []
     assoc_checked = mono_checked = 0
     for theta in standard_families(quiver, p):
@@ -475,19 +410,15 @@ def criterion_star(rng: random.Random, budget: Budget) -> CriterionResult:
             left = star_membership(m, [pair(first, last), full], budget) is not None
             right = star_membership(m, [first, pair(last, full)], budget) is not None
             if not (flat == left == right):
-                ok = False
                 notes.append(f"associativity mismatch at dims {m.dim}")
             assoc_checked += 1
             chain = [star_membership(m, [full] * k, budget) is not None
                      for k in range(1, 4)]
             if any(chain[i] and not chain[i + 1] for i in range(len(chain) - 1)):
-                ok = False
                 notes.append(f"monotonicity fails at dims {m.dim}")
             mono_checked += 1
     detail = f"{assoc_checked} associativity and {mono_checked} monotonicity checks"
-    if notes:
-        detail += "; " + "; ".join(notes[:3])
-    return CriterionResult(8, "star associativity and monotonicity", ok, detail)
+    return _result(8, "star associativity and monotonicity", detail, notes)
 
 
 CRITERIA: list[Callable[[random.Random, Budget], CriterionResult]] = [

@@ -3,8 +3,8 @@
 Criteria 1-8 are the shared invariant suites from filtra.selftest, run here
 with a fixed seed and asserted together with their wall-clock bounds;
 criterion 9 drives the command line surface end to end.  The last test runs
-the composition, reorder and approximation criteria in both orders from
-empty caches.
+the composition, reorder, approximation and perpendicular-reduction criteria
+in both orders from empty caches.
 """
 
 import json
@@ -12,10 +12,10 @@ import random
 import time
 from pathlib import Path
 
-from filtra import conflation, filtration, quiverrep
+from filtra import enumerate_reps, euler_pairing, selftest
 from filtra.cli import main
 from filtra.errors import Budget, searching
-from filtra.selftest import (criterion_approx, criterion_compose,
+from filtra.selftest import (a2_quiver, criterion_approx, criterion_compose,
                              criterion_decision, criterion_ext_dimensions,
                              criterion_perp, criterion_reorder, criterion_split,
                              criterion_star)
@@ -70,6 +70,17 @@ def test_criterion_8_star_associativity_monotonicity():
     run_criterion(criterion_star)
 
 
+def test_a_failed_check_fails_its_criterion(monkeypatch):
+    # an Euler form off by one breaks every pair: the criterion fails, and its
+    # detail shows the first four notes in the order the desk is walked
+    monkeypatch.setattr(selftest, "euler_pairing", lambda m, n: euler_pairing(m, n) + 1)
+    result = criterion_ext_dimensions(random.Random(0), Budget())
+    desk = enumerate_reps(a2_quiver(), 2, (3, 3))
+    notes = [f"Euler mismatch at dims {desk[0].dim}, {n.dim}" for n in desk[:4]]
+    assert not result.passed
+    assert result.detail == "6 pinned dimensions, 900 Euler-form pairs; " + "; ".join(notes)
+
+
 def test_criterion_9_cli_worked_examples(capsys):
     failures = []
 
@@ -105,18 +116,13 @@ def test_criterion_9_cli_worked_examples(capsys):
     assert not failures, line
 
 
-def test_criteria_ignore_call_order_and_cache_state(monkeypatch):
+def test_criteria_ignore_call_order_and_cache_state(clear_caches):
     # each pass starts from empty caches, so no answer can lean on an entry
     # that another criterion (or an earlier test) left behind
-    order = [criterion_compose, criterion_reorder, criterion_approx]
+    order = [criterion_compose, criterion_reorder, criterion_approx, criterion_perp]
     passes = []
     for fns in (order, order[::-1]):
-        for module, name in ((quiverrep, "_hom_cache"), (conflation, "_ext_cache"),
-                             (quiverrep, "_indec_cache"), (quiverrep, "_reps_cache"),
-                             (filtration, "_decide_memo"), (filtration, "_oracle_memo"),
-                             (quiverrep, "_iso_keys")):
-            monkeypatch.setattr(module, name, {})
-        filtration._dim_feasible.cache_clear()
+        clear_caches()
         results = {}
         for fn in fns:
             budget = Budget()

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from filtra import (Conflation, ExtObstruction, RepMorphism, Representation,
@@ -12,6 +13,9 @@ from filtra import (Conflation, ExtObstruction, RepMorphism, Representation,
                     is_theta_injective, is_theta_projective, oracle_filtered,
                     perp_class, precover, preenvelope, universal_extension_cover,
                     universal_extension_env, verify_precover, verify_preenvelope)
+from filtra.approx import _induced_onto
+from filtra.linalg import Matrix
+from filtra.quiverrep import _flatten, hom_space
 from filtra.selftest import standard_families
 
 # every indecomposable of A3 and of D4 lies under these bounds
@@ -194,3 +198,52 @@ def test_perp_class_sides(a2, s1, s2, p1):
         {(1, 0), (0, 1), (1, 1)}
     with pytest.raises(ValidationError, match="side"):
         perp_class(single, "sideways", indecs)
+
+
+def _coordinates(f, basis):
+    """Coordinates of f in a hom-space basis, as a column, by one solve."""
+    p = f.source.p
+    if not basis:
+        assert f.is_zero()
+        return Matrix.zeros(p, 0, 1)
+    b = Matrix(p, np.stack([_flatten(g.components) for g in basis], axis=1))
+    x = b.solve(Matrix(p, _flatten(f.components).reshape(-1, 1)))
+    assert x is not None, "morphism is not in the span of the basis"
+    return x
+
+
+def _solved_onto(f, test, side):
+    """The former check: solve every composite for its coordinates in the
+    target hom space, then ask whether those columns have full rank."""
+    if side == "envelope":
+        target_basis, source_basis = hom_space(f.source, test), hom_space(f.target, test)
+        composites = [g @ f for g in source_basis]
+    else:
+        target_basis, source_basis = hom_space(test, f.target), hom_space(test, f.source)
+        composites = [f @ g for g in source_basis]
+    if not target_basis:
+        return True
+    if not composites:
+        return False
+    columns = [_coordinates(h, target_basis) for h in composites]
+    return Matrix.hstack(f.source.p, columns, rows=len(target_basis)).rank() == len(target_basis)
+
+
+def test_rank_test_matches_the_coordinate_solve(a2, a3, d4):
+    # general morphisms f: X -> Y, not just approximation maps, on both sides
+    rng = random.Random(67)
+    outcomes = {"envelope": set(), "cover": set()}
+    for quiver, bound in ((a2, (2, 2)), (a3, (2, 2, 1)), (d4, (2, 1, 1, 1))):
+        for p in (2, 3):
+            for _ in range(8):
+                x, y, test = (Representation.random(quiver, p, bound, rng) for _ in range(3))
+                f = RepMorphism.zero(x, y)
+                for g in hom_space(x, y):
+                    f = f + g.scale(rng.randrange(p))
+                for side in outcomes:
+                    onto = _induced_onto(f, test, side)
+                    assert onto == _solved_onto(f, test, side), (quiver, p, x.dim, y.dim, side)
+                    # a zero target hom space is onto for free; count the others
+                    if hom_space(x, test) if side == "envelope" else hom_space(test, y):
+                        outcomes[side].add(onto)
+    assert outcomes == {"envelope": {True, False}, "cover": {True, False}}

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra import ParseError, ValidationError, filtration, quiverrep
+from filtra import ParseError, ValidationError, cli
 from filtra.cli import main, parse_workspace, serialize_workspace
 
 DATA = Path(__file__).parent / "data"
@@ -71,6 +71,11 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as info:
         parse_workspace("field 2\nvertices 2\nrep X\ndim 1\n")
     assert info.value.line == 4
+    # dimensions are bounded like the field modulus, at the offending entry
+    assert parse_workspace("field 2\nvertices 1\nrep X\ndim 32767\n").reps["X"].dim == (32767,)
+    with pytest.raises(ParseError, match="too large") as info:
+        parse_workspace("field 2\nvertices 2\nrep X\ndim 1 32768\n")
+    assert (info.value.line, info.value.column) == (4, 3)
 
 
 def test_duplicate_names_rejected():
@@ -155,17 +160,36 @@ def test_cli_reorder_from_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("case", ["malformed json", "non-integer dim", "maps as a list",
                                   "entry past int64", "max-dim past int64",
-                                  "selftest budget 0", "selftest budget -1"])
-def test_cli_bad_input_never_raises(capsys, tmp_path, case):
+                                  "selftest budget 0", "selftest budget -1",
+                                  "huge dim", "huge dim at one vertex", "out of memory"])
+def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
     ws = tmp_path / "a2.ws"
     ws.write_text(MINIMAL)
+    if case.startswith("huge dim"):
+        # numpy refuses these shapes before allocating anything
+        if case == "huge dim":
+            ws.write_text("field 2\nvertices 2\narrow a 1 2\nrep X\ndim 10000000000 10000000000\n")
+            commands = ["hom"]
+        else:
+            ws.write_text("field 2\nvertices 1\nrep X\ndim 10000000000\n")
+            commands = ["hom", "ext"]
+        for command in commands:
+            status, doc = run(capsys, "-w", str(ws), command, "X", "X")
+            assert status == 2
+            assert list(doc) == ["error"]
+        return
     if case == "entry past int64":
         # entries are residues mod p, so the workspace is valid and reads as entry 1
         expected = run(capsys, "-w", str(ws), "hom", "P1", "P1")
         ws.write_text(MINIMAL.replace("mat a 1 1 1", "mat a 1 1 99999999999999999999999"))
         assert run(capsys, "-w", str(ws), "hom", "P1", "P1") == expected
         return
-    if case == "max-dim past int64":
+    if case == "out of memory":
+        def exhausted(m, n):
+            raise MemoryError("Unable to allocate")
+        monkeypatch.setattr(cli, "hom_space", exhausted)
+        status, doc = run(capsys, "-w", str(ws), "hom", "P1", "P1")
+    elif case == "max-dim past int64":
         # no natural bound rejects it: listing its dimension vectors overruns the budget
         status, doc = run(capsys, "-w", str(ws), "enumerate",
                           "--max-dim", "99999999999999999999,1")
@@ -237,11 +261,9 @@ def test_cli_filter_over_f3(capsys, tmp_path):
     "filter P1 --theta full",
 ], ids=["enumerate", "perp", "preenvelope --verify", "precover --verify",
         "filter --oracle", "filter"])
-def test_cli_budget_env(capsys, monkeypatch, tmp_path, command):
+def test_cli_budget_env(capsys, monkeypatch, tmp_path, command, clear_caches):
     # empty memos, so the search runs whatever the process decided before
-    for module, name in ((filtration, "_decide_memo"), (filtration, "_oracle_memo"),
-                         (quiverrep, "_indec_cache"), (quiverrep, "_reps_cache")):
-        monkeypatch.setattr(module, name, {})
+    clear_caches()
     ws = tmp_path / "a2f3.ws"
     ws.write_text(MINIMAL.replace("field 2", "field 3"))
     monkeypatch.setenv("FILTRA_BUDGET", "1")

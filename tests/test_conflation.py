@@ -10,7 +10,7 @@ from filtra import (Conflation, DimensionMismatch, Representation,
                     connecting_map, et4_compose, et4op_compose, ext_space,
                     hom_space, is_isomorphic, is_split, pullback, pushforward,
                     realize, shift_base)
-from filtra import Matrix, Quiver, conflation, quiverrep
+from filtra import Matrix, Quiver
 from filtra.quiverrep import RepMorphism
 from filtra.selftest import _random_automorphism, random_conflation, scramble_middle
 
@@ -34,7 +34,7 @@ def _ext_state(space):
             [[_matrix_bytes(g) for g in cls.cocycles()] for cls in space.basis])
 
 
-def test_ext_space_ignores_call_order(monkeypatch, a2, a3, d4):
+def test_ext_space_ignores_call_order(monkeypatch, clear_caches, a2, a3, d4):
     """Ext built before Hom eliminates its cokernel at once; Ext built after
     Hom takes its dimension from the Hom basis and eliminates nothing until
     the cokernel is asked for.  Both give the same matrices and bases."""
@@ -55,11 +55,9 @@ def test_ext_space_ignores_call_order(monkeypatch, a2, a3, d4):
             for _ in range(6):
                 c = Representation.random(quiver, p, bound, rng)
                 a = Representation.random(quiver, p, bound, rng)
-                monkeypatch.setattr(quiverrep, "_hom_cache", {})
-                monkeypatch.setattr(conflation, "_ext_cache", {})
+                clear_caches()
                 ext_first = _ext_state(ext_space(c, a))
-                monkeypatch.setattr(quiverrep, "_hom_cache", {})
-                monkeypatch.setattr(conflation, "_ext_cache", {})
+                clear_caches()
                 hom_space(c, a)
                 rref_calls.clear()
                 space = ext_space(c, a)

@@ -7,7 +7,7 @@ import pytest
 from filtra import (Budget, Conflation, ExtObstruction, Filtration,
                     FiltrationStep, RepMorphism, Representation, ThetaFamily,
                     ValidationError, collapse, decide_filtered, direct_power,
-                    direct_sum, enumerate_reps, filtration, exchange, ext_space, extend,
+                    direct_sum, enumerate_reps, exchange, ext_space, extend,
                     group, in_add, is_isomorphic, iso_witness, multiplicities,
                     oracle_filtered, power_filtration, realize, reorder,
                     star_membership, transport_top)
@@ -193,10 +193,10 @@ def test_decide_respects_budget(a2):
     assert "budget" in str(info.value)
 
 
-def test_decide_charges_the_memo_iso_scan(a2, monkeypatch):
+def test_decide_charges_the_memo_iso_scan(a2, clear_caches):
     # a module isomorphic but not equal to a decided one is looked up in the
     # memo through an iso scan of Hom, which the budget pays for
-    monkeypatch.setattr(filtration, "_decide_memo", {})
+    clear_caches()
     fam = ThetaFamily((Representation.simple(a2, 3, 0), Representation.simple(a2, 3, 1)))
     m = direct_sum(Representation.projective(a2, 3, 0), Representation.simple(a2, 3, 0)).rep
     scrambled = Representation.from_dict(a2, 3, (2, 1), {"a": [[2, 1]]})

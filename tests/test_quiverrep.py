@@ -181,8 +181,8 @@ def test_subrepresentations_of_p1(p1):
         assert incl.is_vertexwise_injective()
 
 
-def test_every_scan_charges_the_running_budget(a2, monkeypatch):
-    monkeypatch.setattr(quiverrep, "_indec_cache", {})
+def test_every_scan_charges_the_running_budget(a2, clear_caches):
+    clear_caches()
     p1 = Representation.projective(a2, 3, 0)
     scrambled = Representation.from_dict(a2, 3, (1, 1), {"a": [[2]]})
     scans = [lambda: iso_witness(p1, scrambled), lambda: is_indecomposable(p1),

@@ -16,7 +16,7 @@ import pytest
 
 from filtra import (Budget, BudgetExceeded, Matrix, Quiver, Representation,
                     RepMorphism, ThetaFamily, ValidationError, decide_filtered,
-                    direct_sum, filtration, iso_witness, krull_schmidt, quiverrep)
+                    direct_sum, iso_witness, krull_schmidt, quiverrep)
 from filtra.conflation import Conflation
 from filtra.errors import searching, spend
 from filtra.filtration import Filtration, FiltrationStep, _dim_feasible, transport_top
@@ -240,7 +240,7 @@ def _random_at(rng: random.Random, quiver: Quiver, p: int, dim) -> Representatio
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("quiver_name", list(QUIVERS))
-def test_scans_match_the_per_vector_loops(quiver_name, p, monkeypatch):
+def test_scans_match_the_per_vector_loops(quiver_name, p, clear_caches):
     quiver, bound = QUIVERS[quiver_name]
     rng = random.Random(f"{quiver_name}-{p}")
     modules = [Representation.random(quiver, p, bound, rng) for _ in range(12)]
@@ -275,7 +275,7 @@ def test_scans_match_the_per_vector_loops(quiver_name, p, monkeypatch):
                 continue
             chain = [m, _scrambled(rng, m), _scrambled(rng, m)]
             for limit in BUDGETS:
-                monkeypatch.setattr(filtration, "_decide_memo", {})
+                clear_caches()
                 memo = {}
                 for x in chain:
                     assert (_charged(lambda b: decide_filtered(x, theta, b), limit)
