@@ -39,6 +39,10 @@ from .selftest import run_criteria
 
 __all__ = ["Workspace", "parse_workspace", "serialize_workspace", "main"]
 
+# bound on every dim entry, in workspaces and filtration documents alike: one
+# vertex this large already needs a Hom system with 2**30 unknowns
+_DIM_LIMIT = 2 ** 15
+
 
 @dataclass(frozen=True)
 class Workspace:
@@ -64,7 +68,6 @@ class Workspace:
 def _matrix_from_entries(p: int, entries, rows: int, cols: int,
                          where: str = "matrix") -> Matrix:
     """Build a matrix from nested (or flat) integer lists of a known shape."""
-    a = np.zeros((rows, cols), dtype=np.int64)
     flat = []
     if entries and isinstance(entries[0], (list, tuple)):
         if len(entries) != rows:
@@ -77,6 +80,7 @@ def _matrix_from_entries(p: int, entries, rows: int, cols: int,
         flat = list(entries)
     if len(flat) != rows * cols:
         raise ValidationError(f"{where}: expected {rows * cols} entries, got {len(flat)}")
+    a = np.zeros((rows, cols), dtype=np.int64)
     for i, x in enumerate(flat):
         a[divmod(i, cols)] = int(x) % p
     return Matrix(p, a)
@@ -187,9 +191,8 @@ def parse_workspace(text: str) -> Workspace:
             if any(d < 0 for d in dims):
                 raise ParseError("dimensions must be nonnegative", lineno, 2)
             for i, d in enumerate(dims):
-                # one vertex this large already needs a Hom system with 2**30 unknowns
-                if d >= 2 ** 15:
-                    raise ParseError(f"dimension {d} is too large (at most {2 ** 15 - 1})",
+                if d >= _DIM_LIMIT:
+                    raise ParseError(f"dimension {d} is too large (at most {_DIM_LIMIT - 1})",
                                      lineno, 2 + i)
             rep_dim = dims
         elif head == "mat":
@@ -292,6 +295,9 @@ def _filtration_doc(f: Filtration, theta_name: str) -> dict:
 
 def _rep_from_doc(ws: Workspace, doc: dict, where: str) -> Representation:
     dim = tuple(int(d) for d in doc["dim"])
+    for d in dim:
+        if d >= _DIM_LIMIT:
+            raise ValidationError(f"{where}: dimension {d} is too large (at most {_DIM_LIMIT - 1})")
     if not isinstance(doc["maps"], dict):
         raise ValidationError(f"{where}: maps must map arrow names to matrices")
     maps = {}
@@ -403,10 +409,14 @@ def _cmd_filter(ws: Workspace, args) -> int:
     return 0
 
 
+def _not_an_integer(text: str):
+    raise ValueError(f"{text} is not an integer")
+
+
 def _cmd_reorder(ws: Workspace, args) -> int:
     try:
         with open(args.filtration, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_not_an_integer, parse_constant=_not_an_integer)
         if "filtration" in doc:
             doc = doc["filtration"]
         f, theta_name = _filtration_from_doc(ws, doc)
@@ -423,10 +433,11 @@ def _approx_doc(res: ApproxResult, theta_name: str) -> dict:
             "filtered_part": _filtration_doc(res.filtered_part, theta_name)}
 
 
-def _cmd_approx(ws: Workspace, args, side: str) -> int:
+def _cmd_approx(ws: Workspace, args) -> int:
+    envelope = args.command == "preenvelope"
     theta = ws.theta_family(args.theta)
     x = ws.rep(args.module)
-    res = preenvelope(x, theta) if side == "envelope" else precover(x, theta)
+    res = preenvelope(x, theta) if envelope else precover(x, theta)
     doc = _approx_doc(res, args.theta)
     status = 0
     if args.verify:
@@ -434,8 +445,7 @@ def _cmd_approx(ws: Workspace, args, side: str) -> int:
             raise ValidationError("--verify needs --max-dim for the test objects")
         dims = _parse_max_dim(args.max_dim, ws.quiver)
         tests = enumerate_indecomposables(ws.quiver, ws.p, dims)
-        report = (verify_preenvelope(res, tests) if side == "envelope"
-                  else verify_precover(res, tests))
+        report = verify_preenvelope(res, tests) if envelope else verify_precover(res, tests)
         doc["verified"] = report.passed
         doc["report"] = {
             "entries": [{"dim": list(r.dim), "ok": ok} for r, ok in report.entries],
@@ -479,49 +489,59 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("hom", help="basis of the morphism space source -> target")
+    s.set_defaults(run=_cmd_hom)
     s.add_argument("source")
     s.add_argument("target")
 
     s = sub.add_parser("ext", help="dimension and basis of ext(base, coefficient)")
+    s.set_defaults(run=_cmd_ext)
     s.add_argument("base")
     s.add_argument("coefficient")
 
     s = sub.add_parser("realize", help="conflation realizing an extension class")
+    s.set_defaults(run=_cmd_realize)
     s.add_argument("base")
     s.add_argument("coefficient")
     s.add_argument("--class", dest="cls", default="",
                    help="comma-separated coordinates in the basis printed by ext")
 
     s = sub.add_parser("check-theta", help="verify the ordering condition of a family")
+    s.set_defaults(run=_cmd_check_theta)
     s.add_argument("theta")
 
     s = sub.add_parser("filter", help="decide membership in the filtered class")
+    s.set_defaults(run=_cmd_filter)
     s.add_argument("module")
     s.add_argument("--theta", required=True)
     s.add_argument("--oracle", action="store_true",
                    help="use the brute-force oracle; reports membership only")
 
     s = sub.add_parser("reorder", help="sort a filtration's labels without changing the object")
+    s.set_defaults(run=_cmd_reorder)
     s.add_argument("--filtration", required=True,
                    help="JSON file as printed by the filter command")
 
     for name in ("preenvelope", "precover"):
         s = sub.add_parser(name, help=f"{name} of a module by a family")
+        s.set_defaults(run=_cmd_approx)
         s.add_argument("module")
         s.add_argument("--theta", required=True)
         s.add_argument("--verify", action="store_true")
         s.add_argument("--max-dim", help="bound for the verification test objects")
 
     s = sub.add_parser("perp", help="perpendicular class among bounded indecomposables")
+    s.set_defaults(run=_cmd_perp)
     s.add_argument("theta")
     s.add_argument("--side", required=True,
                    choices=["ext-left", "ext-right", "hom-left", "hom-right"])
     s.add_argument("--max-dim", required=True)
 
     s = sub.add_parser("enumerate", help="isomorphism classes up to a dimension bound")
+    s.set_defaults(run=_cmd_enumerate)
     s.add_argument("--max-dim", required=True)
 
     s = sub.add_parser("selftest", help="run the invariant suites")
+    s.set_defaults(run=_cmd_selftest)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--budget", type=int, default=None)
 
@@ -530,32 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     if args.command == "selftest":
-        return _cmd_selftest(args)
+        return args.run(args)
     if not args.workspace:
         raise ValidationError("--workspace is required for this command")
     with open(args.workspace, "r", encoding="utf-8") as fh:
         ws = parse_workspace(fh.read())
-    if args.command == "hom":
-        return _cmd_hom(ws, args)
-    if args.command == "ext":
-        return _cmd_ext(ws, args)
-    if args.command == "realize":
-        return _cmd_realize(ws, args)
-    if args.command == "check-theta":
-        return _cmd_check_theta(ws, args)
-    if args.command == "filter":
-        return _cmd_filter(ws, args)
-    if args.command == "reorder":
-        return _cmd_reorder(ws, args)
-    if args.command == "preenvelope":
-        return _cmd_approx(ws, args, "envelope")
-    if args.command == "precover":
-        return _cmd_approx(ws, args, "cover")
-    if args.command == "perp":
-        return _cmd_perp(ws, args)
-    if args.command == "enumerate":
-        return _cmd_enumerate(ws, args)
-    raise ValidationError(f"unknown command {args.command!r}")
+    return args.run(ws, args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -54,13 +54,18 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class Conflation:
     """A -> B -> C, exact at every vertex; validated on construction."""
 
-    __slots__ = ("A", "B", "C", "x", "y")
+    A: Representation
+    B: Representation
+    C: Representation
+    x: RepMorphism
+    y: RepMorphism
 
-    def __init__(self, A: Representation, B: Representation, C: Representation,
-                 x: RepMorphism, y: RepMorphism):
+    def __post_init__(self):
+        A, B, C, x, y = self.A, self.B, self.C, self.x, self.y
         if x.source != A or x.target != B:
             raise ValidationError("inflation endpoints must be A -> B")
         if y.source != B or y.target != C:
@@ -74,24 +79,6 @@ class Conflation:
         for v in range(B.quiver.vertex_count):
             if A.dim[v] + C.dim[v] != B.dim[v]:
                 raise ValidationError(f"exactness fails at vertex {v}: dim count")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Conflation is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Conflation)
-            and self.A == other.A and self.B == other.B and self.C == other.C
-            and self.x == other.x and self.y == other.y
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.A, self.B, self.C, self.x, self.y))
 
     def __repr__(self) -> str:
         return f"Conflation({self.A.dim} -> {self.B.dim} -> {self.C.dim})"
@@ -167,7 +154,8 @@ class ExtSpace:
     rank-nullity on d, dim Ext = dim Hom - euler_pairing(C, A), with no
     elimination; the coboundary, the cokernel projection and its section are
     then built on first use.  Otherwise they are built on construction.
-    Either way they are the same matrices.
+    Either way they are the same matrices.  Not a dataclass, since those
+    three slots are filled on first use through __getattr__.
     """
 
     __slots__ = ("C", "A", "cocycle_shapes", "dimension",

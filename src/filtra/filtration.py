@@ -16,7 +16,7 @@ quotient carries the smallest label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -59,20 +59,18 @@ class FiltrationStep:
     witness: RepMorphism  # isomorphism conflation.C -> theta[label]
 
 
+@dataclass(frozen=True, slots=True)
 class Filtration:
     """A labeled chain of conflations from 0 up to its top object."""
 
-    __slots__ = ("theta", "steps")
+    theta: ThetaFamily
+    steps: tuple[FiltrationStep, ...]
+    check: InitVar[bool] = True
 
-    def __init__(self, theta: ThetaFamily, steps: Sequence[FiltrationStep], check: bool = True):
-        steps = tuple(steps)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "steps", steps)
+    def __post_init__(self, check: bool):
+        object.__setattr__(self, "steps", tuple(self.steps))
         if check:
             self.validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Filtration is immutable")
 
     def validate(self) -> None:
         prev = None
@@ -109,13 +107,6 @@ class Filtration:
         labels = self.labels
         return all(labels[i] >= labels[i + 1] for i in range(len(labels) - 1))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Filtration)
-                and self.theta == other.theta and self.steps == other.steps)
-
-    def __hash__(self) -> int:
-        return hash((self.theta, self.steps))
-
     def __repr__(self) -> str:
         return f"Filtration(top={self.top.dim}, labels={self.labels})"
 
@@ -129,18 +120,16 @@ class GroupedStep:
     multiplicity: int
 
 
+@dataclass(frozen=True, slots=True)
 class GroupedFiltration:
     """Strictly-decreasing-label chain with direct-power quotients."""
 
-    __slots__ = ("theta", "steps")
+    theta: ThetaFamily
+    steps: tuple[GroupedStep, ...]
 
-    def __init__(self, theta: ThetaFamily, steps: Sequence[GroupedStep]):
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "steps", tuple(steps))
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
         self.validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupedFiltration is immutable")
 
     def validate(self) -> None:
         prev = None

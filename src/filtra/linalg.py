@@ -65,18 +65,14 @@ class PrimeField:
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValidationError(f"modulus must be a prime integer, got {self.p!r}")
 
-    def inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return pow(x, self.p - 2, self.p)
-
 
 class Matrix:
     """Immutable matrix over F_p backed by an int64 numpy array.
 
     Zero-sized shapes (0 x c, r x 0) are first-class citizens; they occur
     whenever a quiver representation has a zero space at some vertex.
+    Not a dataclass: the constructor takes raw entries and a shape rather
+    than its fields, and it is the most called constructor in the package.
     """
 
     __slots__ = ("p", "a", "_hash")
@@ -180,9 +176,6 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot subtract {other.shape} from {self.shape}")
         return Matrix(self.p, self.a - other.a)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.p, -self.a)
 
     def scale(self, c: int) -> "Matrix":
         return Matrix(self.p, self.a * (c % self.p))

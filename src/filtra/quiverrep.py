@@ -18,7 +18,7 @@ import collections
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -127,14 +127,22 @@ class Quiver:
         return sorted(found, key=lambda path: (len(path), tuple(a.name for a in path)))
 
 
+@dataclass(frozen=True, slots=True)
 class Representation:
     """A point of the representation variety: dims plus one matrix per arrow."""
 
-    __slots__ = ("quiver", "p", "dim", "maps", "_hash", "_iso_key")
+    quiver: Quiver
+    p: int
+    dim: tuple[int, ...]
+    maps: tuple[Matrix, ...]
+    # filled on first use; invisible to equality since the value is immutable
+    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+    _iso_key: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
-    def __init__(self, quiver: Quiver, p: int, dim: Sequence[int], maps: Sequence[Matrix]):
-        dim = tuple(int(d) for d in dim)
-        maps = tuple(maps)
+    def __post_init__(self):
+        quiver, p = self.quiver, self.p
+        dim = tuple(int(d) for d in self.dim)
+        maps = tuple(self.maps)
         if len(dim) != quiver.vertex_count:
             raise DimensionMismatch(
                 f"expected {quiver.vertex_count} vertex dimensions, got {len(dim)}")
@@ -149,15 +157,8 @@ class Representation:
             if m.shape != (dim[a.target], dim[a.source]):
                 raise DimensionMismatch(
                     f"arrow {a.name}: expected shape {(dim[a.target], dim[a.source])}, got {m.shape}")
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_iso_key", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Representation is immutable")
 
     # -- construction ------------------------------------------------------
 
@@ -219,15 +220,6 @@ class Representation:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Representation)
-            and self.quiver == other.quiver
-            and self.p == other.p
-            and self.dim == other.dim
-            and self.maps == other.maps
-        )
-
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
@@ -262,16 +254,20 @@ def _path_representation(quiver: Quiver, p: int, v: int, out: bool) -> Represent
     return Representation(quiver, p, dim, maps)
 
 
+@dataclass(frozen=True, slots=True)
 class RepMorphism:
     """Vertex-indexed family of matrices satisfying the intertwiner law."""
 
-    __slots__ = ("source", "target", "components", "_hash")
+    source: Representation
+    target: Representation
+    components: tuple[Matrix, ...]
+    check: InitVar[bool] = True
 
-    def __init__(self, source: Representation, target: Representation,
-                 components: Sequence[Matrix], check: bool = True):
+    def __post_init__(self, check: bool):
+        source, target = self.source, self.target
         if source.quiver != target.quiver or source.p != target.p:
             raise ValidationError("morphism endpoints live over different quivers or fields")
-        components = tuple(components)
+        components = tuple(self.components)
         if len(components) != source.quiver.vertex_count:
             raise DimensionMismatch("one component per vertex required")
         for v, m in enumerate(components):
@@ -284,13 +280,7 @@ class RepMorphism:
                 right = components[a.target] @ msrc
                 if left != right:
                     raise ValidationError(f"intertwiner law fails at arrow {a.name}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RepMorphism is immutable")
 
     @staticmethod
     def identity(m: Representation) -> "RepMorphism":
@@ -347,21 +337,6 @@ class RepMorphism:
             assert inv is not None
             comps.append(inv)
         return RepMorphism(self.target, self.source, comps, check=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RepMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.source, self.target, self.components))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self) -> str:
         return f"RepMorphism({self.source.dim} -> {self.target.dim})"
@@ -929,6 +904,7 @@ def euler_pairing(m: Representation, n: Representation) -> int:
     return value
 
 
+@dataclass(frozen=True, slots=True)
 class ThetaFamily:
     """Ordered family of nonzero representations with one-way ext vanishing.
 
@@ -937,10 +913,10 @@ class ThetaFamily:
     grouping and staircase construction in the package.
     """
 
-    __slots__ = ("members", "_hash")
+    members: tuple[Representation, ...]
 
-    def __init__(self, members: Sequence[Representation]):
-        members = tuple(members)
+    def __post_init__(self):
+        members = tuple(self.members)
         if not members:
             raise ValidationError("theta family needs at least one member")
         quiver, p = members[0].quiver, members[0].p
@@ -955,10 +931,6 @@ class ThetaFamily:
             raise ValidationError(
                 f"theta ordering fails: ext(member {j + 1}, member {i + 1}) has dimension {d}")
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaFamily is immutable")
 
     @staticmethod
     def ordering_failures(members: Sequence[Representation]) -> list[tuple[int, int, int]]:
@@ -985,16 +957,6 @@ class ThetaFamily:
 
     def __getitem__(self, i: int) -> Representation:
         return self.members[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ThetaFamily) and self.members == other.members
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.members)
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self) -> str:
         return f"ThetaFamily({[m.dim for m in self.members]})"

@@ -161,11 +161,13 @@ def test_cli_reorder_from_file(capsys, tmp_path):
 @pytest.mark.parametrize("case", ["malformed json", "non-integer dim", "maps as a list",
                                   "entry past int64", "max-dim past int64",
                                   "selftest budget 0", "selftest budget -1",
-                                  "huge dim", "huge dim at one vertex", "out of memory"])
+                                  "huge dim", "huge dim at one vertex", "out of memory",
+                                  "infinite label", "fractional dim",
+                                  "huge dim in a document"])
 def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
     ws = tmp_path / "a2.ws"
     ws.write_text(MINIMAL)
-    if case.startswith("huge dim"):
+    if case in ("huge dim", "huge dim at one vertex"):
         # numpy refuses these shapes before allocating anything
         if case == "huge dim":
             ws.write_text("field 2\nvertices 2\narrow a 1 2\nrep X\ndim 10000000000 10000000000\n")
@@ -203,11 +205,19 @@ def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
             step["sub"]["dim"] = ["one", 0]
         elif case == "maps as a list":
             step["middle"]["maps"] = [[[1]]]
+        elif case == "infinite label":
+            step["label"] = float("inf")  # written as Infinity, which json reads back
+        elif case == "fractional dim":
+            step["sub"]["dim"] = [0.5, 0]
+        elif case == "huge dim in a document":
+            step["sub"]["dim"] = [2 ** 61, 0]
         path = tmp_path / "f.json"
         path.write_text("{not json" if case == "malformed json" else json.dumps(doc))
         status, doc = run(capsys, "-w", str(ws), "reorder", "--filtration", str(path))
     assert status == 2
     assert list(doc) == ["error"]
+    if case == "huge dim in a document":
+        assert "at most 32767" in doc["error"]
 
 
 def test_cli_precover(capsys):
@@ -393,3 +403,61 @@ def test_cli_fuzzed_workspaces_exit_cleanly(tmp_path_factory, case):
         assert status in (0, 1, 2), command
         doc = json.loads(out.getvalue())
         assert status != 2 or list(doc) == ["error"], command
+
+
+# JSON values that replace leaves of a filtration document: the only large
+# integers are the two past the dim bound, so no example allocates much
+_JSON_LEAVES = st.one_of(
+    st.integers(-1, 3), st.sampled_from([2 ** 15, 2 ** 61]), st.floats(-4, 4),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    st.text(max_size=3), st.none(), st.booleans())
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _entries(node):
+    """(container, key) of every entry of every object and array in a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from _entries(child)
+
+
+@pytest.fixture(scope="module")
+def filter_output():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["-w", A2_WS, "filter", "P1", "--theta", "full"]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6), _JSON_VALUES),
+                      min_size=1, max_size=4))
+def test_cli_fuzzed_filtration_documents_exit_cleanly(tmp_path_factory, filter_output, edits):
+    # each edit deletes a key or replaces a leaf, picked by index
+    doc = json.loads(filter_output)
+    for delete, index, value in edits:
+        if delete:
+            slots = [(c, k) for c, k in _entries(doc) if isinstance(c, dict)]
+        else:
+            slots = [(c, k) for c, k in _entries(doc) if not isinstance(c[k], (dict, list))]
+        if not slots:
+            continue
+        container, key = slots[index % len(slots)]
+        if delete:
+            del container[key]
+        else:
+            container[key] = value
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["-w", A2_WS, "reorder", "--filtration", str(path)])
+    assert status in (0, 1, 2)
+    printed = json.loads(out.getvalue())
+    assert status != 2 or list(printed) == ["error"]

@@ -1,5 +1,6 @@
 """Representations of acyclic quivers: construction, hom, enumeration."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -11,6 +12,8 @@ from filtra import (Matrix, Quiver, RepMorphism, Representation, ThetaFamily,
                     hom_space, is_indecomposable, is_isomorphic, iso_witness,
                     krull_schmidt)
 from filtra import Budget, BudgetExceeded, quiverrep
+from filtra import (Conflation, Filtration, FiltrationStep, GroupedFiltration,
+                    GroupedStep)
 from filtra.errors import searching
 from filtra.quiverrep import enumerate_subreps
 
@@ -242,3 +245,48 @@ def test_intertwiner_blocks_match_numpy_kron(monkeypatch):
         expected = quiverrep._intertwiner_system(*case)
         assert system.shape == expected.shape
         assert system.a.tobytes() == expected.a.tobytes()
+
+
+def _one_value_of_each_class():
+    """A representation, a morphism, a family, a conflation and the two
+    filtrations of P1 = (F_3 -> F_3) by (S1, S2), all built from scratch."""
+    quiver = Quiver.from_edges(2, [("a", 0, 1)])
+    s1, s2 = Representation.simple(quiver, 3, 0), Representation.simple(quiver, 3, 1)
+    p1 = Representation(quiver, 3, [1, 1], [Matrix(3, [[1]])])
+    theta = ThetaFamily([s1, s2])
+    x = RepMorphism(s2, p1, [Matrix.zeros(3, 1, 0), Matrix(3, [[1]])])
+    y = RepMorphism(p1, s1, [Matrix(3, [[1]]), Matrix.zeros(3, 0, 1)])
+    bottom = Conflation.identity_left(s2)
+    top = Conflation(s2, p1, s1, x, y)
+    filtration = Filtration(theta, [FiltrationStep(bottom, 1, RepMorphism.identity(s2)),
+                                    FiltrationStep(top, 0, RepMorphism.identity(s1))])
+    grouped = GroupedFiltration(theta, [GroupedStep(bottom, 1, 1), GroupedStep(top, 0, 1)])
+    return [p1, x, theta, top, filtration, grouped]
+
+
+def test_value_classes_are_frozen_and_compare_by_value():
+    values, copies = _one_value_of_each_class(), _one_value_of_each_class()
+    # as printed before the classes became dataclasses
+    assert [repr(v) for v in values] == [
+        "Representation(dim=(1, 1), p=3)",
+        "RepMorphism((0, 1) -> (1, 1))",
+        "ThetaFamily([(1, 0), (0, 1)])",
+        "Conflation((0, 1) -> (1, 1) -> (1, 0))",
+        "Filtration(top=(1, 1), labels=(1, 0))",
+        "GroupedFiltration(top=(1, 1), labels=(1, 0), multiplicities=[1, 1])",
+    ]
+    for value, copy in zip(values, copies):
+        assert dataclasses.is_dataclass(value) and not hasattr(value, "__dict__")
+        for f in dataclasses.fields(value):
+            with pytest.raises(AttributeError):
+                setattr(value, f.name, getattr(value, f.name))
+        assert copy is not value
+        h = hash(value)  # fills the original's hash cache, if it keeps one
+        assert copy == value and hash(copy) == h
+    p1, copy = values[0], copies[0]
+    assert [f is g for f, g in zip(hom_space(copy, copy), hom_space(p1, p1))] == [True]
+    # the intertwiner law is checked unless the caller opts out
+    broken = [Matrix(3, [[1]]), Matrix(3, [[0]])]
+    with pytest.raises(ValidationError, match="intertwiner law fails at arrow a"):
+        RepMorphism(p1, p1, broken)
+    assert RepMorphism(p1, p1, broken, check=False).components == tuple(broken)
