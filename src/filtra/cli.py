@@ -65,6 +65,13 @@ class Workspace:
         return ThetaFamily(tuple(self.theta_members(name)))
 
 
+def _integer(x, where: str) -> int:
+    """x itself if it is an int; JSON booleans and numeric strings are not."""
+    if type(x) is not int:
+        raise ValidationError(f"{where}: {json.dumps(x)} is not an integer")
+    return x
+
+
 def _matrix_from_entries(p: int, entries, rows: int, cols: int,
                          where: str = "matrix") -> Matrix:
     """Build a matrix from nested (or flat) integer lists of a known shape."""
@@ -82,7 +89,7 @@ def _matrix_from_entries(p: int, entries, rows: int, cols: int,
         raise ValidationError(f"{where}: expected {rows * cols} entries, got {len(flat)}")
     a = np.zeros((rows, cols), dtype=np.int64)
     for i, x in enumerate(flat):
-        a[divmod(i, cols)] = int(x) % p
+        a[divmod(i, cols)] = _integer(x, f"{where} entry") % p
     return Matrix(p, a)
 
 
@@ -294,7 +301,7 @@ def _filtration_doc(f: Filtration, theta_name: str) -> dict:
 
 
 def _rep_from_doc(ws: Workspace, doc: dict, where: str) -> Representation:
-    dim = tuple(int(d) for d in doc["dim"])
+    dim = tuple(_integer(d, f"{where} dimension") for d in doc["dim"])
     for d in dim:
         if d >= _DIM_LIMIT:
             raise ValidationError(f"{where}: dimension {d} is too large (at most {_DIM_LIMIT - 1})")
@@ -327,7 +334,7 @@ def _filtration_from_doc(ws: Workspace, doc: dict) -> tuple[Filtration, str]:
         quotient = _rep_from_doc(ws, sdoc["quotient"], where)
         x = _morphism_from_doc(ws, sdoc["inflation"], sub, middle, where)
         y = _morphism_from_doc(ws, sdoc["deflation"], middle, quotient, where)
-        label = int(sdoc["label"]) - 1
+        label = _integer(sdoc["label"], f"{where} label") - 1
         if not 0 <= label < len(theta):
             raise ValidationError(f"{where}: label {label + 1} outside the family")
         witness = _morphism_from_doc(ws, sdoc["witness"], quotient, theta[label], where)

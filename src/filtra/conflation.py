@@ -28,8 +28,9 @@ import numpy as np
 from . import quiverrep
 from .errors import DimensionMismatch, ValidationError
 from .linalg import Matrix
-from .quiverrep import (Representation, RepMorphism, _flatten, _hom_shapes,
-                        _intertwiner_system, _unflatten, direct_sum, euler_pairing)
+from .quiverrep import (Representation, RepMorphism, _block_extension, _flatten, _hom_shapes,
+                        _intertwiner_system, _unflatten, cokernel_quot, direct_sum,
+                        euler_pairing, hom_space, kernel_sub)
 
 __all__ = [
     "Conflation",
@@ -88,8 +89,8 @@ class Conflation:
     @staticmethod
     def split(A: Representation, C: Representation) -> "Conflation":
         """The literal block-split conflation A -> A (+) C -> C."""
-        ds = direct_sum(A, C)
-        return Conflation(A, ds.rep, C, ds.inject_left, ds.project_right)
+        B, x, y = _block_extension(A, C)
+        return Conflation(A, B, C, x, y)
 
     @staticmethod
     def identity_right(m: Representation) -> "Conflation":
@@ -291,23 +292,8 @@ def ext_space(C: Representation, A: Representation) -> ExtSpace:
 
 def realize(delta: ExtClass) -> Conflation:
     """The canonical block conflation with class delta."""
-    space = delta.space
-    A, C = space.A, space.C
-    quiver, p = A.quiver, A.p
-    g = delta.cocycles()
-    dim = tuple(da + dc for da, dc in zip(A.dim, C.dim))
-    maps = []
-    for k, a in enumerate(quiver.arrows):
-        z = Matrix.zeros(p, C.dim[a.target], A.dim[a.source])
-        maps.append(Matrix.block(p, [[A.maps[k], g[k]], [z, C.maps[k]]]))
-    B = Representation(quiver, p, dim, maps)
-    xc, yc = [], []
-    for v in range(quiver.vertex_count):
-        da, dc = A.dim[v], C.dim[v]
-        xc.append(Matrix.vstack(p, [Matrix.identity(p, da), Matrix.zeros(p, dc, da)], cols=da))
-        yc.append(Matrix.hstack(p, [Matrix.zeros(p, dc, da), Matrix.identity(p, dc)], rows=dc))
-    x = RepMorphism(A, B, xc, check=False)
-    y = RepMorphism(B, C, yc, check=False)
+    A, C = delta.space.A, delta.space.C
+    B, x, y = _block_extension(A, C, delta.cocycles())
     return Conflation(A, B, C, x, y)
 
 
@@ -456,7 +442,6 @@ def et4_compose(c1: Conflation, c2: Conflation) -> ET4:
     which tests/test_conflation.py::test_et4_compose_compatibilities and
     selftest criterion 3 assert.
     """
-    from .quiverrep import cokernel_quot
     if c1.B != c2.A:
         raise ValidationError("middle object of c1 must literally equal the sub object of c2")
     h = c2.x @ c1.x
@@ -493,7 +478,6 @@ def et4op_compose(c1: Conflation, c2: Conflation) -> ET4Op:
 
     which tests/test_conflation.py::test_et4op_compose_compatibilities asserts.
     """
-    from .quiverrep import kernel_sub
     if c1.C != c2.B:
         raise ValidationError("quotient object of c1 must literally equal the middle of c2")
     w_defl = c2.y @ c1.y
@@ -523,7 +507,6 @@ def connecting_map(c: Conflation, x_obj: Representation, side: str) -> Matrix:
 
     Bases are the deterministic ones from hom_space and ext_space.
     """
-    from .quiverrep import hom_space
     delta = class_of(c)
     if side == "left":
         basis = hom_space(x_obj, c.C)

