@@ -29,7 +29,7 @@ import numpy as np
 from .approx import (ApproxResult, perp_class, precover, preenvelope,
                      verify_precover, verify_preenvelope)
 from .conflation import Conflation, ext_space, realize
-from .errors import FiltraError, ParseError, ValidationError, searching
+from .errors import FiltraError, ParseError, ValidationError, clear_caches, searching
 from .filtration import (Filtration, FiltrationStep, decide_filtered,
                          oracle_filtered, reorder)
 from .linalg import Matrix, PrimeField
@@ -566,8 +566,9 @@ def _run(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command under one search budget (FILTRA_BUDGET, if set)."""
+    """Run one command from empty caches under one search budget (FILTRA_BUDGET, if set)."""
     args = build_parser().parse_args(argv)
+    clear_caches()
     try:
         with searching():
             return _run(args)

@@ -20,13 +20,14 @@ inverse of realize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import quiverrep
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, ValidationError, cached
 from .linalg import Matrix
 from .quiverrep import (Representation, RepMorphism, _block_extension, _flatten, _hom_shapes,
                         _intertwiner_system, _unflatten, cokernel_quot, direct_sum,
@@ -141,6 +142,7 @@ class Conflation:
         return sections, retractions
 
 
+@dataclass(frozen=True)
 class ExtSpace:
     """The ext space E(C, A) in cocycle coordinates.
 
@@ -151,47 +153,39 @@ class ExtSpace:
     projection, well defined modulo coboundaries.  All choices come from the
     deterministic elimination in linalg, so bases are reproducible.
 
-    When the Hom basis of (C, A) is already cached, the dimension comes from
-    rank-nullity on d, dim Ext = dim Hom - euler_pairing(C, A), with no
-    elimination; the coboundary, the cokernel projection and its section are
-    then built on first use.  Otherwise they are built on construction.
-    Either way they are the same matrices.  Not a dataclass, since those
-    three slots are filled on first use through __getattr__.
+    The dimension is dim Hom - euler_pairing(C, A) (rank-nullity on d) when
+    the Hom basis of (C, A) is cached, else the size of the cokernel
+    projection.  d, the projection and its section are built on first use.
     """
 
-    __slots__ = ("C", "A", "cocycle_shapes", "dimension",
-                 "_coboundary", "_projection", "_section")
+    C: Representation
+    A: Representation
+    dimension: int = field(init=False, compare=False)
 
-    def __init__(self, C: Representation, A: Representation):
-        if C.quiver != A.quiver or C.p != A.p:
+    def __post_init__(self):
+        if self.C.quiver != self.A.quiver or self.C.p != self.A.p:
             raise ValidationError("ext requires representations over the same quiver and field")
-        shapes = tuple((A.dim[a.target], C.dim[a.source]) for a in C.quiver.arrows)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "cocycle_shapes", shapes)
-        hom = quiverrep._hom_cache.get((C, A))
-        dimension = (self._projection.rows if hom is None
-                     else len(hom) - euler_pairing(C, A))
-        object.__setattr__(self, "dimension", dimension)
+        hom = quiverrep._hom_basis.store.get((self.C, self.A))
+        object.__setattr__(self, "dimension", self._projection.rows if hom is None
+                           else len(hom) - euler_pairing(self.C, self.A))
 
-    def __getattr__(self, name):
-        """Build the coboundary, projection and section on first use of one.
+    @cached_property
+    def cocycle_shapes(self) -> tuple[tuple[int, int], ...]:
+        return tuple((self.A.dim[a.target], self.C.dim[a.source]) for a in self.C.quiver.arrows)
 
-        Python calls this only for a slot that is still unset.
-        """
-        if name not in ("_coboundary", "_projection", "_section"):
-            raise AttributeError(name)
-        coboundary = _intertwiner_system(self.C, self.A)
-        projection, _ = coboundary.cokernel_projection()
-        section = projection.right_inverse()
-        assert section is not None  # projection has full row rank
-        object.__setattr__(self, "_coboundary", coboundary)
-        object.__setattr__(self, "_projection", projection)
-        object.__setattr__(self, "_section", section)
-        return getattr(self, name)
+    @cached_property
+    def _coboundary(self) -> Matrix:
+        return _intertwiner_system(self.C, self.A)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtSpace is immutable")
+    @cached_property
+    def _projection(self) -> Matrix:
+        return self._coboundary.cokernel_projection()[0]
+
+    @cached_property
+    def _section(self) -> Matrix:
+        section = self._projection.right_inverse()
+        assert section is not None  # the projection has full row rank
+        return section
 
     @property
     def p(self) -> int:
@@ -239,12 +233,6 @@ class ExtSpace:
             return None
         return _unflatten(self.p, h.a.reshape(-1), _hom_shapes(self.C, self.A))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExtSpace) and self.C == other.C and self.A == other.A
-
-    def __hash__(self) -> int:
-        return hash((self.C, self.A))
-
     def __repr__(self) -> str:
         return f"ExtSpace(C={self.C.dim}, A={self.A.dim}, dim={self.dimension})"
 
@@ -277,17 +265,10 @@ class ExtClass:
         return ExtClass(self.space, tuple((c * v) % p for v in self.coords))
 
 
-_ext_cache: dict[tuple[Representation, Representation], ExtSpace] = {}
-
-
+@cached
 def ext_space(C: Representation, A: Representation) -> ExtSpace:
     """E(C, A), cached on the (immutable) argument pair."""
-    key = (C, A)
-    space = _ext_cache.get(key)
-    if space is None:
-        space = ExtSpace(C, A)
-        _ext_cache[key] = space
-    return space
+    return ExtSpace(C, A)
 
 
 def realize(delta: ExtClass) -> Conflation:

@@ -1,9 +1,10 @@
-"""Shared exception types and the search budget used by the whole package."""
+"""Shared exception types, the search budget and the one cross-call memo."""
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import os
 from typing import Iterator, Optional
 
@@ -110,3 +111,28 @@ def searching(budget: Optional[Budget] = None) -> Iterator[Budget]:
 def spend(n: int = 1) -> None:
     """Charge n nodes to the running budget; call it only inside searching()."""
     _running.get().spend(n)
+
+
+_stores: list[dict] = []
+
+
+def cached(fn):
+    """fn memoized on its positional arguments until clear_caches(); fn.store is the dict."""
+    store: dict = {}
+    _stores.append(store)
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        try:
+            return store[args]
+        except KeyError:
+            store[args] = result = fn(*args)
+            return result
+    wrapper.store = store
+    return wrapper
+
+
+def clear_caches() -> None:
+    """Empty the store of every cached function."""
+    for store in _stores:
+        store.clear()

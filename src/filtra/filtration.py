@@ -17,12 +17,11 @@ quotient carries the smallest label.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .conflation import (Conflation, et4_compose, et4op_compose, ext_space,
                          is_split)
-from .errors import Budget, ExtObstruction, ValidationError, searching
+from .errors import Budget, ExtObstruction, ValidationError, cached, searching
 from .linalg import Matrix
 from .quiverrep import (Representation, RepMorphism, ThetaFamily, direct_power,
                         direct_sum, _rank_mask, _scan,
@@ -395,7 +394,7 @@ def star_membership(m: Representation,
     return list(chain) if chain is not None else None
 
 
-@lru_cache(maxsize=None)
+@cached
 def _dim_feasible(theta_dims: tuple[tuple[int, ...], ...],
                   dim: tuple[int, ...], start: int) -> bool:
     """Can dim be a nonnegative integer combination of theta_dims[start:]?"""
@@ -412,11 +411,11 @@ def _dim_feasible(theta_dims: tuple[tuple[int, ...], ...],
     return False
 
 
-# cross-call memo tables, keyed by the family; entries are grouped under a
-# cheap iso invariant and resolved to true iso classes on lookup
-_decide_memo: dict[ThetaFamily,
-                   dict[tuple, list[tuple[Representation, Optional["Filtration"]]]]] = {}
-_oracle_memo: dict[ThetaFamily, dict[tuple, list[tuple[Representation, bool]]]] = {}
+# the memo of one search ("decide" or "oracle") over one family: (module,
+# answer) pairs under a cheap iso invariant, resolved to iso classes on lookup
+@cached
+def _memo_table(search: str, theta: ThetaFamily) -> dict[tuple, list]:
+    return {}
 
 
 def decide_filtered(m: Representation, theta: ThetaFamily,
@@ -433,14 +432,17 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
     one at a time.  Results, positive and negative, are memoized up to
     isomorphism together with the minimum-label bound; a cached filtration
     of an isomorphic object is transported along the first isomorphism
-    witness (iso_witness).  Every coefficient vector of the peel and of the
+    witness (iso_witness).  So within one process the filtration returned
+    (never the membership) can be an earlier isomorphic module's, moved
+    over; errors.clear_caches() resets this, and each CLI command starts
+    with empty caches.  Every coefficient vector of the peel and of the
     memo's iso scans costs one budget node, charged when the scan reaches
     it, so budget.used and the point of any BudgetExceeded are those of a
     loop over the vectors one at a time.
     """
     t = len(theta)
     theta_dims = tuple(mem.dim for mem in theta.members)
-    memo = _decide_memo.setdefault(theta, {})
+    memo = _memo_table("decide", theta)
 
     def peel(cur: Representation, min_label: int) -> Optional[Filtration]:
         if cur.total_dim == 0:
@@ -493,7 +495,7 @@ def oracle_filtered(m: Representation, theta: ThetaFamily,
     memoized up to isomorphism.  The budget pays for the subspaces and
     tuples that enumerate_subreps walks and for the iso scans.
     """
-    memo = _oracle_memo.setdefault(theta, {})
+    memo = _memo_table("oracle", theta)
 
     def go(cur: Representation) -> bool:
         if cur.total_dim == 0:

@@ -36,6 +36,16 @@ __all__ = ["PrimeField", "Matrix", "stack_ranks"]
 # rows; perfbench's RREF_SMALL_ENTRIES splits its traced rref time here too
 _RREF_SMALL_ENTRIES = 100
 
+# the largest dense matrix built here: 2**26 int64 entries are 512 MiB
+_MAX_ENTRIES = 2 ** 26
+
+
+def _check_entries(what: str, rows: int, cols: int) -> None:
+    """Refuse to allocate a rows x cols matrix past _MAX_ENTRIES."""
+    if rows * cols > _MAX_ENTRIES:
+        raise ValidationError(f"{what} of {rows} x {cols} entries is too large "
+                              f"(at most {_MAX_ENTRIES} entries)")
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -228,6 +238,7 @@ class Matrix:
         is_free = np.ones(self.cols, dtype=bool)
         is_free[list(pivots)] = False
         free = np.flatnonzero(is_free)
+        _check_entries("kernel basis", self.cols, free.size)
         basis = np.zeros((self.cols, free.size), dtype=np.int64)
         basis[free, np.arange(free.size)] = 1
         basis[list(pivots)] = -R.a[:len(pivots), free]

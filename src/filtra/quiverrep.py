@@ -23,8 +23,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, searching, spend
-from .linalg import Matrix, stack_ranks
+from .errors import DimensionMismatch, ValidationError, cached, searching, spend
+from .linalg import Matrix, _check_entries, stack_ranks
 
 __all__ = [
     "Arrow",
@@ -344,9 +344,6 @@ class RepMorphism:
 
 # -- hom spaces -------------------------------------------------------------
 
-_hom_cache: dict[tuple[Representation, Representation], tuple[RepMorphism, ...]] = {}
-
-
 def _hom_shapes(m: Representation, n: Representation) -> list[tuple[int, int]]:
     return [(dn, dm) for dm, dn in zip(m.dim, n.dim)]
 
@@ -397,7 +394,9 @@ def _intertwiner_system(m: Representation, n: Representation,
     for v, (xv, yv) in enumerate(zip(x, y)):
         equations += [(n.dim[v] * xv.cols, [(v, None, xv.a)]),
                       (yv.rows * m.dim[v], [(v, yv.a, None)])]
-    system = np.zeros((sum(height for height, _ in equations), offsets[-1]), dtype=np.int64)
+    rows = sum(height for height, _ in equations)
+    _check_entries("intertwiner system", rows, offsets[-1])
+    system = np.zeros((rows, offsets[-1]), dtype=np.int64)
     start = 0
     for height, terms in equations:
         for v, left, right in terms:
@@ -414,21 +413,19 @@ def hom_space(m: Representation, n: Representation) -> list[RepMorphism]:
 
     Hom(m, n) is the kernel of the intertwiner system (_intertwiner_system),
     the same system whose cokernel is Ext(m, n); its kernel basis is
-    unpacked into morphisms.  Results are cached; the cache is semantically
-    invisible since all inputs and outputs are immutable.
+    unpacked into morphisms.  The basis is cached (_hom_basis).
     """
     if m.quiver != n.quiver or m.p != n.p:
         raise ValidationError("hom requires representations over the same quiver and field")
-    key = (m, n)
-    cached = _hom_cache.get(key)
-    if cached is not None:
-        return list(cached)
+    return list(_hom_basis(m, n))
+
+
+@cached
+def _hom_basis(m: Representation, n: Representation) -> tuple[RepMorphism, ...]:
     kernel = _intertwiner_system(m, n).kernel_basis()
     shapes = _hom_shapes(m, n)
-    basis = [RepMorphism(m, n, _unflatten(m.p, kernel.a[:, k], shapes), check=False)
-             for k in range(kernel.cols)]
-    _hom_cache[key] = tuple(basis)
-    return basis
+    return tuple(RepMorphism(m, n, _unflatten(m.p, kernel.a[:, k], shapes), check=False)
+                 for k in range(kernel.cols))
 
 
 # chunk sizes of _scan, growing 4x: most scans hit early, and past 256 the
@@ -615,8 +612,9 @@ def cokernel_quot(f: RepMorphism) -> tuple[Representation, RepMorphism]:
 
 # -- isomorphism, indecomposability, Krull-Schmidt ---------------------------
 
-# each distinct iso_key once, shared by the representations that have it
-_iso_keys: dict[tuple, tuple] = {}
+@cached
+def _interned(key: tuple) -> tuple:
+    return key  # each distinct iso_key once, shared by the representations that have it
 
 
 def iso_key(m: Representation):
@@ -633,7 +631,7 @@ def iso_key(m: Representation):
                 acc = m.maps[m.quiver.arrow_index(a.name)] @ acc
             path_ranks.append(acc.rank())
         key = (m.dim, tuple(mm.rank() for mm in m.maps), tuple(path_ranks))
-        key = _iso_keys.setdefault(key, key)
+        key = _interned(key)
         object.__setattr__(m, "_iso_key", key)
     return key
 
@@ -785,9 +783,6 @@ def krull_schmidt(m: Representation) -> list[tuple[Representation, int]]:
 
 # -- enumeration --------------------------------------------------------------
 
-_indec_cache: dict[tuple[Quiver, int, tuple[int, ...]], tuple[Representation, ...]] = {}
-
-
 def _all_raw_reps(quiver: Quiver, p: int, dim: tuple[int, ...]) -> Iterator[Representation]:
     shapes = [(dim[a.target], dim[a.source]) for a in quiver.arrows]
     sizes = [r * c for r, c in shapes]
@@ -810,11 +805,11 @@ def _dim_vectors_under(bound: tuple[int, ...]) -> list[tuple[int, ...]]:
 def enumerate_indecomposables(quiver: Quiver, p: int,
                               max_dim: Sequence[int]) -> list[Representation]:
     """One representative per indecomposable iso class with dim <= max_dim."""
-    bound = tuple(int(b) for b in max_dim)
-    key = (quiver, p, bound)
-    cached = _indec_cache.get(key)
-    if cached is not None:
-        return list(cached)
+    return list(_indecomposables(quiver, p, tuple(int(b) for b in max_dim)))
+
+
+@cached
+def _indecomposables(quiver: Quiver, p: int, bound: tuple[int, ...]) -> tuple[Representation, ...]:
     found: list[Representation] = []
     with searching():
         for dim in _dim_vectors_under(bound):
@@ -827,8 +822,7 @@ def enumerate_indecomposables(quiver: Quiver, p: int,
                     continue
                 found.append(rep)
     found.sort(key=_canonical_key)
-    _indec_cache[key] = tuple(found)
-    return list(found)
+    return tuple(found)
 
 
 def enumerate_reps(quiver: Quiver, p: int, max_dim: Sequence[int]) -> list[Representation]:

@@ -1,27 +1,13 @@
-import importlib
-import pkgutil
-
 import pytest
 
-import filtra
-from filtra import Quiver, Representation, ThetaFamily
+from filtra import Quiver, Representation, ThetaFamily, errors
 
 
 @pytest.fixture
 def clear_caches():
-    """A function that empties, in place, every module-level dict and
-    functools cache of filtra, so no later answer can lean on an entry left
-    by earlier work."""
-    def clear():
-        for info in pkgutil.iter_modules(filtra.__path__):
-            for name, value in vars(importlib.import_module(f"filtra.{info.name}")).items():
-                if name.startswith("__"):  # __builtins__ is a dict too
-                    continue
-                if isinstance(value, dict):
-                    value.clear()
-                elif hasattr(value, "cache_clear"):
-                    value.cache_clear()
-    return clear
+    """A function that empties every cached store of filtra, so no later
+    answer can lean on an entry left by earlier work."""
+    return errors.clear_caches
 
 
 @pytest.fixture(scope="session")

@@ -2,14 +2,18 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra import ParseError, ValidationError, cli
+import filtra
+from filtra import (ParseError, Quiver, Representation, ThetaFamily, ValidationError, cli,
+                    decide_filtered, direct_sum, errors)
 from filtra.cli import main, parse_workspace, serialize_workspace
 
 DATA = Path(__file__).parent / "data"
@@ -165,7 +169,8 @@ def test_cli_reorder_from_file(capsys, tmp_path):
                                   "huge dim", "huge dim at one vertex", "out of memory",
                                   "infinite label", "fractional dim",
                                   "huge dim in a document", "boolean label", "string dim",
-                                  "boolean entry"])
+                                  "boolean entry", "dense kernel past memory",
+                                  "dense system past memory"])
 def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
     ws = tmp_path / "a2.ws"
     ws.write_text(MINIMAL)
@@ -181,6 +186,21 @@ def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
             status, doc = run(capsys, "-w", str(ws), command, "X", "X")
             assert status == 2
             assert list(doc) == ["error"]
+        return
+    if case == "dense kernel past memory":
+        # no arrow, no equation: Hom(X, X) is all 90000 matrix units, Ext(X, X) is 0
+        ws.write_text("field 2\nvertices 1\nrep X\ndim 300\n")
+        assert run(capsys, "-w", str(ws), "ext", "X", "X") == (0, {"dimension": 0, "basis": []})
+        status, doc = run(capsys, "-w", str(ws), "hom", "X", "X")
+        assert status == 2
+        assert doc["error"].startswith("kernel basis of 90000 x 90000 entries is too large")
+        return
+    if case == "dense system past memory":
+        ws.write_text("field 2\nvertices 2\narrow a 1 2\narrow b 1 2\nrep X\ndim 200 200\n")
+        for command in ("hom", "ext"):
+            status, doc = run(capsys, "-w", str(ws), command, "X", "X")
+            assert status == 2
+            assert doc["error"].startswith("intertwiner system of 80000 x 80000 entries")
         return
     if case == "entry past int64":
         # entries are residues mod p, so the workspace is valid and reads as entry 1
@@ -265,7 +285,7 @@ def test_cli_missing_workspace_exits_2(capsys):
 
 
 def test_cli_filter_over_f3(capsys, tmp_path):
-    # runs before test_cli_budget_env and leaves this decision in the memo
+    # runs before test_cli_budget_env, whose filter cases must not reuse this decision
     ws = tmp_path / "a2f3.ws"
     ws.write_text(MINIMAL.replace("field 2", "field 3"))
     status, doc = run(capsys, "-w", str(ws), "filter", "P1", "--theta", "full")
@@ -291,6 +311,22 @@ def test_cli_budget_env(capsys, monkeypatch, tmp_path, command, clear_caches):
     status, doc = run(capsys, "-w", str(ws), *command.split())
     assert status == 2
     assert "budget of 1" in doc["error"]
+
+
+def test_every_cross_call_store_is_registered(capsys):
+    # a module-level dict, set or functools cache would outlive clear_caches()
+    stray = []
+    for info in pkgutil.iter_modules(filtra.__path__):
+        for name, value in vars(importlib.import_module(f"filtra.{info.name}")).items():
+            if not name.startswith("__") and (isinstance(value, (dict, set))
+                                              or hasattr(value, "cache_clear")):
+                stray.append(f"{info.name}.{name}")
+    assert stray == []
+    assert main(["-w", A2_F3_WS, "filter", "X", "--theta", "mixed"]) == 0
+    capsys.readouterr()
+    assert any(errors._stores)
+    errors.clear_caches()
+    assert not any(errors._stores)
 
 
 def test_cli_output_is_deterministic(capsys):
@@ -328,7 +364,8 @@ PINNED = [
      "29b5dc1aefce6db13bffc85679e4949a3027680ab0aa403f2d32c69479f5307d"),
     (A2_F3_WS, "precover X --theta mixed", 0,
      "55545588be60ca58c90109aa1c6f57eb88257cdc4257b185503cc043682a560a"),
-    # hom before ext: ext X Y takes its dimension from the cached Hom basis
+    # Hom and Ext of one pair, each eliminated afresh: every main() starts from
+    # empty caches
     (A2_F3_WS, "hom X Y", 0,
      "455005267870947a01a0aec0c746248e267a2cc77599caeec19b3ba844e6376b"),
     (A2_F3_WS, "ext X Y", 0,
@@ -359,6 +396,19 @@ def test_cli_stdout_pinned(capsys):
         status = main(["-w", ws] + command.split())
         out = capsys.readouterr().out
         assert (status, hashlib.sha256(out.encode()).hexdigest()) == (expected_status, digest), command
+
+
+def test_cli_output_ignores_earlier_work_in_the_process(capsys):
+    # deciding a module isomorphic to X first leaves its filtration in the
+    # memo, and a warm memo would move it over to X
+    a2 = Quiver.from_edges(2, [("a", 0, 1)])
+    s1, p1 = Representation.simple(a2, 3, 0), Representation.projective(a2, 3, 0)
+    x = direct_sum(direct_sum(p1, p1).rep, s1).rep
+    assert decide_filtered(x, ThetaFamily((s1, p1))) is not None
+    ws, command, expected_status, digest = PINNED[0]
+    status = main(["-w", ws] + command.split())
+    out = capsys.readouterr().out
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == (expected_status, digest)
 
 
 REP_NAMES = ("S1", "S2", "P1", "X")

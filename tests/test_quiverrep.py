@@ -14,7 +14,7 @@ from filtra import (Matrix, Quiver, RepMorphism, Representation, ThetaFamily,
 from filtra import Budget, BudgetExceeded, quiverrep
 from filtra import (Conflation, Filtration, FiltrationStep, GroupedFiltration,
                     GroupedStep)
-from filtra import ExtClass, ext_space, power_filtration, realize
+from filtra import ExtClass, ExtSpace, ext_space, power_filtration, realize
 from filtra.errors import searching
 from filtra.quiverrep import DirectSum, enumerate_subreps
 
@@ -400,6 +400,15 @@ def test_value_classes_are_frozen_and_compare_by_value():
         assert copy is not value
         h = hash(value)  # fills the original's hash cache, if it keeps one
         assert copy == value and hash(copy) == h
+    # ExtSpace is frozen too, but keeps a __dict__ for the matrices it builds on first use
+    quiver = values[0].quiver
+    s1, s2 = Representation.simple(quiver, 3, 0), Representation.simple(quiver, 3, 1)
+    space, copy = ext_space(s1, s2), ExtSpace(s1, s2)
+    for name in ("C", "dimension", "_projection"):
+        with pytest.raises(AttributeError):
+            setattr(space, name, getattr(space, name))
+    assert copy is not space and copy == space and hash(copy) == hash(space)
+    assert repr(space) == "ExtSpace(C=(1, 0), A=(0, 1), dim=1)"
     p1, copy = values[0], copies[0]
     assert [f is g for f, g in zip(hom_space(copy, copy), hom_space(p1, p1))] == [True]
     # the intertwiner law is checked unless the caller opts out
