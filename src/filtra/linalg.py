@@ -6,13 +6,16 @@ g @ f.  Elimination always picks the leftmost available pivot, so ranks,
 kernels, solutions and quotient projections are deterministic: repeated calls
 yield bit-identical results.
 
-``Matrix.rref`` picks one of two Gauss-Jordan eliminations by the number of
-entries.  Matrices of at most ``_RREF_SMALL_ENTRIES`` (100) entries are
-eliminated as Python int lists, where numpy's per-call overhead would cost
-more than the arithmetic.  Larger ones get one numpy rank-1 update per
-pivot, applied only to the rows with a nonzero entry in the pivot column and
-only to the columns from the pivot column onward.  The reduced row echelon
-form is unique, so both give the same matrix and pivots.
+``_reduce`` is the one elimination that ``rref``, ``rank`` and ``solve``
+share (``kernel_basis`` reads ``rref``, ``column_space_basis`` only the
+pivots).  It takes a raw array, so ``rank`` builds no echelon ``Matrix`` and
+``solve`` no augmented one, and picks one of two Gauss-Jordan eliminations
+by the number of entries.  Matrices of at most ``_RREF_SMALL_ENTRIES`` (100)
+entries are eliminated as Python int lists, where numpy's per-call overhead
+would cost more than the arithmetic.  Larger ones get one numpy rank-1
+update per pivot, applied only to the rows with a nonzero entry in the pivot
+column and only to the columns from the pivot column onward.  The reduced
+row echelon form is unique, so both give the same matrix and pivots.
 
 ``stack_ranks`` is the batched kernel beside ``rref``: it takes an (N, r, c)
 int64 stack of entries in [0, p) and returns the N ranks without building a
@@ -32,7 +35,7 @@ from .errors import DimensionMismatch, ValidationError
 
 __all__ = ["PrimeField", "Matrix", "stack_ranks"]
 
-# Matrix.rref eliminates matrices of at most this many entries as Python int
+# _reduce eliminates matrices of at most this many entries as Python int
 # rows; perfbench's RREF_SMALL_ENTRIES splits its traced rref time here too
 _RREF_SMALL_ENTRIES = 100
 
@@ -45,6 +48,26 @@ def _check_entries(what: str, rows: int, cols: int) -> None:
     if rows * cols > _MAX_ENTRIES:
         raise ValidationError(f"{what} of {rows} x {cols} entries is too large "
                               f"(at most {_MAX_ENTRIES} entries)")
+
+
+def _as_int64(a: np.ndarray) -> np.ndarray:
+    """The integer entries of a as int64; anything else is refused."""
+    if a.dtype == object and all(isinstance(x, (int, np.integer, np.bool_)) for x in a.flat):
+        try:
+            return a.astype(np.int64)
+        except OverflowError:
+            raise ValidationError("matrix entries must fit in int64") from None
+    if a.size and a.dtype.kind not in "biu":
+        raise ValidationError(f"matrix entries must be integers, got {a.dtype} data")
+    if a.dtype.kind == "u" and a.size and a.max() > np.iinfo(np.int64).max:
+        raise ValidationError("matrix entries must fit in int64")
+    return a.astype(np.int64)
+
+
+def _check_moduli(p: int, blocks: Sequence[Matrix]) -> None:
+    """A stack is wrapped unreduced, so its blocks must all be over F_p."""
+    if any(b.p != p for b in blocks):
+        raise DimensionMismatch(f"blocks over other moduli than {p}")
 
 
 def _is_prime(n: int) -> bool:
@@ -81,23 +104,51 @@ class Matrix:
 
     Zero-sized shapes (0 x c, r x 0) are first-class citizens; they occur
     whenever a quiver representation has a zero space at some vertex.
-    Not a dataclass: the constructor takes raw entries and a shape rather
-    than its fields, and it is the most called constructor in the package.
+    There are two ways in.  The constructor ``Matrix(p, entries, shape)``
+    takes outside data: it refuses anything but a rectangular array of
+    integers that fit int64, reduces it mod p and copies it.  ``_wrap`` is
+    for the results of this module's own operations, fresh int64 arrays
+    already in [0, p) that no caller holds, and skips all of that.  Not a
+    dataclass: the constructor takes raw entries and a shape rather than its
+    fields.
     """
 
     __slots__ = ("p", "a", "_hash")
 
     def __init__(self, p: int, entries, shape: tuple[int, int] | None = None):
-        a = np.asarray(entries, dtype=np.int64)
+        try:
+            a = np.asarray(entries)
+        except ValueError:
+            raise DimensionMismatch("matrix rows must all have the same length") from None
         if shape is not None:
-            a = a.reshape(shape)
+            try:
+                a = a.reshape(shape)
+            except ValueError:
+                raise DimensionMismatch(f"{a.size} entries do not fill shape {shape}") from None
         if a.ndim != 2:
             raise DimensionMismatch(f"matrix data must be 2-dimensional, got shape {a.shape}")
+        if a.dtype != np.int64:
+            a = _as_int64(a)
         a = np.mod(a, p)
         a.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def _wrap(p: int, a: np.ndarray) -> "Matrix":
+        """The Matrix of a fresh int64 array with entries in [0, p), unchecked.
+
+        For results computed in this module only: ``a`` must be an array no
+        caller holds (or a view of a read-only one), since it is frozen in
+        place rather than copied.
+        """
+        a.setflags(write=False)
+        m = object.__new__(Matrix)
+        object.__setattr__(m, "p", p)
+        object.__setattr__(m, "a", a)
+        object.__setattr__(m, "_hash", None)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -106,11 +157,11 @@ class Matrix:
 
     @staticmethod
     def zeros(p: int, rows: int, cols: int) -> "Matrix":
-        return Matrix(p, np.zeros((rows, cols), dtype=np.int64))
+        return Matrix._wrap(p, np.zeros((rows, cols), dtype=np.int64))
 
     @staticmethod
     def identity(p: int, n: int) -> "Matrix":
-        return Matrix(p, np.eye(n, dtype=np.int64))
+        return Matrix._wrap(p, np.eye(n, dtype=np.int64))
 
     @staticmethod
     def from_rows(p: int, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Matrix":
@@ -140,7 +191,7 @@ class Matrix:
         return [[int(x) for x in row] for row in self.a]
 
     def is_zero(self) -> bool:
-        return bool(np.all(self.a == 0))
+        return not self.a.any()
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and bool(np.array_equal(self.a, np.eye(self.rows, dtype=np.int64)))
@@ -173,25 +224,25 @@ class Matrix:
         self._check_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot compose {self.shape} with {other.shape}")
-        return Matrix(self.p, (self.a @ other.a) % self.p)
+        return Matrix._wrap(self.p, (self.a @ other.a) % self.p)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        return Matrix(self.p, self.a + other.a)
+        return Matrix._wrap(self.p, (self.a + other.a) % self.p)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot subtract {other.shape} from {self.shape}")
-        return Matrix(self.p, self.a - other.a)
+        return Matrix._wrap(self.p, (self.a - other.a) % self.p)
 
     def scale(self, c: int) -> "Matrix":
         return Matrix(self.p, self.a * (c % self.p))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.p, self.a.T)
+        return Matrix._wrap(self.p, self.a.T)
 
     @staticmethod
     def hstack(p: int, blocks: Sequence["Matrix"], rows: int | None = None) -> "Matrix":
@@ -199,7 +250,8 @@ class Matrix:
             if rows is None:
                 raise DimensionMismatch("empty hstack needs an explicit row count")
             return Matrix.zeros(p, rows, 0)
-        return Matrix(p, np.hstack([b.a for b in blocks]))
+        _check_moduli(p, blocks)
+        return Matrix._wrap(p, np.concatenate([b.a for b in blocks], axis=1))
 
     @staticmethod
     def vstack(p: int, blocks: Sequence["Matrix"], cols: int | None = None) -> "Matrix":
@@ -207,7 +259,8 @@ class Matrix:
             if cols is None:
                 raise DimensionMismatch("empty vstack needs an explicit column count")
             return Matrix.zeros(p, 0, cols)
-        return Matrix(p, np.vstack([b.a for b in blocks]))
+        _check_moduli(p, blocks)
+        return Matrix._wrap(p, np.concatenate([b.a for b in blocks], axis=0))
 
     # -- elimination -------------------------------------------------------
 
@@ -217,16 +270,11 @@ class Matrix:
         Returns (R, pivots) where pivots lists the pivot column of each
         nonzero row of R in order.
         """
-        m, n = self.shape
-        if m * n <= _RREF_SMALL_ENTRIES:
-            rows, pivots = _rref_int_rows(self.a.tolist(), n, self.p)
-            a = np.array(rows, dtype=np.int64).reshape(m, n)
-        else:
-            a, pivots = _rref_rank1(self.a, self.p)
-        return Matrix(self.p, a), tuple(pivots)
+        a, pivots = _reduce(self.a, self.p)
+        return Matrix._wrap(self.p, a), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_reduce(self.a, self.p)[1])
 
     def kernel_basis(self) -> "Matrix":
         """Matrix whose columns form the deterministic basis of the kernel.
@@ -241,8 +289,8 @@ class Matrix:
         _check_entries("kernel basis", self.cols, free.size)
         basis = np.zeros((self.cols, free.size), dtype=np.int64)
         basis[free, np.arange(free.size)] = 1
-        basis[list(pivots)] = -R.a[:len(pivots), free]
-        return Matrix(self.p, basis)
+        basis[list(pivots)] = -R.a[:len(pivots), free] % self.p
+        return Matrix._wrap(self.p, basis)
 
     def solve(self, rhs: "Matrix") -> Optional["Matrix"]:
         """One solution X of self @ X = rhs, or None when inconsistent.
@@ -253,14 +301,13 @@ class Matrix:
         self._check_field(rhs)
         if rhs.rows != self.rows:
             raise DimensionMismatch(f"rhs has {rhs.rows} rows, expected {self.rows}")
-        aug = Matrix.hstack(self.p, [self, rhs])
-        R, pivots = aug.rref()
+        R, pivots = _reduce(np.concatenate((self.a, rhs.a), axis=1), self.p)
         n = self.cols
-        if any(c >= n for c in pivots):
+        if pivots and pivots[-1] >= n:
             return None
         x = np.zeros((n, rhs.cols), dtype=np.int64)
-        x[list(pivots)] = R.a[:len(pivots), n:]
-        return Matrix(self.p, x)
+        x[list(pivots)] = R[:len(pivots), n:]
+        return Matrix._wrap(self.p, x)
 
     def right_inverse(self) -> Optional["Matrix"]:
         return self.solve(Matrix.identity(self.p, self.rows))
@@ -282,8 +329,22 @@ class Matrix:
 
     def column_space_basis(self) -> "Matrix":
         """Columns of self at the pivot positions (leftmost independent set)."""
-        _, pivots = self.rref()
-        return Matrix(self.p, self.a[:, list(pivots)])
+        _, pivots = _reduce(self.a, self.p)
+        return Matrix._wrap(self.p, self.a[:, list(pivots)])
+
+
+def _reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of a (entries in [0, p)) and its pivot columns.
+
+    Returns a fresh array; a itself is left as it is.
+    """
+    m, n = a.shape
+    if m * n <= _RREF_SMALL_ENTRIES:
+        rows, pivots = _rref_int_rows(a.tolist(), n, p)
+        a = np.array(rows, dtype=np.int64).reshape(m, n)
+    else:
+        a, pivots = _rref_rank1(a, p)
+    return a, tuple(pivots)
 
 
 def _rref_int_rows(rows: list[list[int]], n: int, p: int) -> tuple[list[list[int]], list[int]]:
@@ -294,12 +355,17 @@ def _rref_int_rows(rows: list[list[int]], n: int, p: int) -> tuple[list[list[int
     for c in range(n):
         if r == m:
             break
-        i = next((i for i in range(r, m) if rows[i][c]), None)
-        if i is None:
+        for i in range(r, m):
+            if rows[i][c]:
+                break
+        else:
             continue
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        pivot_row = rows[r] = [x * inv % p for x in rows[r]]
+        pivot_row = rows[i]
+        rows[i] = rows[r]
+        if pivot_row[c] != 1:  # a pivot at p = 2 is always 1
+            inv = pow(pivot_row[c], p - 2, p)
+            pivot_row = [x * inv % p for x in pivot_row]
+        rows[r] = pivot_row
         for j, row in enumerate(rows):
             f = row[c]
             if f and j != r:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra import Matrix, ValidationError
+from filtra import DimensionMismatch, Matrix, ValidationError
 from filtra.linalg import _RREF_SMALL_ENTRIES, PrimeField, stack_ranks
 
 
@@ -120,11 +120,34 @@ def test_block_assembly_matches_entries():
     b = Matrix.from_rows(3, [[2]])
     assert Matrix.hstack(3, [a, b]).entries == [[1, 2]]
     assert Matrix.vstack(3, [a, b]).entries == [[1], [2]]
+    # stacks are not reduced again, so a block over another field is refused
+    for stack in (Matrix.hstack, Matrix.vstack):
+        with pytest.raises(DimensionMismatch, match="moduli"):
+            stack(2, [Matrix.from_rows(2, [[1]]), b])
 
 
 def test_entries_are_reduced_mod_p():
     m = Matrix.from_rows(3, [[4, -1]])
     assert m.entries == [[1, 2]]
+
+
+def test_matrix_refuses_non_integer_entries():
+    for entries in ([[0.5]], [[1.0]], np.ones((2, 2)), [["1"]], [[None]], [[1, 2.5]]):
+        with pytest.raises(ValidationError, match="must be integers"):
+            Matrix(3, entries)
+    for entries in ([[2 ** 63]], [[2 ** 70]], [[-2 ** 63 - 1]], [[1], [2 ** 64]]):
+        with pytest.raises(ValidationError, match="int64"):
+            Matrix(3, entries)
+    with pytest.raises(DimensionMismatch):
+        Matrix(3, [[1], [1, 2]])
+    with pytest.raises(DimensionMismatch):
+        Matrix(3, [1, 2, 3], shape=(2, 2))
+    # empty data reads as float64 in numpy, and bools and every integer dtype are integers
+    assert Matrix(3, [], shape=(0, 2)).shape == (0, 2)
+    assert Matrix(3, [[True, False]]).entries == [[1, 0]]
+    assert Matrix(3, np.array([[-7]], dtype=np.int8)).entries == [[2]]
+    assert Matrix(3, np.array([[2 ** 63 - 1]], dtype=np.uint64)).entries == [[1]]
+    assert Matrix(3, np.array([[5, -1]], dtype=object)).entries == [[2, 2]]
 
 
 # -- the row-at-a-time elimination, kept as the reference for Matrix.rref ----
@@ -179,6 +202,14 @@ def _same_bytes(x, y):
     return x.shape == y.shape and x.a.dtype == y.a.dtype and x.a.tobytes() == y.a.tobytes()
 
 
+def _assert_valid(x):
+    """x is a Matrix as the validating constructor would build it."""
+    assert x.a.dtype == np.int64 and x.a.flags.writeable is False
+    assert ((x.a >= 0) & (x.a < x.p)).all()
+    rebuilt = Matrix(x.p, x.a.copy())
+    assert _same_bytes(x, rebuilt) and x == rebuilt and hash(x) == hash(rebuilt)
+
+
 @st.composite
 def _systems(draw):
     """A matrix of a drawn rank and zero pattern, with a right-hand side.
@@ -211,17 +242,46 @@ def _systems(draw):
 @given(_systems())
 def test_elimination_matches_reference(system):
     m, rhs = system
+    p = m.p
     R, pivots = m.rref()
     R_ref, pivots_ref = _reference_rref(m)
     assert pivots == pivots_ref and _same_bytes(R, R_ref)
+    assert m.rank() == len(pivots_ref)
+    assert _same_bytes(m.column_space_basis(), Matrix(p, m.a[:, list(pivots_ref)]))
     assert _same_bytes(m.kernel_basis(), _reference_kernel_basis(m))
     x, x_ref = m.solve(rhs), _reference_solve(m, rhs)
     assert (x is None) == (x_ref is None)
     assert x is None or _same_bytes(x, x_ref)
+    inv, inv_ref = m.right_inverse(), _reference_solve(m, Matrix.identity(p, m.rows))
+    assert (inv is None) == (inv_ref is None)
+    assert inv is None or _same_bytes(inv, inv_ref)
+    if m.rows == m.cols:
+        square = m.inverse()
+        assert (square is None) == (inv_ref is None)
+        assert square is None or _same_bytes(square, inv_ref)
     q, d = m.cokernel_projection()
     q_ref = _reference_kernel_basis(m.transpose()).transpose()
     assert d == q_ref.rows and _same_bytes(q, q_ref)
-
+    # every other result against the validating constructor on the same numpy expression
+    a, b = m.a, rhs.a
+    mt = m.transpose()
+    results = {
+        "transpose": (mt, a.T),
+        "matmul": (mt @ rhs, a.T @ b),
+        "add": (m + R, a + R.a),
+        "sub": (m - R, a - R.a),
+        "hstack": (Matrix.hstack(p, [m, rhs]), np.hstack([a, b])),
+        "vstack": (Matrix.vstack(p, [m, m]), np.vstack([a, a])),
+        "vstack_t": (Matrix.vstack(p, [rhs.transpose(), mt]), np.vstack([b.T, a.T])),
+        "zeros": (Matrix.zeros(p, m.rows, m.cols), np.zeros(a.shape, dtype=np.int64)),
+        "identity": (Matrix.identity(p, m.rows), np.eye(m.rows, dtype=np.int64)),
+    }
+    for name, (got, expr) in results.items():
+        assert _same_bytes(got, Matrix(p, expr)), name
+    returned = [R, m.column_space_basis(), m.kernel_basis(), q, *(r for r, _ in results.values())]
+    returned += [r for r in (x, inv) if r is not None]
+    for r in returned:
+        _assert_valid(r)
 
 
 @st.composite
