@@ -20,7 +20,7 @@ from .errors import ExtObstruction, ValidationError, ZeroExt
 from .filtration import Filtration, extend, power_filtration
 from .linalg import Matrix
 from .quiverrep import (Representation, RepMorphism, ThetaFamily, _canonical_key, _flatten,
-                        direct_power, hom_space)
+                        _hom_dim, direct_power, hom_space)
 
 __all__ = [
     "ApproxResult",
@@ -57,9 +57,9 @@ def perp_class(theta: ThetaFamily, side: str,
     ext(member, A) = 0 (the relative injectives).
     """
     if side == "hom-left":
-        keep = lambda a: all(not hom_space(a, m) for m in theta.members)
+        keep = lambda a: all(not _hom_dim(a, m) for m in theta.members)
     elif side == "hom-right":
-        keep = lambda a: all(not hom_space(m, a) for m in theta.members)
+        keep = lambda a: all(not _hom_dim(m, a) for m in theta.members)
     elif side == "ext-left":
         keep = lambda a: is_theta_projective(a, theta)
     elif side == "ext-right":
@@ -237,7 +237,7 @@ def _induced_onto(f: RepMorphism, test: Representation, side: str) -> bool:
     onto iff their flattened components have rank equal to its dimension.
     """
     envelope = side == "envelope"
-    need = len(hom_space(f.source, test) if envelope else hom_space(test, f.target))
+    need = _hom_dim(f.source, test) if envelope else _hom_dim(test, f.target)
     if not need:
         return True
     composites = ([g @ f for g in hom_space(f.target, test)] if envelope

@@ -108,11 +108,18 @@ class Conflation:
     # -- transports along isomorphisms ---------------------------------------
 
     def with_middle(self, phi: RepMorphism) -> "Conflation":
-        """Replace B by an isomorphic object via phi: B -> B'."""
-        if phi.source != self.B or not phi.is_isomorphism():
-            raise ValidationError("middle transport needs an isomorphism out of B")
-        return Conflation(self.A, phi.target, self.C,
-                          phi @ self.x, self.y @ phi.inverse())
+        """Replace B by an isomorphic object via phi: B -> B'.
+
+        Inverting phi is the check that it is an isomorphism.
+        """
+        message = "middle transport needs an isomorphism out of B"
+        if phi.source != self.B:
+            raise ValidationError(message)
+        try:
+            inverse = phi.inverse()
+        except ValidationError:
+            raise ValidationError(message) from None
+        return Conflation(self.A, phi.target, self.C, phi @ self.x, self.y @ inverse)
 
     def with_quotient(self, phi: RepMorphism) -> "Conflation":
         """Replace C by an isomorphic object via phi: C -> C'."""
@@ -154,8 +161,9 @@ class ExtSpace:
     deterministic elimination in linalg, so bases are reproducible.
 
     The dimension is dim Hom - euler_pairing(C, A) (rank-nullity on d) when
-    the Hom basis of (C, A) is cached, else the size of the cokernel
-    projection.  d, the projection and its section are built on first use.
+    the Hom kernel of (C, A) is cached (quiverrep._hom_kernel), else the
+    size of the cokernel projection.  d, the projection and its section
+    are built on first use.
     """
 
     C: Representation
@@ -165,7 +173,7 @@ class ExtSpace:
     def __post_init__(self):
         if self.C.quiver != self.A.quiver or self.C.p != self.A.p:
             raise ValidationError("ext requires representations over the same quiver and field")
-        hom = quiverrep._hom_basis.store.get((self.C, self.A))
+        hom = quiverrep._hom_kernel.store.get((self.C, self.A))
         object.__setattr__(self, "dimension", self._projection.rows if hom is None
                            else len(hom) - euler_pairing(self.C, self.A))
 

@@ -24,8 +24,8 @@ from .conflation import (Conflation, et4_compose, et4op_compose, ext_space,
 from .errors import Budget, ExtObstruction, ValidationError, cached, searching
 from .linalg import Matrix
 from .quiverrep import (Representation, RepMorphism, ThetaFamily, direct_power,
-                        direct_sum, _rank_mask, _scan,
-                        cokernel_quot, enumerate_subreps, hom_space,
+                        direct_sum, _hom_kernel, _rank_mask, _scan,
+                        cokernel_quot, enumerate_subreps,
                         is_isomorphic, iso_key, iso_witness, kernel_sub,
                         krull_schmidt)
 
@@ -186,13 +186,23 @@ def multiplicities(f: Filtration) -> tuple[int, ...]:
 
 
 def transport_top(f: Filtration, phi: RepMorphism) -> Filtration:
-    """Move a filtration along an isomorphism phi out of its top object."""
-    if phi.source != f.top or not phi.is_isomorphism():
-        raise ValidationError("transport needs an isomorphism out of the top object")
+    """Move a filtration along an isomorphism phi out of its top object.
+
+    The top step moves by Conflation.with_middle, whose inversion of phi is
+    the one check that phi is an isomorphism.
+    """
+    message = "transport needs an isomorphism out of the top object"
+    if phi.source != f.top:
+        raise ValidationError(message)
     if not f.steps:
+        if not phi.is_isomorphism():
+            raise ValidationError(message)
         return Filtration(f.theta, (), check=False)
     last = f.steps[-1]
-    moved = FiltrationStep(last.conflation.with_middle(phi), last.label, last.witness)
+    try:
+        moved = FiltrationStep(last.conflation.with_middle(phi), last.label, last.witness)
+    except ValidationError:
+        raise ValidationError(message) from None
     return Filtration(f.theta, f.steps[:-1] + (moved,), check=False)
 
 
@@ -464,7 +474,7 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
             member = theta[i]
             if any(dc < dm for dc, dm in zip(cur.dim, member.dim)):
                 continue
-            epis = _scan(hom_space(cur, member), cur, member,
+            epis = _scan(_hom_kernel(cur, member), cur, member,
                          lambda cs: _rank_mask(cs, member.dim, cur.p), leading_one=True)
             for comps in epis:
                 epi = RepMorphism(cur, member,

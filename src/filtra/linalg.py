@@ -108,7 +108,9 @@ class Matrix:
     takes outside data: it refuses anything but a rectangular array of
     integers that fit int64, reduces it mod p and copies it.  ``_wrap`` is
     for the results of this module's own operations, fresh int64 arrays
-    already in [0, p) that no caller holds, and skips all of that.  Not a
+    already in [0, p) that no caller holds, and for read-only views of them
+    (quiverrep's Hom bases are views of one cached kernel array); it skips
+    all of that.  Not a
     dataclass: the constructor takes raw entries and a shape rather than its
     fields.
     """
@@ -139,7 +141,7 @@ class Matrix:
     def _wrap(p: int, a: np.ndarray) -> "Matrix":
         """The Matrix of a fresh int64 array with entries in [0, p), unchecked.
 
-        For results computed in this module only: ``a`` must be an array no
+        For results computed in filtra only: ``a`` must be an array no
         caller holds (or a view of a read-only one), since it is frozen in
         place rather than copied.
         """

@@ -329,13 +329,14 @@ class RepMorphism:
             m.rows == m.cols and m.rank() == m.rows for m in self.components)
 
     def inverse(self) -> "RepMorphism":
-        if not self.is_isomorphism():
+        """The inverse morphism; ValidationError when self is not invertible.
+
+        Each component is inverted once, and that elimination is also the
+        invertibility check.
+        """
+        comps = [m.inverse() for m in self.components]
+        if self.source.dim != self.target.dim or any(c is None for c in comps):
             raise ValidationError("morphism is not invertible")
-        comps = []
-        for m in self.components:
-            inv = m.inverse()
-            assert inv is not None
-            comps.append(inv)
         return RepMorphism(self.target, self.source, comps, check=False)
 
     def __repr__(self) -> str:
@@ -355,13 +356,22 @@ def _flatten(blocks: Sequence[Matrix]) -> np.ndarray:
     return np.concatenate([b.a.reshape(-1) for b in blocks])
 
 
-def _unflatten(p: int, vec: np.ndarray, shapes: Sequence[tuple[int, int]]) -> list[Matrix]:
-    """Inverse of _flatten for blocks of the given shapes."""
+def _blocks(vec: np.ndarray, shapes: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """Inverse of _flatten: views of vec cut into blocks of the given shapes."""
     out, pos = [], 0
     for r, c in shapes:
-        out.append(Matrix(p, vec[pos:pos + r * c], shape=(r, c)))
+        out.append(vec[pos:pos + r * c].reshape(r, c))
         pos += r * c
     return out
+
+
+def _unflatten(p: int, vec: np.ndarray, shapes: Sequence[tuple[int, int]]) -> list[Matrix]:
+    """The _blocks of vec as matrices that share its memory.
+
+    vec must hold entries in [0, p) and be read-only: the entries of a
+    Matrix or a row of a cached Hom kernel (_hom_kernel).
+    """
+    return [Matrix._wrap(p, b) for b in _blocks(vec, shapes)]
 
 
 def _kron_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -408,24 +418,59 @@ def _intertwiner_system(m: Representation, n: Representation,
     return Matrix(m.p, system)
 
 
+def _check_same_category(m: Representation, n: Representation) -> None:
+    if m.quiver != n.quiver or m.p != n.p:
+        raise ValidationError("hom requires representations over the same quiver and field")
+
+
 def hom_space(m: Representation, n: Representation) -> list[RepMorphism]:
     """Deterministic basis of the space of morphisms m -> n.
 
     Hom(m, n) is the kernel of the intertwiner system (_intertwiner_system),
-    the same system whose cokernel is Ext(m, n); its kernel basis is
-    unpacked into morphisms.  The basis is cached (_hom_basis).
+    the same system whose cokernel is Ext(m, n).  Basis element k is row k
+    of the cached kernel array (_hom_kernel): its components are read-only
+    views of that row, so the cached morphisms (_hom_basis) hold no second
+    copy of the entries.
     """
-    if m.quiver != n.quiver or m.p != n.p:
-        raise ValidationError("hom requires representations over the same quiver and field")
+    _check_same_category(m, n)
     return list(_hom_basis(m, n))
 
 
 @cached
+def _hom_kernel(m: Representation, n: Representation) -> np.ndarray:
+    """Hom(m, n) as a read-only (dim Hom x unknowns) int64 array.
+
+    Row k is the k-th vector of the deterministic kernel basis of the
+    intertwiner system, in _flatten coordinates.  This is the one cached
+    elimination of Hom: hom_space unpacks it, _scan combines its rows.
+    """
+    _check_same_category(m, n)
+    kernel = np.ascontiguousarray(_intertwiner_system(m, n).kernel_basis().a.T)
+    kernel.setflags(write=False)
+    return kernel
+
+
+@cached
 def _hom_basis(m: Representation, n: Representation) -> tuple[RepMorphism, ...]:
-    kernel = _intertwiner_system(m, n).kernel_basis()
     shapes = _hom_shapes(m, n)
-    return tuple(RepMorphism(m, n, _unflatten(m.p, kernel.a[:, k], shapes), check=False)
-                 for k in range(kernel.cols))
+    return tuple(RepMorphism(m, n, _unflatten(m.p, row, shapes), check=False)
+                 for row in _hom_kernel(m, n))
+
+
+@cached
+def _hom_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(m, n) without a basis where none is cached.
+
+    The length of a cached _hom_kernel, else the number of unknowns of the
+    intertwiner system minus its rank, which reads only the pivots of one
+    elimination and keeps no array.
+    """
+    kernel = _hom_kernel.store.get((m, n))
+    if kernel is not None:
+        return len(kernel)
+    _check_same_category(m, n)
+    system = _intertwiner_system(m, n)
+    return system.cols - system.rank()
 
 
 # chunk sizes of _scan, growing 4x: most scans hit early, and past 256 the
@@ -434,25 +479,26 @@ _SCAN_FIRST_CHUNK = 32
 _SCAN_MAX_CHUNK = 256
 
 
-def _scan(basis: Sequence[RepMorphism], m: Representation, n: Representation, test,
+def _scan(kernel: np.ndarray, m: Representation, n: Representation, test,
           leading_one: bool = False) -> Iterator[list[np.ndarray]]:
     """Components of the elements of Hom(m, n) that pass test, in scan order.
 
-    The elements are the combinations of the h basis elements for the
-    coefficient vectors in itertools.product(range(p), repeat=h) order, or
-    with leading_one only those whose leading nonzero entry is 1.  A chunk
-    of vectors is the base-p digits of an arange (only the low digits it
-    reaches, so p ** h may pass int64), its combinations are one matrix
-    product, and test maps their per-vertex (N, r, c) stacks to a hit mask.
+    kernel is _hom_kernel(m, n), whose h rows are the basis of Hom(m, n) in
+    _flatten coordinates.  The elements are the combinations of those rows
+    for the coefficient vectors in itertools.product(range(p), repeat=h)
+    order, or with leading_one only those whose leading nonzero entry is 1.
+    A chunk of vectors is the base-p digits of an arange (only the low
+    digits it reaches, so p ** h may pass int64), its combinations are one
+    matrix product with kernel, and test maps their per-vertex (N, r, c)
+    stacks to a hit mask.
 
     Each vector costs one budget node, charged as a loop over the vectors
     would: up to and including a hit before it is yielded, so a chunk that
     passes the limit raises BudgetExceeded at the loop's count.
     """
-    p, h = m.p, len(basis)
+    p, h = m.p, len(kernel)
     shapes = _hom_shapes(m, n)
     bounds = list(itertools.accumulate((r * c for r, c in shapes), initial=0))
-    flat = np.array([_flatten(f.components) for f in basis], dtype=np.int64).reshape(h, bounds[-1])
     total = p ** h
     start, size = 0, _SCAN_FIRST_CHUNK
     while start < total:
@@ -466,7 +512,7 @@ def _scan(basis: Sequence[RepMorphism], m: Representation, n: Representation, te
         if leading_one:
             first_nonzero = np.cumsum(coeffs != 0, axis=1) == 1
             coeffs = coeffs[((coeffs == 1) & first_nonzero).any(axis=1)]
-        combos = coeffs @ flat % p
+        combos = coeffs @ kernel % p
         comps = [combos[:, lo:hi].reshape(len(coeffs), r, c)
                  for lo, hi, (r, c) in zip(bounds, bounds[1:], shapes)]
         charged = 0
@@ -642,22 +688,26 @@ def _canonical_key(m: Representation):
 
 
 def _invariants_match(m: Representation, n: Representation) -> bool:
+    """Necessary conditions for m = n up to isomorphism: equal dims and
+    iso_key, dim End(m) = dim End(n) and dim Hom(n, m) = dim Hom(m, n).
+
+    Only Hom(m, n) gets a kernel, the one that iso_witness then scans; the
+    other three are counted by rank (_hom_dim).
+    """
     if m.dim != n.dim or iso_key(m) != iso_key(n):
         return False
-    if len(hom_space(m, n)) != len(hom_space(n, m)):
-        return False
-    if len(hom_space(m, m)) != len(hom_space(n, n)):
-        return False
-    return True
+    return _hom_dim(m, m) == _hom_dim(n, n) and _hom_dim(n, m) == len(_hom_kernel(m, n))
 
 
 def iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
     """An invertible morphism m -> n, or None when m and n are not isomorphic.
 
-    Past the cheap invariants, an exhaustive scan of Hom(m, n) (_scan) for
-    a vertexwise invertible element.  The witness is the first one in
-    itertools.product order of the coefficient vectors, and every vector up
-    to it costs one budget node; a miss costs p ** dim Hom(m, n) nodes.
+    Past the cheap invariants (_invariants_match), an exhaustive scan
+    (_scan) of the cached kernel array of Hom(m, n) for a vertexwise
+    invertible element; no morphism is built but the witness.  The witness
+    is the first one in itertools.product order of the coefficient vectors,
+    and every vector up to it costs one budget node; a miss costs
+    p ** dim Hom(m, n) nodes.
     """
     if m.quiver != n.quiver or m.p != n.p:
         return None
@@ -667,7 +717,7 @@ def iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
         return None
     p = m.p
     with searching():
-        comps = next(_scan(hom_space(m, n), m, n, lambda cs: _rank_mask(cs, n.dim, p)), None)
+        comps = next(_scan(_hom_kernel(m, n), m, n, lambda cs: _rank_mask(cs, n.dim, p)), None)
     if comps is None:
         return None
     return RepMorphism(m, n, [Matrix(p, c) for c in comps], check=False)
@@ -710,18 +760,18 @@ def _try_split(m: Representation) -> Optional[tuple]:
     if m.total_dim == 0:
         return None
     p = m.p
-    basis = hom_space(m, m)
-    for f in basis:
+    kernel, shapes = _hom_kernel(m, m), _hom_shapes(m, m)
+    for f in kernel:
         spend()
-        split = _fitting_split(m, [c.a for c in f.components])
+        split = _fitting_split(m, _blocks(f, shapes))
         if split is not None:
             return split
-    for f, g in itertools.combinations(basis, 2):
+    for f, g in itertools.combinations(kernel, 2):
         spend()
-        split = _fitting_split(m, [(a.a + b.a) % p for a, b in zip(f.components, g.components)])
+        split = _fitting_split(m, _blocks((f + g) % p, shapes))
         if split is not None:
             return split
-    for comps in _scan(basis, m, m, lambda cs: _nontrivial_idempotent_mask(cs, p)):
+    for comps in _scan(kernel, m, m, lambda cs: _nontrivial_idempotent_mask(cs, p)):
         split = _fitting_split(m, comps)
         if split is not None:
             return split
@@ -898,7 +948,7 @@ def euler_pairing(m: Representation, n: Representation) -> int:
     For an acyclic quiver this equals dim Hom(m,n) - dim Ext(m,n): it is
     the column count minus the row count of the intertwiner system, whose
     kernel is Hom and whose cokernel is Ext (rank-nullity).  ExtSpace uses
-    it to read dim Ext off a cached Hom basis; the test suite and the
+    it to read dim Ext off a cached Hom kernel; the test suite and the
     selftest check it against an independent elimination of the cokernel.
     """
     value = sum(dm * dn for dm, dn in zip(m.dim, n.dim))

@@ -25,7 +25,7 @@ from .errors import Budget, searching
 from .filtration import (Filtration, FiltrationStep, decide_filtered, group,
                          in_add, multiplicities, oracle_filtered, reorder,
                          star_membership)
-from .quiverrep import (Quiver, Representation, RepMorphism, ThetaFamily, _flatten,
+from .quiverrep import (Quiver, Representation, RepMorphism, ThetaFamily, _flatten, _hom_dim,
                         _intertwiner_system, enumerate_indecomposables, enumerate_reps,
                         euler_pairing, hom_space, is_isomorphic)
 
@@ -155,10 +155,10 @@ def criterion_ext_dimensions(rng: random.Random, budget: Budget) -> CriterionRes
     for m in desk:
         for n in desk:
             pairs += 1
-            # the cokernel is eliminated here on its own: ext_space takes its
-            # dimension from the cached Hom basis and the Euler form
+            # the cokernel is eliminated here on its own, apart from the rank
+            # that counts Hom (_hom_dim): the Euler form ties the two
             _, cokernel = _intertwiner_system(m, n).cokernel_projection()
-            if len(hom_space(m, n)) - cokernel != euler_pairing(m, n):
+            if _hom_dim(m, n) - cokernel != euler_pairing(m, n):
                 notes.append(f"Euler mismatch at dims {m.dim}, {n.dim}")
             if ext_space(m, n).dimension != cokernel:
                 notes.append(f"ext dimension mismatch at dims {m.dim}, {n.dim}")

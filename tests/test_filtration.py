@@ -133,6 +133,20 @@ def test_transport_top_keeps_labels(full_family, p1, s1, s2):
     w = iso_witness(p1, c.B)
     g = transport_top(f, w)
     assert g.top == c.B and g.labels == f.labels
+    # one inversion checks phi; each caller keeps its own message
+    singular, skew = RepMorphism.zero(p1, c.B), RepMorphism.zero(p1, s1)
+    for phi in (singular, skew):
+        with pytest.raises(ValidationError, match="morphism is not invertible"):
+            phi.inverse()
+    with pytest.raises(ValidationError, match="transport needs an isomorphism"):
+        transport_top(f, singular)
+    with pytest.raises(ValidationError, match="middle transport needs an isomorphism"):
+        f.steps[-1].conflation.with_middle(singular)
+    empty = Filtration(full_family, ())
+    with pytest.raises(ValidationError, match="transport needs an isomorphism"):
+        transport_top(empty, RepMorphism.zero(empty.top, s1))
+    assert transport_top(empty, RepMorphism.identity(empty.top)).steps == ()
+    assert w.inverse() @ w == RepMorphism.identity(p1)
 
 
 def test_star_membership_order_matters(p1, s1, s2):

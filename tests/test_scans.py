@@ -20,8 +20,8 @@ from filtra import (Budget, BudgetExceeded, Matrix, Quiver, Representation,
 from filtra.conflation import Conflation
 from filtra.errors import searching, spend
 from filtra.filtration import Filtration, FiltrationStep, _dim_feasible, transport_top
-from filtra.quiverrep import (_canonical_key, _fitting_split, _invariants_match,
-                              hom_space, iso_key, kernel_sub)
+from filtra.quiverrep import (_canonical_key, _fitting_split, _hom_dim, _hom_kernel,
+                              _invariants_match, hom_space, iso_key, kernel_sub)
 
 
 # -- the per-vector loops, kept as oracles -------------------------------------
@@ -43,12 +43,22 @@ def _combo_components(coeffs: np.ndarray, stacks: list[np.ndarray], p: int) -> l
             for s in stacks]
 
 
+def reference_invariants_match(m: Representation, n: Representation) -> bool:
+    if m.dim != n.dim or iso_key(m) != iso_key(n):
+        return False
+    if len(hom_space(m, n)) != len(hom_space(n, m)):
+        return False
+    if len(hom_space(m, m)) != len(hom_space(n, n)):
+        return False
+    return True
+
+
 def reference_iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
     if m.quiver != n.quiver or m.p != n.p:
         return None
     if m == n:
         return RepMorphism.identity(m)
-    if not _invariants_match(m, n):
+    if not reference_invariants_match(m, n):
         return None
     basis = hom_space(m, n)
     stacks = _hom_component_stacks(basis, m, n)
@@ -344,9 +354,84 @@ def test_scan_yields_every_hit_in_loop_order(quiver_name, p):
             stacks = _hom_component_stacks(basis, m, target)
             for limit in BUDGETS:
                 got = _charged(lambda b: _first_hits(
-                    quiverrep._scan(basis, m, target, test, leading_one=kind == "epi")), limit)
+                    quiverrep._scan(quiverrep._hom_kernel(m, target), m, target, test,
+                                    leading_one=kind == "epi")), limit)
                 assert got == _charged(
                     lambda b: _first_hits(_reference_hits(stacks, p, target.dim, kind)), limit)
                 if limit is None:
                     hits[kind] += len(got[0])
     assert all(hits.values()), hits
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("quiver_name", list(QUIVERS))
+def test_invariants_match_counts_hom_like_the_bases(quiver_name, p, clear_caches):
+    # the rank counts of _hom_dim against the four bases of the reference
+    quiver, bound = QUIVERS[quiver_name]
+    rng = random.Random(f"invariants-{quiver_name}-{p}")
+    pairs = []
+    for _ in range(8):
+        m = Representation.random(quiver, p, bound, rng)
+        pairs += [(m, _scrambled(rng, m)), (m, _random_at(rng, quiver, p, m.dim)),
+                  (m, Representation.random(quiver, p, bound, rng))]
+    if quiver_name == "Kronecker":
+        # (1, 1) modules a = [1], b = [l]: one iso_key for every l != 0 and one
+        # iso class per l, all with the same Hom and End dimensions.  Their
+        # sums of two share an iso_key too, and R1 + R1 against R1 + R2 differ
+        # only in dim End (4 against 2)
+        pencils = [Representation.from_dict(quiver, p, (1, 1), {"a": [[1]], "b": [[lam]]})
+                   for lam in range(1, p)]
+        sums = [direct_sum(x, y).rep
+                for x, y in itertools.combinations_with_replacement(pencils, 2)]
+        pairs += list(itertools.product(pencils, repeat=2)) + list(itertools.product(sums, repeat=2))
+        # one dim vector, iso_key and dim End (3), but dim Hom 4 one way and 2 back
+        skew = [Representation.from_dict(quiver, p, (2, 2), {"a": [[0, 0], [0, 1]], "b": b})
+                for b in ([[0, 0], [1, 0]], [[0, 1], [0, 0]])]
+        pairs += [tuple(skew), tuple(skew[::-1])]
+    agree = {True: 0, False: 0}
+    for m, n in pairs:
+        clear_caches()
+        want = reference_invariants_match(m, n)
+        clear_caches()
+        assert _invariants_match(m, n) == want
+        agree[want] += 1
+        for x, y in itertools.product((m, n), repeat=2):
+            clear_caches()
+            assert (x, y) not in _hom_kernel.store
+            counted = _hom_dim(x, y)
+            assert (x, y) not in _hom_kernel.store
+            assert counted == len(hom_space(x, y))
+            _hom_dim.store.clear()
+            assert _hom_dim(x, y) == len(_hom_kernel.store[x, y]) == counted
+    assert all(agree.values()), agree
+    if quiver_name == "Kronecker":
+        assert iso_key(skew[0]) == iso_key(skew[1]) and not _invariants_match(*skew)
+        assert (_hom_dim(*skew), _hom_dim(*skew[::-1])) == (4, 2)
+    if quiver_name == "Kronecker" and p == 3:
+        one, two = pencils
+        assert iso_key(one) == iso_key(two) and _invariants_match(one, two)
+        assert iso_witness(one, two) is None
+        same, mixed = sums[:2]
+        assert iso_key(same) == iso_key(mixed) and not _invariants_match(same, mixed)
+        assert _hom_dim(same, mixed) == _hom_dim(mixed, same) == 2
+
+
+def test_memo_lookups_build_no_hom_basis(a3, clear_caches):
+    p = 3
+    rng = random.Random("memo-kernels")
+    s1, p1 = Representation.simple(a3, p, 0), Representation.projective(a3, p, 0)
+    theta = ThetaFamily([s1, p1])
+    m = direct_sum(direct_sum(p1, s1).rep, p1).rep
+    copies = [_scrambled(rng, m), _scrambled(rng, m)]
+    clear_caches()
+    for x in [m] + copies:
+        f = decide_filtered(x, theta)
+        assert f is not None and f.top == x
+    # the copies were answered by memo iso lookups, which scanned Hom(m, copy)
+    assert all((m, x) in _hom_kernel.store for x in copies)
+    assert not quiverrep._hom_basis.store
+    # hom_space unpacks the cached kernel without copying it
+    kernel = _hom_kernel(m, m)
+    assert not kernel.flags.writeable
+    blocks = [c.a for f in hom_space(m, m) for c in f.components if c.a.size]
+    assert blocks and all(np.shares_memory(b, kernel) and not b.flags.writeable for b in blocks)
