@@ -173,7 +173,7 @@ def preenvelope(x: Representation, theta: ThetaFamily) -> ApproxResult:
                 filtered = extend(composed.quotient, filtered, layer)
     if running is None:
         running = Conflation.identity_right(x)
-        filtered = Filtration(theta, ())
+        filtered = Filtration(theta, (), check=False)
     return ApproxResult(running, running.x, "envelope", theta, filtered)
 
 
@@ -206,7 +206,7 @@ def precover(x: Representation, theta: ThetaFamily) -> ApproxResult:
                 filtered = extend(composed.kernel, layer, filtered)
     if running is None:
         running = Conflation.identity_left(x)
-        filtered = Filtration(theta, ())
+        filtered = Filtration(theta, (), check=False)
     return ApproxResult(running, running.y, "cover", theta, filtered)
 
 

@@ -16,18 +16,20 @@ quotient carries the smallest label.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .conflation import (Conflation, et4_compose, et4op_compose, ext_space,
                          is_split)
 from .errors import Budget, ExtObstruction, ValidationError, cached, searching
 from .linalg import Matrix
 from .quiverrep import (Representation, RepMorphism, ThetaFamily, direct_power,
-                        direct_sum, _hom_kernel, _rank_mask, _scan,
+                        direct_sum, _flatten, _hom_kernel, _rank_mask, _scan,
                         cokernel_quot, enumerate_subreps,
-                        is_isomorphic, iso_key, iso_witness, kernel_sub,
-                        krull_schmidt)
+                        is_isomorphic, iso_key, iso_witness, kernel_sub)
 
 __all__ = [
     "FiltrationStep",
@@ -60,7 +62,13 @@ class FiltrationStep:
 
 @dataclass(frozen=True, slots=True)
 class Filtration:
-    """A labeled chain of conflations from 0 up to its top object."""
+    """A labeled chain of conflations from 0 up to its top object.
+
+    The constructor runs validate() unless check=False, which filtra passes
+    where the chain holds by construction: power_filtration, extend,
+    transport_top, reorder and the decide_filtered peel.
+    tests/test_trusted.py validates their results.
+    """
 
     theta: ThetaFamily
     steps: tuple[FiltrationStep, ...]
@@ -121,14 +129,21 @@ class GroupedStep:
 
 @dataclass(frozen=True, slots=True)
 class GroupedFiltration:
-    """Strictly-decreasing-label chain with direct-power quotients."""
+    """Strictly-decreasing-label chain with direct-power quotients.
+
+    The constructor runs validate() unless check=False, as for Filtration.
+    group passes check=False: its steps chain and carry the labeled powers
+    by construction, and tests/test_trusted.py validates its results.
+    """
 
     theta: ThetaFamily
     steps: tuple[GroupedStep, ...]
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check: bool):
         object.__setattr__(self, "steps", tuple(self.steps))
-        self.validate()
+        if check:
+            self.validate()
 
     def validate(self) -> None:
         prev = None
@@ -217,7 +232,7 @@ def power_filtration(theta: ThetaFamily, label: int, k: int) -> Filtration:
         c = Conflation.split(power, member)
         steps.append(FiltrationStep(c, label, ident))
         power = c.B
-    return Filtration(theta, steps)
+    return Filtration(theta, steps, check=False)
 
 
 def extend(c: Conflation, fA: Filtration, fC: Filtration) -> Filtration:
@@ -245,7 +260,7 @@ def extend(c: Conflation, fA: Filtration, fC: Filtration) -> Filtration:
         below = go(res.kernel, csteps[:-1])
         return below + (FiltrationStep(res.composite, last.label, last.witness),)
 
-    return Filtration(fA.theta, go(c, fC.steps))
+    return Filtration(fA.theta, go(c, fC.steps), check=False)
 
 
 def exchange(c1: Conflation, c2: Conflation) -> tuple[Conflation, Conflation]:
@@ -266,7 +281,7 @@ def exchange(c1: Conflation, c2: Conflation) -> tuple[Conflation, Conflation]:
     ok, witness = is_split(composed.quotient)
     assert ok  # the ext space is zero, so every class in it vanishes
     eta = Conflation(c2.C, composed.quotient.B, c1.C,
-                     witness.section, witness.retraction)
+                     witness.section, witness.retraction, check=False)
     swapped = et4op_compose(composed.composite, eta)
     return swapped.kernel, swapped.composite
 
@@ -322,7 +337,7 @@ def reorder(f: Filtration) -> Filtration:
             steps[i] = FiltrationStep(new_low, high.label, high.witness)
             steps[i + 1] = FiltrationStep(new_high, low.label, low.witness)
             changed = True
-    return Filtration(f.theta, steps)
+    return Filtration(f.theta, steps, check=False)
 
 
 def group(f: Filtration) -> GroupedFiltration:
@@ -345,14 +360,32 @@ def group(f: Filtration) -> GroupedFiltration:
         run = normalized[pos:end]
         grouped.append(GroupedStep(collapse(run), label, end - pos))
         pos = end
-    return GroupedFiltration(f.theta, grouped)
+    return GroupedFiltration(f.theta, grouped, check=False)
+
+
+def _composites_through(m: Representation, x: Representation) -> np.ndarray:
+    """The endomorphisms a o b of m, b in the Hom basis of (m, x) and a in
+    that of (x, m), one row each in _flatten coordinates."""
+    into, back = _hom_kernel(m, x), _hom_kernel(x, m)
+    offsets = list(itertools.accumulate((dm * dx for dm, dx in zip(m.dim, x.dim)), initial=0))
+    blocks = []
+    for dm, dx, lo, hi in zip(m.dim, x.dim, offsets, offsets[1:]):
+        b = into[:, lo:hi].reshape(len(into), dx, dm)
+        a = back[:, lo:hi].reshape(len(back), dm, dx)
+        blocks.append((a[:, None] @ b[None, :]).reshape(len(back) * len(into), dm * dm))
+    return np.concatenate(blocks, axis=1) % m.p
 
 
 def in_add(pieces: Sequence[Representation] | Representation) -> Callable[[Representation], bool]:
-    """Predicate: is the argument a finite direct sum of copies of the pieces?
+    """Predicate: is the argument a direct summand of a finite direct sum of
+    copies of the pieces, that is, does it lie in add(pieces)?
 
-    Decided through the Krull-Schmidt decomposition; the zero representation
-    always passes (empty sum).
+    m lies in add(pieces) iff id_m factors through such a sum, that is iff
+    id_m is a sum of composites m -> X -> m over the pieces X.  Those
+    composites are spanned by a o b for b in the Hom basis of (m, X) and a
+    in that of (X, m), so the test is one solve: is id_m in their span?  No
+    search, so no budget is charged.  The zero representation always passes
+    (empty sum).
     """
     if isinstance(pieces, Representation):
         pieces = [pieces]
@@ -361,8 +394,13 @@ def in_add(pieces: Sequence[Representation] | Representation) -> Callable[[Repre
     def predicate(m: Representation) -> bool:
         if m.total_dim == 0:
             return True
-        return all(any(is_isomorphic(part, piece) for piece in pieces)
-                   for part, _ in krull_schmidt(m))
+        p = m.p
+        width = sum(d * d for d in m.dim)
+        rows = [np.zeros((0, width), dtype=np.int64)]
+        rows += [_composites_through(m, x) for x in pieces]
+        span = Matrix._wrap(p, np.concatenate(rows).T)
+        ident = _flatten([Matrix.identity(p, d) for d in m.dim]).reshape(-1, 1)
+        return span.solve(Matrix._wrap(p, ident)) is not None
 
     return predicate
 
@@ -394,7 +432,7 @@ def star_membership(m: Representation,
                 continue
             below = go(sub, k - 1)
             if below is not None:
-                result = below + (Conflation(sub, cur, quot, incl, proj),)
+                result = below + (Conflation(sub, cur, quot, incl, proj, check=False),)
                 break
         memo[key] = result
         return result
@@ -456,7 +494,7 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
 
     def peel(cur: Representation, min_label: int) -> Optional[Filtration]:
         if cur.total_dim == 0:
-            return Filtration(theta, ())
+            return Filtration(theta, (), check=False)
         if not _dim_feasible(theta_dims, cur.dim, min_label):
             return None
         key = (iso_key(cur), min_label)
@@ -482,9 +520,9 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
                 sub, incl = kernel_sub(epi)
                 below = peel(sub, i)
                 if below is not None:
-                    step = FiltrationStep(Conflation(sub, cur, member, incl, epi),
+                    step = FiltrationStep(Conflation(sub, cur, member, incl, epi, check=False),
                                           i, RepMorphism.identity(member))
-                    result = Filtration(theta, below.steps + (step,))
+                    result = Filtration(theta, below.steps + (step,), check=False)
                     break
             if result is not None:
                 break

@@ -241,7 +241,7 @@ class Matrix:
         return Matrix._wrap(self.p, (self.a - other.a) % self.p)
 
     def scale(self, c: int) -> "Matrix":
-        return Matrix(self.p, self.a * (c % self.p))
+        return Matrix._wrap(self.p, self.a * (c % self.p) % self.p)
 
     def transpose(self) -> "Matrix":
         return Matrix._wrap(self.p, self.a.T)

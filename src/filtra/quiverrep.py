@@ -415,7 +415,7 @@ def _intertwiner_system(m: Representation, n: Representation,
                 right = np.eye(m.dim[v], dtype=np.int64) if right is None else right
                 system[start:start + height, offsets[v]:offsets[v + 1]] += _kron_block(left, right)
         start += height
-    return Matrix(m.p, system)
+    return Matrix._wrap(m.p, system % m.p)
 
 
 def _check_same_category(m: Representation, n: Representation) -> None:
@@ -572,13 +572,14 @@ def _block_extension(A: Representation, C: Representation,
     maps = []
     for k, (ma, mc) in enumerate(zip(A.maps, C.maps)):
         g = np.zeros((ma.rows, mc.cols), dtype=np.int64) if cocycles is None else cocycles[k].a
-        maps.append(Matrix(p, np.block([[ma.a, g],
-                                        [np.zeros((mc.rows, ma.cols), dtype=np.int64), mc.a]])))
+        maps.append(Matrix._wrap(p, np.block([[ma.a, g],
+                                              [np.zeros((mc.rows, ma.cols), dtype=np.int64),
+                                               mc.a]])))
     dim = tuple(da + dc for da, dc in zip(A.dim, C.dim))
     B = Representation(A.quiver, p, dim, maps)
-    x = RepMorphism(A, B, [Matrix(p, np.eye(da + dc, da, dtype=np.int64))
+    x = RepMorphism(A, B, [Matrix._wrap(p, np.eye(da + dc, da, dtype=np.int64))
                            for da, dc in zip(A.dim, C.dim)], check=False)
-    y = RepMorphism(B, C, [Matrix(p, np.eye(dc, da + dc, da, dtype=np.int64))
+    y = RepMorphism(B, C, [Matrix._wrap(p, np.eye(dc, da + dc, da, dtype=np.int64))
                            for da, dc in zip(A.dim, C.dim)], check=False)
     return B, x, y
 
@@ -587,9 +588,9 @@ def direct_sum(m: Representation, n: Representation) -> DirectSum:
     """Block-diagonal sum with the four canonical maps (left block first)."""
     total, inject_left, project_right = _block_extension(m, n)
     p = m.p
-    inject_right = RepMorphism(n, total, [Matrix(p, np.eye(dm + dn, dn, -dm, dtype=np.int64))
+    inject_right = RepMorphism(n, total, [Matrix._wrap(p, np.eye(dm + dn, dn, -dm, dtype=np.int64))
                                           for dm, dn in zip(m.dim, n.dim)], check=False)
-    project_left = RepMorphism(total, m, [Matrix(p, np.eye(dm, dm + dn, dtype=np.int64))
+    project_left = RepMorphism(total, m, [Matrix._wrap(p, np.eye(dm, dm + dn, dtype=np.int64))
                                           for dm, dn in zip(m.dim, n.dim)], check=False)
     return DirectSum(total, inject_left, inject_right, project_left, project_right)
 
@@ -601,7 +602,7 @@ def direct_power(m: Representation, k: int) -> Representation:
         raise ValidationError("power must be nonnegative")
     eye = np.eye(k, dtype=np.int64)
     return Representation(m.quiver, m.p, tuple(k * d for d in m.dim),
-                          [Matrix(m.p, np.kron(eye, ma.a)) for ma in m.maps])
+                          [Matrix._wrap(m.p, np.kron(eye, ma.a)) for ma in m.maps])
 
 
 # -- subobjects and quotients ------------------------------------------------

@@ -74,6 +74,14 @@ def test_ext_space_ignores_call_order(monkeypatch, clear_caches, a2, a3, d4):
         assert max(dimensions) > 0, quiver
 
 
+def test_ext_coordinates_refuse_other_moduli(s1, s2, a2):
+    # cocycles are wrapped as they are, so a block over another field is refused
+    space = ext_space(s1, s2)
+    assert space.coordinates([Matrix(2, [[1]])]) == (1,)
+    with pytest.raises(DimensionMismatch, match="over F_3"):
+        space.coordinates([Matrix(3, [[2]])])
+
+
 def test_conflation_validates_exactness(s1, s2, p1):
     c = Conflation.split(s2, s1)
     assert c.B.dim == (1, 1)

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from filtra import (Budget, Conflation, ExtObstruction, Filtration,
-                    FiltrationStep, RepMorphism, Representation, ThetaFamily,
+                    FiltrationStep, Quiver, RepMorphism, Representation, ThetaFamily,
                     ValidationError, collapse, decide_filtered, direct_power,
-                    direct_sum, enumerate_reps, exchange, ext_space, extend,
-                    group, in_add, is_isomorphic, iso_witness, multiplicities,
+                    direct_sum, enumerate_indecomposables, enumerate_reps,
+                    exchange, ext_space, extend, group, in_add, is_isomorphic,
+                    iso_witness, krull_schmidt, multiplicities,
                     oracle_filtered, power_filtration, realize, reorder,
                     star_membership, transport_top)
+from filtra.errors import searching
 from filtra.selftest import random_filtration, standard_families
 
 
@@ -228,3 +230,60 @@ def test_filtration_of_direct_power_family(a2, s1, s2):
     assert decide_filtered(s2, fam) is None
     assert decide_filtered(direct_power(s2, 2), fam) is not None
     assert oracle_filtered(direct_power(s2, 2), fam)
+
+
+def _in_add_by_krull_schmidt(pieces):
+    """in_add as it was before the rank test, kept as its oracle: every
+    Krull-Schmidt summand of m is isomorphic to some piece.  That is add of
+    the pieces only when the pieces are indecomposable."""
+    pieces = list(pieces)
+
+    def predicate(m):
+        if m.total_dim == 0:
+            return True
+        return all(any(is_isomorphic(part, piece) for piece in pieces)
+                   for part, _ in krull_schmidt(m))
+
+    return predicate
+
+
+@pytest.mark.parametrize("quiver_name, bound", [
+    ("a2", (2, 2)), ("a3", (2, 1, 1)), ("kronecker", (1, 2)), ("d4", (1, 1, 1, 1))])
+@pytest.mark.parametrize("p", [2, 3])
+def test_in_add_matches_the_krull_schmidt_oracle(request, quiver_name, bound, p):
+    if quiver_name == "kronecker":
+        quiver = Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)])
+    else:
+        quiver = request.getfixturevalue(quiver_name)
+    indecs = enumerate_indecomposables(quiver, p, bound)
+    reps = enumerate_reps(quiver, p, bound)
+    rng = random.Random(316)
+    families = [[x] for x in indecs]
+    families += [rng.sample(indecs, 2) for _ in range(6)]
+    families += [rng.sample(indecs, 3) for _ in range(3)]
+    checked = 0
+    for pieces in families:
+        expected = [_in_add_by_krull_schmidt(pieces)(m) for m in reps]
+        # a direct sum of two pieces has the add of the two
+        expected_sum = [_in_add_by_krull_schmidt([pieces[0], pieces[-1]])(m) for m in reps]
+        new = in_add(pieces)
+        summed = in_add(direct_sum(pieces[0], pieces[-1]).rep)
+        with searching(Budget()) as budget:
+            assert [new(m) for m in reps] == expected, pieces
+            assert [summed(m) for m in reps] == expected_sum, pieces
+        assert budget.used == 0  # the rank test searches nothing
+        checked += sum(expected)
+    assert checked > len(families)
+
+
+def test_in_add_takes_summands_of_decomposable_pieces(a3):
+    # S1 (+) S3 over A3 filters itself, so it lies in the add of its family;
+    # the Krull-Schmidt predicate compared its summands with the whole piece
+    simples = [Representation.simple(a3, 2, v) for v in range(3)]
+    m = direct_sum(simples[0], simples[2]).rep
+    assert decide_filtered(m, ThetaFamily([m])) is not None
+    assert in_add([m])(m)
+    assert in_add(m)(simples[0]) and in_add(m)(simples[2])
+    assert in_add(m)(direct_power(m, 2))
+    assert not in_add(m)(simples[1])
+    assert not in_add(m)(direct_sum(m, simples[1]).rep)

@@ -1,0 +1,175 @@
+"""filtra's own constructions, validated here rather than on every run.
+
+Conflation, RepMorphism, Filtration and GroupedFiltration check their
+invariants on construction unless check=False.  filtra passes check=False
+only where the invariant holds by construction: the split, identity and
+realized conflations, the transports with_middle and with_quotient, both
+results of the two ET4 compositions and their maps, the direct sum of
+conflations, the split witnesses, complete_square, shift_base, exchange,
+the peels of decide_filtered and star_membership, power_filtration, extend,
+transport_top, reorder, group and the empty filtrations of the
+approximations.
+
+A spy records every object of the four classes as it is made, with its
+check flag and the function that made it.  The first test drives every
+trusted site over A2, A3 and D4 at p = 2 and 3 and rebuilds each trusted
+object with the validating constructors.  The last one asserts that the
+approximations, reorder, group and the decision peel make no validating
+construction, so a new internal site that forgets check=False fails here.
+"""
+
+import random
+import sys
+
+import pytest
+
+from filtra import (Conflation, Filtration, GroupedFiltration, RepMorphism,
+                    Representation, ValidationError, complete_square,
+                    conflation_direct_sum, decide_filtered, et4_compose,
+                    et4op_compose, ext_space, extend, group, hom_space, in_add,
+                    is_split, power_filtration, precover, preenvelope, realize,
+                    reorder, shift_base, star_membership)
+from filtra.linalg import Matrix
+from filtra.selftest import (_random_automorphism, random_conflation,
+                             random_filtration, scramble_middle, standard_families)
+
+CLASSES = (Conflation, RepMorphism, Filtration, GroupedFiltration)
+
+# the functions that build with check=False, by name; peel is the one of
+# decide_filtered and go the one of star_membership
+TRUSTED_SITES = {
+    "split", "identity_right", "identity_left", "with_middle", "with_quotient",
+    "realize", "et4_compose", "et4op_compose", "conflation_direct_sum",
+    "exchange", "is_split", "complete_square", "shift_base", "peel", "go",
+    "power_filtration", "extend", "transport_top", "reorder", "group",
+    "preenvelope", "precover",
+}
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """(object, check flag, name of the building function) for
+    every Conflation, RepMorphism, Filtration and GroupedFiltration made
+    while the test runs."""
+    made = []
+    for cls in CLASSES:
+        def spy(self, check, post_init=cls.__post_init__):
+            # frames: spy, the dataclass __init__, the building function
+            made.append((self, check, sys._getframe(2).f_code.co_name))
+            post_init(self, check)
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    return made
+
+
+def revalidate(obj) -> None:
+    """Rebuild obj, and the morphisms and conflations it holds, with the
+    validating constructors; ValidationError where the trust was misplaced."""
+    if isinstance(obj, RepMorphism):
+        RepMorphism(obj.source, obj.target, obj.components)
+    elif isinstance(obj, Conflation):
+        revalidate(obj.x)
+        revalidate(obj.y)
+        Conflation(obj.A, obj.B, obj.C, obj.x, obj.y)
+    else:
+        obj.validate()
+        for step in obj.steps:
+            revalidate(step.conflation)
+            if isinstance(obj, Filtration):
+                revalidate(step.witness)
+
+
+def _realize_random(rng, c_obj, a_obj):
+    space = ext_space(c_obj, a_obj)
+    return realize(space.element([rng.randrange(c_obj.p) for _ in range(space.dimension)]))
+
+
+def _drive_trusted_sites(rng, quiver, p):
+    """Call every trusted site on random input over the quiver at p."""
+    bound = (2,) + (1,) * (quiver.vertex_count - 1)
+    for _ in range(6):
+        x = Representation.random(quiver, p, bound, rng)
+        y = Representation.random(quiver, p, bound, rng)
+        Conflation.split(x, y)
+        Conflation.identity_right(x)
+        Conflation.identity_left(y)
+        # realize and with_middle
+        c1 = random_conflation(rng, quiver, p, bound)
+        psi = _random_automorphism(rng, c1.C)
+        if psi is not None:
+            c1.with_quotient(psi)
+        conflation_direct_sum(c1, scramble_middle(rng, Conflation.split(x, y)))
+        is_split(c1)
+        is_split(scramble_middle(rng, Conflation.split(x, y)))
+        a = RepMorphism.zero(c1.A, x)
+        for g in hom_space(c1.A, x):
+            a = a + g.scale(rng.randrange(p))
+        shifted, b = shift_base(a, c1)
+        complete_square(a, b, c1, shifted)
+        et4_compose(c1, _realize_random(rng, y, c1.B))
+        et4op_compose(_realize_random(rng, c1.B, x), c1)
+    for theta in standard_families(quiver, p):
+        for _ in range(3):
+            f = random_filtration(rng, theta, 2 + rng.randrange(3))
+            group(reorder(f))
+            decide_filtered(f.top, theta)
+        power_filtration(theta, len(theta) - 1, 2)
+        bottom, top = power_filtration(theta, len(theta) - 1, 1), power_filtration(theta, 0, 1)
+        extend(_realize_random(rng, top.top, bottom.top), bottom, top)
+        for m in (Representation.zero(quiver, p),
+                  Representation.random(quiver, p, bound, rng)):
+            preenvelope(m, theta)
+            precover(m, theta)
+        small = Representation.random(quiver, p, bound, rng)
+        star_membership(small, [in_add(theta[i]) for i in range(len(theta) - 1, -1, -1)])
+
+
+@pytest.mark.parametrize("quiver_name", ["a2", "a3", "d4"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_trusted_constructions_pass_validation(request, constructions, clear_caches,
+                                               quiver_name, p):
+    quiver = request.getfixturevalue(quiver_name)
+    clear_caches()  # so decide_filtered peels instead of reading its memo
+    _drive_trusted_sites(random.Random(1600 + 10 * p + quiver.vertex_count), quiver, p)
+    trusted = [(obj, site) for obj, check, site in constructions if not check]
+    assert TRUSTED_SITES <= {site for _, site in trusted}
+    assert len(trusted) > 500
+    for obj, site in trusted:
+        try:
+            revalidate(obj)
+        except ValidationError as exc:
+            pytest.fail(f"{site} built an invalid {type(obj).__name__}: {exc}")
+
+
+def test_revalidation_catches_a_perturbed_morphism(s2, p1):
+    # the deflation e of et4_compose with one entry changed, as a mutant of
+    # et4_compose would build it: neither a morphism nor a deflation
+    res = et4_compose(Conflation.identity_left(s2), Conflation.split(s2, p1))
+    comps = list(res.e.components)
+    comps[0] = Matrix(2, (comps[0].a + 1) % 2)
+    bent = RepMorphism(res.e.source, res.e.target, comps, check=False)
+    with pytest.raises(ValidationError, match="intertwiner law fails"):
+        revalidate(bent)
+    with pytest.raises(ValidationError, match="deflation must be vertexwise surjective"):
+        Conflation(res.quotient.A, res.quotient.B, res.quotient.C, res.d, bent)
+
+
+def test_filtra_trusts_its_own_constructions(a3, d4, constructions, clear_caches):
+    # the inputs are built first; only the calls below are watched
+    rng = random.Random(1616)
+    calls = []
+    for quiver in (a3, d4):
+        for p in (2, 3):
+            for theta in standard_families(quiver, p):
+                f = random_filtration(rng, theta, 3)
+                m = Representation.random(quiver, p, (2,) + (1,) * (quiver.vertex_count - 1), rng)
+                calls += [(preenvelope, m, theta), (precover, m, theta),
+                          (decide_filtered, f.top, theta)]
+                calls.append((lambda f: group(reorder(f)), f))
+    clear_caches()
+    constructions.clear()
+    for fn, *args in calls:
+        fn(*args)
+    validating = sorted({f"{type(obj).__name__} in {site}"
+                         for obj, check, site in constructions if check})
+    assert validating == []
+    assert len(constructions) > 1000
