@@ -16,6 +16,9 @@ would cost more than the arithmetic.  Larger ones get one numpy rank-1
 update per pivot, applied only to the rows with a nonzero entry in the pivot
 column and only to the columns from the pivot column onward.  The reduced
 row echelon form is unique, so both give the same matrix and pivots.
+``_rref_rank1`` also finishes an elimination begun elsewhere, from a given
+row and column: quiverrep's Hom systems reduce the rows of their first
+vertex's arrows in one step and leave the rest to it.
 
 ``stack_ranks`` is the batched kernel beside ``rref``: it takes an (N, r, c)
 int64 stack of entries in [0, p) and returns the N ranks without building a
@@ -279,20 +282,10 @@ class Matrix:
         return len(_reduce(self.a, self.p)[1])
 
     def kernel_basis(self) -> "Matrix":
-        """Matrix whose columns form the deterministic basis of the kernel.
-
-        One basis vector per free column f of the echelon form: entry 1 at f,
-        minus the echelon entry at each pivot position, 0 elsewhere.
-        """
+        """Matrix whose columns form the deterministic basis of the kernel
+        (_kernel_rows of the reduced echelon form)."""
         R, pivots = self.rref()
-        is_free = np.ones(self.cols, dtype=bool)
-        is_free[list(pivots)] = False
-        free = np.flatnonzero(is_free)
-        _check_entries("kernel basis", self.cols, free.size)
-        basis = np.zeros((self.cols, free.size), dtype=np.int64)
-        basis[free, np.arange(free.size)] = 1
-        basis[list(pivots)] = -R.a[:len(pivots), free] % self.p
-        return Matrix._wrap(self.p, basis)
+        return Matrix._wrap(self.p, _kernel_rows(R.a, pivots, self.p).T)
 
     def solve(self, rhs: "Matrix") -> Optional["Matrix"]:
         """One solution X of self @ X = rhs, or None when inconsistent.
@@ -335,6 +328,24 @@ class Matrix:
         return Matrix._wrap(self.p, self.a[:, list(pivots)])
 
 
+def _kernel_rows(r: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
+    """The deterministic kernel basis of a matrix, one vector per row.
+
+    r is the reduced row echelon form of the matrix and pivots its pivot
+    columns.  One basis vector per free column f: entry 1 at f, minus the
+    echelon entry at each pivot position, 0 elsewhere.
+    """
+    n = r.shape[1]
+    is_free = np.ones(n, dtype=bool)
+    is_free[list(pivots)] = False
+    free = np.flatnonzero(is_free)
+    _check_entries("kernel basis", n, free.size)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, list(pivots)] = -r[:len(pivots), free].T % p
+    return basis
+
+
 def _reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form of a (entries in [0, p)) and its pivot columns.
 
@@ -345,7 +356,8 @@ def _reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         rows, pivots = _rref_int_rows(a.tolist(), n, p)
         a = np.array(rows, dtype=np.int64).reshape(m, n)
     else:
-        a, pivots = _rref_rank1(a, p)
+        a = a.copy()
+        pivots = _rref_rank1(a, p)
     return a, tuple(pivots)
 
 
@@ -377,18 +389,24 @@ def _rref_int_rows(rows: list[list[int]], n: int, p: int) -> tuple[list[list[int
     return rows, pivots
 
 
-def _rref_rank1(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan elimination with one rank-1 numpy update per pivot.
+def _rref_rank1(a: np.ndarray, p: int, r: int = 0, start: int = 0) -> list[int]:
+    """Gauss-Jordan elimination of a in place, one rank-1 numpy update per pivot.
 
-    Rows from r down are zero left of column c, so the swap, the scaling and
-    the update touch only columns c onward.  Entries stay in [0, p) and
-    p < 2**15, so the products cannot overflow int64.
+    Returns the pivot columns it finds.  Rows from r down are zero left of
+    column c, so the swap, the scaling and the update touch only columns c
+    onward.  Entries stay in [0, p) and p < 2**15, so the products cannot
+    overflow int64.
+
+    Given r and start, it finishes an elimination begun elsewhere.  Each of
+    rows 0 to r - 1 must be zero left of its pivot entry, which is 1, and
+    zero in the pivot columns of the others; rows r onward must be zero in
+    those pivot columns and left of column start.  The rows above r are
+    cleared in each new pivot column like any other row, so sorting the
+    pivot rows by pivot column then gives the reduced row echelon form.
     """
-    a = a.copy()
     m, n = a.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(n):
+    for c in range(start, n):
         if r == m:
             break
         below = np.flatnonzero(a[r:, c])
@@ -405,7 +423,7 @@ def _rref_rank1(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             a[targets, c:] = (a[targets, c:] - np.outer(factors[targets], a[r, c:])) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    return pivots
 
 
 def stack_ranks(a: np.ndarray, p: int) -> np.ndarray:

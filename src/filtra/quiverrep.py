@@ -24,7 +24,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, cached, searching, spend
-from .linalg import Matrix, _check_entries, stack_ranks
+from .linalg import (_RREF_SMALL_ENTRIES, Matrix, _check_entries, _kernel_rows, _rref_rank1,
+                     stack_ranks)
 
 __all__ = [
     "Arrow",
@@ -394,6 +395,13 @@ def _intertwiner_system(m: Representation, n: Representation,
     (Ringel's standard exact sequence).  Given one map x_v into m_v and one
     map y_v out of n_v per vertex, the rows of f_v x_v and y_v f_v follow,
     vertex by vertex: the extra equations of an equivalence of conflations.
+
+    The unknowns of f_0 come first.  In the rows of the arrows out of
+    vertex 0 they meet n_a kron I, and stacked over those arrows that is
+    X kron I_{m_0} with X the stack of their n_a.  _hom_rref reduces those
+    rows in one step from that structure; the reduced echelon form of the
+    system is unique, so its result, and every Hom basis built from it, is
+    the plain elimination's.
     """
     offsets = list(itertools.accumulate((r * c for r, c in _hom_shapes(m, n)), initial=0))
     # (height, terms): the rows of the sum of L @ f_v @ R over the terms
@@ -436,6 +444,59 @@ def hom_space(m: Representation, n: Representation) -> list[RepMorphism]:
     return list(_hom_basis(m, n))
 
 
+def _hom_rref(m: Representation, n: Representation) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form and pivots of _intertwiner_system(m, n).
+
+    The rows of the arrows out of vertex 0 meet the unknowns of f_0 as
+    X kron I_{m_0} (see _intertwiner_system).  One small elimination of
+    [X | I] gives E with E X = rref(X), and E kron I, one product, turns
+    those rows into rho m_0 finished pivot rows rref(X) kron I and rows
+    that are zero on f_0.  One more product clears the finished pivot
+    columns from the rows of arrows into vertex 0, _rref_rank1 finishes
+    below the finished rows, and a sort by pivot column ends it.  Systems
+    of at most _RREF_SMALL_ENTRIES entries, and those without an arrow out
+    of vertex 0, take the plain elimination.
+    """
+    # both eliminations go through Matrix.rref, so each Hom computed afresh
+    # shows in perfbench's traced rref calls
+    whole = _intertwiner_system(m, n)
+    p, system, (rows, cols) = m.p, whole.a, whole.shape
+    arrows = m.quiver.arrows
+    lead = [a.source == 0 for a in arrows]
+    m0, n0 = (m.dim[0], n.dim[0]) if any(lead) else (0, 0)
+    width = n0 * m0
+    if rows * cols <= _RREF_SMALL_ENTRIES or not width:
+        reduced, pivots = whole.rref()
+        return reduced.a, pivots
+    # one block row per arrow, in arrow order
+    top = np.repeat(lead, [n.dim[a.target] * m.dim[a.source] for a in arrows])
+    x = np.concatenate([na.a for na, out in zip(n.maps, lead) if out])
+    s = len(x)
+    # [rref(X) | E]; E's rows past rank X annihilate X
+    echelon, x_pivots = Matrix._wrap(p, np.concatenate((x, np.eye(s, dtype=np.int64)), 1)).rref()
+    rx, e = echelon.a[:, :n0], echelon.a[:, n0:]
+    rho = sum(c < n0 for c in x_pivots)
+    done = rho * m0
+    a = np.empty((rows, cols), dtype=np.int64)
+    # the rows (k, l) of the arrows out of 0 times E kron I: rref(X) kron I on f_0
+    a[:s * m0, :width] = np.kron(rx, np.eye(m0, dtype=np.int64))
+    right = system[top, width:].reshape(s, m0 * (cols - width))
+    a[:s * m0, width:] = (e @ right).reshape(s * m0, cols - width) % p
+    a[s * m0:] = system[~top]
+    pivots = [c * m0 + l for c in x_pivots[:rho] for l in range(m0)]
+    # rows of arrows into 0 still meet the finished pivot columns
+    rest = a[done:]
+    factors = rest[:, pivots]
+    hit = np.flatnonzero(factors.any(axis=1))
+    if hit.size:
+        rest[hit] = (rest[hit] - factors[hit] @ a[:done]) % p
+    nonzero = np.flatnonzero(rest.any(axis=0))
+    if nonzero.size:
+        pivots += _rref_rank1(a, p, done, int(nonzero[0]))
+    a[:len(pivots)] = a[np.argsort(pivots)]
+    return a, tuple(sorted(pivots))
+
+
 @cached
 def _hom_kernel(m: Representation, n: Representation) -> np.ndarray:
     """Hom(m, n) as a read-only (dim Hom x unknowns) int64 array.
@@ -443,9 +504,12 @@ def _hom_kernel(m: Representation, n: Representation) -> np.ndarray:
     Row k is the k-th vector of the deterministic kernel basis of the
     intertwiner system, in _flatten coordinates.  This is the one cached
     elimination of Hom: hom_space unpacks it, _scan combines its rows.
+    The echelon form comes from _hom_rref, which takes the rows of the
+    arrows out of vertex 0 in one step but gives the same unique reduced
+    echelon form as a plain elimination, so the basis is the same too.
     """
     _check_same_category(m, n)
-    kernel = np.ascontiguousarray(_intertwiner_system(m, n).kernel_basis().a.T)
+    kernel = _kernel_rows(*_hom_rref(m, n), m.p)
     kernel.setflags(write=False)
     return kernel
 
@@ -469,8 +533,8 @@ def _hom_dim(m: Representation, n: Representation) -> int:
     if kernel is not None:
         return len(kernel)
     _check_same_category(m, n)
-    system = _intertwiner_system(m, n)
-    return system.cols - system.rank()
+    reduced, pivots = _hom_rref(m, n)
+    return reduced.shape[1] - len(pivots)
 
 
 # chunk sizes of _scan, growing 4x: most scans hit early, and past 256 the

@@ -21,6 +21,8 @@ A2_WS = str(DATA / "a2.ws")
 A2_F3_WS = str(DATA / "a2f3.ws")
 A3_WS = str(DATA / "a3.ws")
 A2_POW_WS = str(DATA / "a2pow.ws")
+KRON3_WS = str(DATA / "kron3.ws")
+MID3_WS = str(DATA / "mid3.ws")
 
 MINIMAL = """\
 field 2
@@ -388,6 +390,25 @@ PINNED = [
      "a1c12abd71a217d3b526af957814b8d1bfb0fb05e8f8feb94735b4e4d53b8f93"),
     (A2_POW_WS, "precover U --theta full", 0,
      "bdbdd1b68bc8df38a0730e972d5982d594912bf9a39824f714c426c7d998e7ff"),
+    # Hom systems past 100 entries with arrows out of the first vertex, which
+    # quiverrep._hom_rref eliminates as one block: the Kronecker quiver at (4, 4),
+    # and a first vertex with an arrow in and an arrow out (ext does not reach it)
+    (KRON3_WS, "hom X Y", 0,
+     "23192a1e08736dc6f8f38d8e27d720b1b601b3ce917ef078f9660474f6a4cedf"),
+    (KRON3_WS, "hom Y X", 0,
+     "242b3f3ba66e91103702a3b5d84f039c971514553b843d9ce4199d1bd8ecebde"),
+    (KRON3_WS, "ext X Y", 0,
+     "3195a6be3574fd656051f3984b20a2eb1de6cd6fb10aada99452019b46dd6c01"),
+    (KRON3_WS, "ext Y X", 0,
+     "08abc5ae2a0d7549716d1b5e3ddadfcc80ff2eb72d8adb6275cd071e205d040f"),
+    (MID3_WS, "hom X Y", 0,
+     "e747b6b27adefdae7183ed3d9aead60c8b6d3a0174571d59a8843d5e64ae4f41"),
+    (MID3_WS, "hom Y X", 0,
+     "a7e63903d20eb8f3ef161db29b797ff32958ec1948e0b4cee3ff5b3a13997c33"),
+    (MID3_WS, "ext X Y", 0,
+     "dc77bfe9864d61f6d1f4b50b6612c61895659e48870bdda6015334d7de09ed4b"),
+    (MID3_WS, "ext Y X", 0,
+     "dc77bfe9864d61f6d1f4b50b6612c61895659e48870bdda6015334d7de09ed4b"),
 ]
 
 

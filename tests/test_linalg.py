@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtra import DimensionMismatch, Matrix, ValidationError
-from filtra.linalg import _RREF_SMALL_ENTRIES, PrimeField, stack_ranks
+from filtra.linalg import _RREF_SMALL_ENTRIES, PrimeField, _reduce, _rref_rank1, stack_ranks
 
 
 def random_matrix(rng, p, rows, cols):
@@ -282,6 +282,34 @@ def test_elimination_matches_reference(system):
     returned += [r for r in (x, inv) if r is not None]
     for r in returned:
         _assert_valid(r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32749])
+def test_rank1_finishes_an_elimination_begun_elsewhere(p):
+    # the leading rows are finished pivot rows of a matrix's reduced form,
+    # plus multiples of its other rows whose pivots lie further right; the
+    # rows below are random combinations of those other rows, so they are
+    # zero in the finished pivot columns and left of their first nonzero column
+    rng = np.random.default_rng(p)
+    for rows, cols in [(12, 15), (20, 30), (30, 20), (9, 40)] * 10:
+        rank = int(rng.integers(1, min(rows, cols) + 1))
+        b = rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols)) % p
+        echelon, pivots = _reduce(b, p)
+        done = np.sort(rng.choice(len(pivots), int(rng.integers(0, len(pivots) + 1)),
+                                  replace=False))
+        others = np.setdiff1d(np.arange(len(pivots)), done)
+        right = np.array(pivots)[others] > np.array(pivots)[done][:, None]
+        head = (echelon[done] + rng.integers(0, p, right.shape) * right @ echelon[others]) % p
+        tail = rng.integers(0, p, (rows - len(done), len(others))) @ echelon[others] % p
+        a = np.concatenate((head, tail))
+        whole, whole_pivots = _reduce(a, p)
+        nonzero = np.flatnonzero(tail.any(axis=0))
+        found = [pivots[k] for k in done]
+        if nonzero.size:
+            found += _rref_rank1(a, p, len(done), int(nonzero[0]))
+        a[:len(found)] = a[np.argsort(found)]
+        assert tuple(sorted(found)) == whole_pivots
+        assert a.tobytes() == whole.tobytes()
 
 
 @st.composite

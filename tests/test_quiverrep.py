@@ -16,6 +16,7 @@ from filtra import (Conflation, Filtration, FiltrationStep, GroupedFiltration,
                     GroupedStep)
 from filtra import ExtClass, ExtSpace, ext_space, power_filtration, realize
 from filtra.errors import searching
+from filtra.linalg import _RREF_SMALL_ENTRIES
 from filtra.quiverrep import DirectSum, enumerate_subreps
 
 
@@ -357,6 +358,41 @@ def test_intertwiner_blocks_match_numpy_kron(monkeypatch):
         expected = quiverrep._intertwiner_system(*case)
         assert system.shape == expected.shape
         assert system.a.tobytes() == expected.a.tobytes()
+
+
+HOM_QUIVERS = {
+    "A2": (Quiver.from_edges(2, [("a", 0, 1)]), (5, 5)),
+    "A3": (Quiver.from_edges(3, [("a", 0, 1), ("b", 1, 2)]), (4, 4, 4)),
+    "A3 reversed": (Quiver.from_edges(3, [("a", 1, 0), ("b", 2, 1)]), (4, 4, 4)),
+    "A3 through 0": (Quiver.from_edges(3, [("a", 1, 0), ("b", 0, 2)]), (4, 4, 4)),
+    "Kronecker": (Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)]), (4, 4)),
+    "D4 source": (Quiver.from_edges(4, [("a", 0, 1), ("b", 0, 2), ("c", 0, 3)]), (4, 3, 3, 3)),
+    "D4 sink": (Quiver.from_edges(4, [("a", 1, 0), ("b", 2, 0), ("c", 3, 0)]), (4, 3, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", list(HOM_QUIVERS))
+def test_hom_elimination_matches_the_plain_one(name, p, clear_caches):
+    # the plain elimination of the whole intertwiner system is the oracle of
+    # _hom_rref, which takes the rows of the arrows out of vertex 0 as one block
+    quiver, bound = HOM_QUIVERS[name]
+    rng = random.Random(f"hom-rref-{name}-{p}")
+    sizes = {"small": 0, "large": 0}
+    for _ in range(30):
+        m = Representation.random(quiver, p, bound, rng)
+        n = Representation.random(quiver, p, bound, rng)
+        system = quiverrep._intertwiner_system(m, n)
+        clear_caches()
+        assert quiverrep._hom_dim(m, n) == system.cols - system.rank()
+        kernel = quiverrep._hom_kernel(m, n)
+        expected = np.ascontiguousarray(system.kernel_basis().a.T)
+        assert kernel.shape == expected.shape and kernel.tobytes() == expected.tobytes()
+        reduced, pivots = quiverrep._hom_rref(m, n)
+        plain, plain_pivots = system.rref()
+        assert pivots == plain_pivots and reduced.tobytes() == plain.a.tobytes()
+        sizes["large" if system.a.size > _RREF_SMALL_ENTRIES else "small"] += 1
+    assert all(sizes.values()), sizes
 
 
 def _one_value_of_each_class():
