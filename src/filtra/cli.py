@@ -14,6 +14,10 @@ Matrices for arrows whose source or target dimension is zero are omitted;
 omitted matrices are zero.  All output documents are JSON with sorted keys,
 so identical invocations print byte-identical text.  Exit status is 0 on
 success, 1 for a negative membership or verification answer, 2 on errors.
+
+Each command imports the layers it runs inside its handler, so a process
+compiles and loads only those: enumerate needs no module past quiverrep,
+and only selftest loads the selftest suites.
 """
 
 from __future__ import annotations
@@ -22,20 +26,19 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .approx import (ApproxResult, perp_class, precover, preenvelope,
-                     verify_precover, verify_preenvelope)
-from .conflation import Conflation, ext_space, realize
 from .errors import FiltraError, ParseError, ValidationError, clear_caches, searching
-from .filtration import (Filtration, FiltrationStep, decide_filtered,
-                         oracle_filtered, reorder)
 from .linalg import Matrix, PrimeField
 from .quiverrep import (Quiver, RepMorphism, Representation, ThetaFamily,
                         enumerate_indecomposables, enumerate_reps, hom_space)
-from .selftest import run_criteria
+
+if TYPE_CHECKING:
+    from .approx import ApproxResult
+    from .conflation import Conflation
+    from .filtration import Filtration
 
 __all__ = ["Workspace", "parse_workspace", "serialize_workspace", "main"]
 
@@ -324,6 +327,8 @@ def _morphism_from_doc(ws: Workspace, data, source: Representation,
 
 
 def _filtration_from_doc(ws: Workspace, doc: dict) -> tuple[Filtration, str]:
+    from .conflation import Conflation
+    from .filtration import Filtration, FiltrationStep
     theta_name = doc["theta"]
     theta = ws.theta_family(theta_name)
     steps = []
@@ -371,6 +376,7 @@ def _cmd_hom(ws: Workspace, args) -> int:
 
 
 def _cmd_ext(ws: Workspace, args) -> int:
+    from .conflation import ext_space
     space = ext_space(ws.rep(args.base), ws.rep(args.coefficient))
     basis = [{a.name: g.entries for a, g in zip(ws.quiver.arrows, cls.cocycles())}
              for cls in space.basis]
@@ -379,6 +385,7 @@ def _cmd_ext(ws: Workspace, args) -> int:
 
 
 def _cmd_realize(ws: Workspace, args) -> int:
+    from .conflation import ext_space, realize
     space = ext_space(ws.rep(args.base), ws.rep(args.coefficient))
     raw = args.cls.split(",") if args.cls else []
     try:
@@ -402,6 +409,7 @@ def _cmd_check_theta(ws: Workspace, args) -> int:
 
 
 def _cmd_filter(ws: Workspace, args) -> int:
+    from .filtration import decide_filtered, oracle_filtered
     theta = ws.theta_family(args.theta)
     m = ws.rep(args.module)
     if args.oracle:
@@ -421,6 +429,7 @@ def _not_an_integer(text: str):
 
 
 def _cmd_reorder(ws: Workspace, args) -> int:
+    from .filtration import reorder
     try:
         with open(args.filtration, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_not_an_integer, parse_constant=_not_an_integer)
@@ -441,6 +450,7 @@ def _approx_doc(res: ApproxResult, theta_name: str) -> dict:
 
 
 def _cmd_approx(ws: Workspace, args) -> int:
+    from .approx import precover, preenvelope, verify_precover, verify_preenvelope
     envelope = args.command == "preenvelope"
     theta = ws.theta_family(args.theta)
     x = ws.rep(args.module)
@@ -465,6 +475,7 @@ def _cmd_approx(ws: Workspace, args) -> int:
 
 
 def _cmd_perp(ws: Workspace, args) -> int:
+    from .approx import perp_class
     theta = ws.theta_family(args.theta)
     dims = _parse_max_dim(args.max_dim, ws.quiver)
     candidates = enumerate_indecomposables(ws.quiver, ws.p, dims)
@@ -481,6 +492,7 @@ def _cmd_enumerate(ws: Workspace, args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_criteria
     results = run_criteria(seed=args.seed, budget_limit=args.budget)
     _emit({"passed": all(r.passed for r in results),
            "criteria": [{"index": r.index, "name": r.name, "passed": r.passed,

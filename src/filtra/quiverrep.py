@@ -10,6 +10,8 @@ for every arrow a: i -> j.  Everything here is exact and deterministic.
 Isomorphism, splitting and enumeration are exhaustive scans: every step of
 one is charged to the running search budget (errors.searching), so a scan
 too large for FILTRA_BUDGET raises BudgetExceeded instead of running on.
+On a Dynkin quiver, enumeration reads Gabriel's theorem and scans only up
+to the first brick at each positive root.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 import math
 import random
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -110,22 +113,25 @@ class Quiver:
         raise KeyError(name)
 
     def paths(self) -> list[tuple[Arrow, ...]]:
-        """All nontrivial directed paths, sorted by (length, arrow name sequence).
+        """All nontrivial directed paths, sorted by (length, arrow name sequence)."""
+        return [tuple(self.arrows[k] for k in path) for path in self._path_indices]
+
+    @cached_property
+    def _path_indices(self) -> tuple[tuple[int, ...], ...]:
+        """The paths() as tuples of arrow indices, found once per quiver.
 
         The quiver is acyclic, so no path has more than n - 1 arrows and the
         frontier runs dry.
         """
-        found: list[tuple[Arrow, ...]] = []
-        frontier: list[tuple[Arrow, ...]] = [(a,) for a in self.arrows]
+        arrows = self.arrows
+        found: list[tuple[int, ...]] = []
+        frontier = [(k,) for k in range(len(arrows))]
         while frontier:
             found.extend(frontier)
-            nxt = []
-            for path in frontier:
-                for a in self.arrows:
-                    if a.source == path[-1].target:
-                        nxt.append(path + (a,))
-            frontier = nxt
-        return sorted(found, key=lambda path: (len(path), tuple(a.name for a in path)))
+            frontier = [path + (k,) for path in frontier for k, a in enumerate(arrows)
+                        if a.source == arrows[path[-1]].target]
+        return tuple(sorted(found, key=lambda path: (len(path),
+                                                     tuple(arrows[k].name for k in path))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -635,10 +641,12 @@ def _block_extension(A: Representation, C: Representation,
     p = A.p
     maps = []
     for k, (ma, mc) in enumerate(zip(A.maps, C.maps)):
-        g = np.zeros((ma.rows, mc.cols), dtype=np.int64) if cocycles is None else cocycles[k].a
-        maps.append(Matrix._wrap(p, np.block([[ma.a, g],
-                                              [np.zeros((mc.rows, ma.cols), dtype=np.int64),
-                                               mc.a]])))
+        block = np.zeros((ma.rows + mc.rows, ma.cols + mc.cols), dtype=np.int64)
+        block[:ma.rows, :ma.cols] = ma.a
+        block[ma.rows:, ma.cols:] = mc.a
+        if cocycles is not None:
+            block[:ma.rows, ma.cols:] = cocycles[k].a
+        maps.append(Matrix._wrap(p, block))
     dim = tuple(da + dc for da, dc in zip(A.dim, C.dim))
     B = Representation(A.quiver, p, dim, maps)
     x = RepMorphism(A, B, [Matrix._wrap(p, np.eye(da + dc, da, dtype=np.int64))
@@ -735,13 +743,17 @@ def iso_key(m: Representation):
     """
     key = m._iso_key
     if key is None:
+        ranks = tuple(mm.rank() for mm in m.maps)
         path_ranks = []
-        for path in m.quiver.paths():
-            acc = m.maps[m.quiver.arrow_index(path[0].name)]
-            for a in path[1:]:
-                acc = m.maps[m.quiver.arrow_index(a.name)] @ acc
+        for path in m.quiver._path_indices:
+            if len(path) == 1:  # an arrow, ranked once above
+                path_ranks.append(ranks[path[0]])
+                continue
+            acc = m.maps[path[0]]
+            for k in path[1:]:
+                acc = m.maps[k] @ acc
             path_ranks.append(acc.rank())
-        key = (m.dim, tuple(mm.rank() for mm in m.maps), tuple(path_ranks))
+        key = (m.dim, ranks, tuple(path_ranks))
         key = _interned(key)
         object.__setattr__(m, "_iso_key", key)
     return key
@@ -792,12 +804,9 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     return iso_witness(m, n) is not None
 
 
-def _fitting_split(m: Representation, phi_comps: list[np.ndarray]) -> Optional[tuple]:
-    """Split m along a high power of the endomorphism phi, if proper.
-
-    Returns (part_im, incl_im, part_ker, incl_ker) or None when the power is
-    zero or invertible.
-    """
+def _fitting_power(m: Representation, phi_comps: list[np.ndarray]) -> Optional[RepMorphism]:
+    """A high power of the endomorphism phi when it is neither zero nor
+    invertible, else None.  Its image and kernel then split m (Fitting)."""
     p = m.p
     power = [c.copy() for c in phi_comps]
     for _ in range(max(1, m.total_dim).bit_length() + 1):
@@ -806,21 +815,34 @@ def _fitting_split(m: Representation, phi_comps: list[np.ndarray]) -> Optional[t
     rank_total = sum(mat.rank() for mat in mats)
     if rank_total == 0 or rank_total == m.total_dim:
         return None
-    phi = RepMorphism(m, m, mats, check=False)
+    return RepMorphism(m, m, mats, check=False)
+
+
+def _fitting_split(m: Representation, phi_comps: list[np.ndarray]) -> Optional[tuple]:
+    """Split m along a high power of the endomorphism phi, if proper.
+
+    Returns (part_im, incl_im, part_ker, incl_ker) or None when the power is
+    zero or invertible.
+    """
+    phi = _fitting_power(m, phi_comps)
+    if phi is None:
+        return None
     im, incl_im = image_sub(phi)
     ker, incl_ker = kernel_sub(phi)
     return im, incl_im, ker, incl_ker
 
 
-def _try_split(m: Representation) -> Optional[tuple]:
+def _try_split(m: Representation, attempt=_fitting_split):
     """Find a direct-sum splitting of m, or None when m is indecomposable.
 
     Fitting powers of the End basis elements and of their pairwise sums
     first, then an exhaustive scan of End(m) (_scan) for a nontrivial
     idempotent, which splits along the first one in itertools.product order
     of the coefficient vectors.  Every Fitting attempt and every scanned
-    vector up to that idempotent costs one budget node.  Returns the
-    4-tuple from _fitting_split.  Call it inside searching().
+    vector up to that idempotent costs one budget node.  Returns the first
+    result of attempt that is not None: the 4-tuple from _fitting_split, or
+    with attempt=_fitting_power, which only decides, the power that splits.
+    Call it inside searching().
     """
     if m.total_dim == 0:
         return None
@@ -828,16 +850,16 @@ def _try_split(m: Representation) -> Optional[tuple]:
     kernel, shapes = _hom_kernel(m, m), _hom_shapes(m, m)
     for f in kernel:
         spend()
-        split = _fitting_split(m, _blocks(f, shapes))
+        split = attempt(m, _blocks(f, shapes))
         if split is not None:
             return split
     for f, g in itertools.combinations(kernel, 2):
         spend()
-        split = _fitting_split(m, _blocks((f + g) % p, shapes))
+        split = attempt(m, _blocks((f + g) % p, shapes))
         if split is not None:
             return split
     for comps in _scan(kernel, m, m, lambda cs: _nontrivial_idempotent_mask(cs, p)):
-        split = _fitting_split(m, comps)
+        split = attempt(m, comps)
         if split is not None:
             return split
     return None
@@ -848,7 +870,7 @@ def is_indecomposable(m: Representation) -> bool:
     if m.total_dim == 0:
         return False
     with searching():
-        return _try_split(m) is None
+        return _try_split(m, _fitting_power) is None
 
 
 def _decompose(m: Representation) -> list[tuple[Representation, RepMorphism, RepMorphism]]:
@@ -917,6 +939,36 @@ def _dim_vectors_under(bound: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(itertools.product(*[range(b + 1) for b in bound]))
 
 
+def _is_dynkin(quiver: Quiver) -> bool:
+    """Whether the Tits form of the quiver is positive definite, that is,
+    every component of its underlying graph is of type A, D or E.
+
+    Sylvester's criterion on the symmetric matrix 2I - A - A^T of the form:
+    its leading principal minors are the pivots of Bareiss's fraction-free
+    elimination, whose divisions are all exact, so the test stays in
+    integers.  The quiver with no vertex passes.
+    """
+    n = quiver.vertex_count
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for a in quiver.arrows:
+        c[a.source][a.target] -= 1
+        c[a.target][a.source] -= 1
+    previous = 1
+    for k in range(n):
+        if c[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                c[i][j] = (c[k][k] * c[i][j] - c[i][k] * c[k][j]) // previous
+        previous = c[k][k]
+    return True
+
+
+def _euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
+    """<d, e> = sum_v d_v e_v - sum_{a: i -> j} d_i e_j; <d, d> is the Tits form q(d)."""
+    return sum(x * y for x, y in zip(d, e)) - sum(d[a.source] * e[a.target] for a in quiver.arrows)
+
+
 def enumerate_indecomposables(quiver: Quiver, p: int,
                               max_dim: Sequence[int]) -> list[Representation]:
     """One representative per indecomposable iso class with dim <= max_dim."""
@@ -925,17 +977,34 @@ def enumerate_indecomposables(quiver: Quiver, p: int,
 
 @cached
 def _indecomposables(quiver: Quiver, p: int, bound: tuple[int, ...]) -> tuple[Representation, ...]:
+    """The indecomposables under bound: at each dim vector in turn, the raw
+    representations in _all_raw_reps order, keeping each indecomposable
+    one not isomorphic to one kept before.
+
+    A brick (dim End = 1) is indecomposable without the split search.  On
+    a Dynkin quiver (_is_dynkin) Gabriel's theorem says more: there is one
+    indecomposable per positive root, the d with Tits form q(d) = 1, and it
+    is a brick (Ringel, LNM 1099).  So the walk skips every other d and
+    stops at the first brick of each root, the representation that the full
+    walk keeps there; the result, and every byte printed from it, is the
+    full walk's, for fewer budget nodes.
+    """
+    dynkin = _is_dynkin(quiver)
     found: list[Representation] = []
     with searching():
         for dim in _dim_vectors_under(bound):
-            if sum(dim) == 0:
+            if sum(dim) == 0 or (dynkin and _euler_form(quiver, dim, dim) != 1):
                 continue
             for rep in _all_raw_reps(quiver, p, dim):
-                if not is_indecomposable(rep):
-                    continue
-                if any(is_isomorphic(rep, seen) for seen in found if seen.dim == dim):
-                    continue
-                found.append(rep)
+                # the split search reads this End kernel from the cache
+                brick = len(_hom_kernel(rep, rep)) == 1
+                if dynkin:
+                    if brick:
+                        found.append(rep)
+                        break
+                elif ((brick or _try_split(rep, _fitting_power) is None)
+                      and not any(is_isomorphic(rep, seen) for seen in found if seen.dim == dim)):
+                    found.append(rep)
     found.sort(key=_canonical_key)
     return tuple(found)
 
@@ -957,7 +1026,7 @@ def enumerate_reps(quiver: Quiver, p: int, max_dim: Sequence[int]) -> list[Repre
         for k in range(idx, len(indecs)):
             piece = indecs[k]
             if all(d <= r for d, r in zip(piece.dim, remaining)):
-                extend(k, direct_sum(current, piece).rep,
+                extend(k, _block_extension(current, piece)[0],
                        tuple(r - d for d, r in zip(piece.dim, remaining)))
 
     extend(0, Representation.zero(quiver, p), bound)
@@ -1016,10 +1085,7 @@ def euler_pairing(m: Representation, n: Representation) -> int:
     it to read dim Ext off a cached Hom kernel; the test suite and the
     selftest check it against an independent elimination of the cokernel.
     """
-    value = sum(dm * dn for dm, dn in zip(m.dim, n.dim))
-    for a in m.quiver.arrows:
-        value -= m.dim[a.source] * n.dim[a.target]
-    return value
+    return _euler_form(m.quiver, m.dim, n.dim)
 
 
 @dataclass(frozen=True, slots=True)

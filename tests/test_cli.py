@@ -5,7 +5,10 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ A3_WS = str(DATA / "a3.ws")
 A2_POW_WS = str(DATA / "a2pow.ws")
 KRON3_WS = str(DATA / "kron3.ws")
 MID3_WS = str(DATA / "mid3.ws")
+D4_F3_WS = str(DATA / "d4f3.ws")
 
 MINIMAL = """\
 field 2
@@ -331,6 +335,69 @@ def test_every_cross_call_store_is_registered(capsys):
     assert not any(errors._stores)
 
 
+# the public names of the package, as its __init__ imported them eagerly
+PACKAGE_NAMES = [
+    "Budget", "BudgetExceeded", "DimensionMismatch", "ExtObstruction", "FiltraError",
+    "ParseError", "ValidationError", "ZeroExt", "default_budget", "Matrix", "PrimeField",
+    "Arrow", "Quiver", "RepMorphism", "Representation", "ThetaFamily", "direct_sum",
+    "direct_power", "enumerate_indecomposables", "enumerate_reps", "enumerate_subreps",
+    "euler_pairing", "hom_space", "is_indecomposable", "is_isomorphic", "iso_key",
+    "iso_witness", "krull_schmidt", "Conflation", "ExtClass", "ExtSpace", "SplitWitness",
+    "class_of", "complete_square", "conflation_direct_sum", "conflations_equivalent",
+    "connecting_map", "et4_compose", "et4op_compose", "ext_space", "is_split", "pullback",
+    "pushforward", "realize", "shift_base", "Filtration", "FiltrationStep",
+    "GroupedFiltration", "GroupedStep", "collapse", "decide_filtered", "exchange", "extend",
+    "group", "in_add", "multiplicities", "oracle_filtered", "power_filtration", "reorder",
+    "star_membership", "transport_top", "ApproxResult", "VerifyReport", "is_theta_injective",
+    "is_theta_projective", "perp_class", "precover", "preenvelope",
+    "universal_extension_cover", "universal_extension_env", "verify_precover",
+    "verify_preenvelope",
+]
+
+
+def _fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports filtra from this checkout."""
+    src = str(Path(filtra.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_commands_load_only_their_layers():
+    loaded = json.loads(_fresh_python(f"""
+import contextlib, io, json, sys
+from filtra import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["-w", {A3_WS!r}, "enumerate", "--max-dim", "1,1,1"]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""))
+    assert "filtra.quiverrep" in loaded
+    for name in ("selftest", "approx", "filtration", "conflation"):
+        assert f"filtra.{name}" not in loaded
+
+
+def test_package_names_resolve_on_first_use():
+    out = _fresh_python(f"""
+import sys
+import filtra
+names = {PACKAGE_NAMES!r}
+assert filtra.__all__ == names, filtra.__all__
+assert [m for m in sys.modules if m.startswith("filtra.")] == []
+assert set(names) <= set(dir(filtra))
+star = {{}}
+exec("from filtra import *", star)
+assert sorted(set(star) - {{"__builtins__"}}) == sorted(names)
+for name in names:
+    assert getattr(filtra, name) is star[name] is not None, name
+try:
+    filtra.no_such_name
+except AttributeError as exc:
+    print(exc)
+""")
+    assert out == "module 'filtra' has no attribute 'no_such_name'\n"
+
+
 def test_cli_output_is_deterministic(capsys):
     main(["-w", A2_WS, "enumerate", "--max-dim", "2,2"])
     first = capsys.readouterr().out
@@ -409,6 +476,19 @@ PINNED = [
      "dc77bfe9864d61f6d1f4b50b6612c61895659e48870bdda6015334d7de09ed4b"),
     (MID3_WS, "ext Y X", 0,
      "dc77bfe9864d61f6d1f4b50b6612c61895659e48870bdda6015334d7de09ed4b"),
+    # enumeration of Dynkin quivers at p = 3, taken from the full walk before
+    # it read Gabriel's theorem (9-11 s and 3-4 s there): A2, A3 with vertex 1
+    # in the middle, and the test objects of perp and --verify on D4
+    (A2_F3_WS, "enumerate --max-dim 3,3", 0,
+     "55b2c4ed44fe3f8dc5f5d3d78a9300091cde731d84e7ab57456b1d79583a6055"),
+    (MID3_WS, "enumerate --max-dim 2,2,2", 0,
+     "79c867291f2ee37b5e503ea99e74dbea0e7af2a15935a2400b3b8df2520a08ff"),
+    (D4_F3_WS, "perp two --side ext-right --max-dim 2,1,1,1", 0,
+     "54bf5d566129754e432b461f9d7934ea60a5e3671553b339fc60b2ee96bcba27"),
+    (D4_F3_WS, "preenvelope X --theta two --verify --max-dim 2,1,1,1", 0,
+     "4373f518e56d30b012c24f9574a59314bf7ad6b7fdcea624074401e7425d776d"),
+    (D4_F3_WS, "precover X --theta arms --verify --max-dim 2,1,1,1", 0,
+     "a46d7301da12081deb313e7ac284f0038f982549d3489dc039a37b797954bdfc"),
 ]
 
 
