@@ -11,9 +11,9 @@ from typing import Iterator, Optional
 #: Default number of search nodes granted to one search when the caller does
 #: not supply a budget.  A node is one step of an exhaustive scan: a Hom or
 #: End element tried, a Fitting attempt, a raw representation or a subspace
-#: choice enumerated, a dimension vector listed.  2M nodes cover every
-#: element of a 2^20-element space at p = 2.  Overridable through the
-#: FILTRA_BUDGET environment variable.
+#: choice enumerated, an iso class or a dimension vector listed.  2M nodes
+#: cover every element of a 2^20-element space at p = 2.  Overridable
+#: through the FILTRA_BUDGET environment variable.
 DEFAULT_BUDGET = 2_000_000
 
 

@@ -443,11 +443,13 @@ def hom_space(m: Representation, n: Representation) -> list[RepMorphism]:
     Hom(m, n) is the kernel of the intertwiner system (_intertwiner_system),
     the same system whose cokernel is Ext(m, n).  Basis element k is row k
     of the cached kernel array (_hom_kernel): its components are read-only
-    views of that row, so the cached morphisms (_hom_basis) hold no second
+    views of that row, so the morphisms, built afresh on each call, hold no
     copy of the entries.
     """
     _check_same_category(m, n)
-    return list(_hom_basis(m, n))
+    shapes = _hom_shapes(m, n)
+    return [RepMorphism(m, n, _unflatten(m.p, row, shapes), check=False)
+            for row in _hom_kernel(m, n)]
 
 
 def _hom_rref(m: Representation, n: Representation) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -518,13 +520,6 @@ def _hom_kernel(m: Representation, n: Representation) -> np.ndarray:
     kernel = _kernel_rows(*_hom_rref(m, n), m.p)
     kernel.setflags(write=False)
     return kernel
-
-
-@cached
-def _hom_basis(m: Representation, n: Representation) -> tuple[RepMorphism, ...]:
-    shapes = _hom_shapes(m, n)
-    return tuple(RepMorphism(m, n, _unflatten(m.p, row, shapes), check=False)
-                 for row in _hom_kernel(m, n))
 
 
 @cached
@@ -731,11 +726,6 @@ def cokernel_quot(f: RepMorphism) -> tuple[Representation, RepMorphism]:
 
 # -- isomorphism, indecomposability, Krull-Schmidt ---------------------------
 
-@cached
-def _interned(key: tuple) -> tuple:
-    return key  # each distinct iso_key once, shared by the representations that have it
-
-
 def iso_key(m: Representation):
     """Cheap iso-invariant: dims, arrow ranks and path-composite ranks.
 
@@ -754,7 +744,6 @@ def iso_key(m: Representation):
                 acc = m.maps[k] @ acc
             path_ranks.append(acc.rank())
         key = (m.dim, ranks, tuple(path_ranks))
-        key = _interned(key)
         object.__setattr__(m, "_iso_key", key)
     return key
 
@@ -818,31 +807,16 @@ def _fitting_power(m: Representation, phi_comps: list[np.ndarray]) -> Optional[R
     return RepMorphism(m, m, mats, check=False)
 
 
-def _fitting_split(m: Representation, phi_comps: list[np.ndarray]) -> Optional[tuple]:
-    """Split m along a high power of the endomorphism phi, if proper.
-
-    Returns (part_im, incl_im, part_ker, incl_ker) or None when the power is
-    zero or invertible.
-    """
-    phi = _fitting_power(m, phi_comps)
-    if phi is None:
-        return None
-    im, incl_im = image_sub(phi)
-    ker, incl_ker = kernel_sub(phi)
-    return im, incl_im, ker, incl_ker
-
-
-def _try_split(m: Representation, attempt=_fitting_split):
-    """Find a direct-sum splitting of m, or None when m is indecomposable.
+def _try_split(m: Representation) -> Optional[RepMorphism]:
+    """A Fitting power (_fitting_power) that splits m, or None when m is
+    indecomposable.
 
     Fitting powers of the End basis elements and of their pairwise sums
     first, then an exhaustive scan of End(m) (_scan) for a nontrivial
-    idempotent, which splits along the first one in itertools.product order
-    of the coefficient vectors.  Every Fitting attempt and every scanned
-    vector up to that idempotent costs one budget node.  Returns the first
-    result of attempt that is not None: the 4-tuple from _fitting_split, or
-    with attempt=_fitting_power, which only decides, the power that splits.
-    Call it inside searching().
+    idempotent, whose power is the first one in itertools.product order of
+    the coefficient vectors.  Every Fitting attempt and every scanned
+    vector up to that idempotent costs one budget node.  Call it inside
+    searching().
     """
     if m.total_dim == 0:
         return None
@@ -850,18 +824,18 @@ def _try_split(m: Representation, attempt=_fitting_split):
     kernel, shapes = _hom_kernel(m, m), _hom_shapes(m, m)
     for f in kernel:
         spend()
-        split = attempt(m, _blocks(f, shapes))
-        if split is not None:
-            return split
+        power = _fitting_power(m, _blocks(f, shapes))
+        if power is not None:
+            return power
     for f, g in itertools.combinations(kernel, 2):
         spend()
-        split = attempt(m, _blocks((f + g) % p, shapes))
-        if split is not None:
-            return split
+        power = _fitting_power(m, _blocks((f + g) % p, shapes))
+        if power is not None:
+            return power
     for comps in _scan(kernel, m, m, lambda cs: _nontrivial_idempotent_mask(cs, p)):
-        split = attempt(m, comps)
-        if split is not None:
-            return split
+        power = _fitting_power(m, comps)
+        if power is not None:
+            return power
     return None
 
 
@@ -870,34 +844,19 @@ def is_indecomposable(m: Representation) -> bool:
     if m.total_dim == 0:
         return False
     with searching():
-        return _try_split(m, _fitting_power) is None
+        return _try_split(m) is None
 
 
-def _decompose(m: Representation) -> list[tuple[Representation, RepMorphism, RepMorphism]]:
-    """Indecomposable pieces of m as (piece, inclusion, projection) triples."""
+def _decompose(m: Representation) -> list[Representation]:
+    """Indecomposable pieces of m: the image and then the kernel of the
+    Fitting power that splits it (_try_split), each decomposed in turn."""
     if m.total_dim == 0:
         return []
-    split = _try_split(m)
-    if split is None:
-        ident = RepMorphism.identity(m)
-        return [(m, ident, ident)]
-    im, incl_im, ker, incl_ker = split
-    p = m.p
-    # projections: invert the vertexwise change of basis [incl_im | incl_ker]
-    proj_im_comps, proj_ker_comps = [], []
-    for v in range(m.quiver.vertex_count):
-        basis = Matrix.hstack(p, [incl_im.components[v], incl_ker.components[v]], rows=m.dim[v])
-        inv = basis.inverse()
-        assert inv is not None  # complementary subspaces span
-        proj_im_comps.append(Matrix(p, inv.a[: im.dim[v], :]))
-        proj_ker_comps.append(Matrix(p, inv.a[im.dim[v]:, :]))
-    proj_im = RepMorphism(m, im, proj_im_comps, check=False)
-    proj_ker = RepMorphism(m, ker, proj_ker_comps, check=False)
-    out = []
-    for piece, incl, proj in ((im, incl_im, proj_im), (ker, incl_ker, proj_ker)):
-        for small, small_incl, small_proj in _decompose(piece):
-            out.append((small, incl @ small_incl, small_proj @ proj))
-    return out
+    power = _try_split(m)
+    if power is None:
+        return [m]
+    return [piece for part in (image_sub(power)[0], kernel_sub(power)[0])
+            for piece in _decompose(part)]
 
 
 def krull_schmidt(m: Representation) -> list[tuple[Representation, int]]:
@@ -908,7 +867,7 @@ def krull_schmidt(m: Representation) -> list[tuple[Representation, int]]:
     """
     groups: list[tuple[Representation, int]] = []
     with searching():
-        for piece, _, _ in _decompose(m):
+        for piece in _decompose(m):
             for k, (rep, count) in enumerate(groups):
                 if is_isomorphic(piece, rep):
                     groups[k] = (rep, count + 1)
@@ -971,15 +930,12 @@ def _euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
 
 def enumerate_indecomposables(quiver: Quiver, p: int,
                               max_dim: Sequence[int]) -> list[Representation]:
-    """One representative per indecomposable iso class with dim <= max_dim."""
-    return list(_indecomposables(quiver, p, tuple(int(b) for b in max_dim)))
+    """One representative per indecomposable iso class with dim <= max_dim.
 
-
-@cached
-def _indecomposables(quiver: Quiver, p: int, bound: tuple[int, ...]) -> tuple[Representation, ...]:
-    """The indecomposables under bound: at each dim vector in turn, the raw
-    representations in _all_raw_reps order, keeping each indecomposable
-    one not isomorphic to one kept before.
+    At each dim vector in turn, the walk takes the raw representations in
+    _all_raw_reps order and keeps each indecomposable one not isomorphic to
+    one kept before.  Nothing is kept across calls, so each call walks, and
+    charges, the same.
 
     A brick (dim End = 1) is indecomposable without the split search.  On
     a Dynkin quiver (_is_dynkin) Gabriel's theorem says more: there is one
@@ -992,7 +948,7 @@ def _indecomposables(quiver: Quiver, p: int, bound: tuple[int, ...]) -> tuple[Re
     dynkin = _is_dynkin(quiver)
     found: list[Representation] = []
     with searching():
-        for dim in _dim_vectors_under(bound):
+        for dim in _dim_vectors_under(tuple(int(b) for b in max_dim)):
             if sum(dim) == 0 or (dynkin and _euler_form(quiver, dim, dim) != 1):
                 continue
             for rep in _all_raw_reps(quiver, p, dim):
@@ -1002,11 +958,11 @@ def _indecomposables(quiver: Quiver, p: int, bound: tuple[int, ...]) -> tuple[Re
                     if brick:
                         found.append(rep)
                         break
-                elif ((brick or _try_split(rep, _fitting_power) is None)
+                elif ((brick or _try_split(rep) is None)
                       and not any(is_isomorphic(rep, seen) for seen in found if seen.dim == dim)):
                     found.append(rep)
     found.sort(key=_canonical_key)
-    return tuple(found)
+    return found
 
 
 def enumerate_reps(quiver: Quiver, p: int, max_dim: Sequence[int]) -> list[Representation]:
@@ -1015,21 +971,25 @@ def enumerate_reps(quiver: Quiver, p: int, max_dim: Sequence[int]) -> list[Repre
     Built as direct sums over multisets of indecomposables; completeness and
     non-redundancy follow from the Krull-Schmidt property (every summand of a
     bounded representation is itself bounded, and distinct multisets are
-    non-isomorphic).
+    non-isomorphic).  Each multiset is summed in the order of the
+    indecomposables, so its block layout does not depend on the walk, and
+    each class costs one budget node.
     """
     bound = tuple(int(b) for b in max_dim)
-    indecs = enumerate_indecomposables(quiver, p, bound)
     results: list[Representation] = []
-
-    def extend(idx: int, current: Representation, remaining: tuple[int, ...]):
-        results.append(current)
-        for k in range(idx, len(indecs)):
-            piece = indecs[k]
-            if all(d <= r for d, r in zip(piece.dim, remaining)):
-                extend(k, _block_extension(current, piece)[0],
-                       tuple(r - d for d, r in zip(piece.dim, remaining)))
-
-    extend(0, Representation.zero(quiver, p), bound)
+    with searching():
+        indecs = enumerate_indecomposables(quiver, p, bound)
+        # (first index still allowed, sum so far, room left under the bound)
+        stack = [(0, Representation.zero(quiver, p), bound)]
+        while stack:
+            spend()
+            first, current, room = stack.pop()
+            results.append(current)
+            for k in range(first, len(indecs)):
+                piece = indecs[k]
+                if all(d <= r for d, r in zip(piece.dim, room)):
+                    stack.append((k, _block_extension(current, piece)[0],
+                                  tuple(r - d for d, r in zip(piece.dim, room))))
     results.sort(key=_canonical_key)
     return results
 
@@ -1081,9 +1041,10 @@ def euler_pairing(m: Representation, n: Representation) -> int:
 
     For an acyclic quiver this equals dim Hom(m,n) - dim Ext(m,n): it is
     the column count minus the row count of the intertwiner system, whose
-    kernel is Hom and whose cokernel is Ext (rank-nullity).  ExtSpace uses
-    it to read dim Ext off a cached Hom kernel; the test suite and the
-    selftest check it against an independent elimination of the cokernel.
+    kernel is Hom and whose cokernel is Ext (rank-nullity).  ExtSpace and
+    ThetaFamily.ordering_failures use it to read dim Ext off dim Hom; the
+    test suite and the selftest check it against an independent
+    elimination of the cokernel.
     """
     return _euler_form(m.quiver, m.dim, n.dim)
 
@@ -1118,12 +1079,14 @@ class ThetaFamily:
 
     @staticmethod
     def ordering_failures(members: Sequence[Representation]) -> list[tuple[int, int, int]]:
-        """(j, i, dim ext) for every pair j >= i with nonvanishing ext."""
-        from .conflation import ext_space  # deferred: conflation imports this module
+        """(j, i, dim ext) for every pair j >= i with nonvanishing ext.
+
+        dim Ext(C, A) = dim Hom(C, A) - euler_pairing(C, A) (rank-nullity).
+        """
         bad = []
         for j in range(len(members)):
             for i in range(j + 1):
-                d = ext_space(members[j], members[i]).dimension
+                d = _hom_dim(members[j], members[i]) - euler_pairing(members[j], members[i])
                 if d:
                     bad.append((j, i, d))
         return bad

@@ -299,6 +299,15 @@ def test_cli_filter_over_f3(capsys, tmp_path):
     assert doc["member"] is True
 
 
+def test_enumerate_deep_sums(capsys, tmp_path):
+    # S^1100 on one vertex: the sums nest 1100 deep
+    ws = tmp_path / "point.ws"
+    ws.write_text("field 2\nvertices 1\n")
+    status, doc = run(capsys, "-w", str(ws), "enumerate", "--max-dim", "1100")
+    assert status == 0
+    assert [c["dim"] for c in doc["classes"]] == [[k] for k in range(1101)]
+
+
 @pytest.mark.parametrize("command", [
     "enumerate --max-dim 1,1",
     "perp full --side ext-right --max-dim 1,1",
@@ -321,13 +330,21 @@ def test_cli_budget_env(capsys, monkeypatch, tmp_path, command, clear_caches):
 
 def test_every_cross_call_store_is_registered(capsys):
     # a module-level dict, set or functools cache would outlive clear_caches()
-    stray = []
+    stray, stores = [], []
     for info in pkgutil.iter_modules(filtra.__path__):
-        for name, value in vars(importlib.import_module(f"filtra.{info.name}")).items():
+        module = importlib.import_module(f"filtra.{info.name}")
+        for name, value in vars(module).items():
             if not name.startswith("__") and (isinstance(value, (dict, set))
                                               or hasattr(value, "cache_clear")):
                 stray.append(f"{info.name}.{name}")
+            if hasattr(value, "store") and getattr(value, "__module__", None) == module.__name__:
+                stores.append(f"{info.name}.{name}")
     assert stray == []
+    # each errors.cached store, pinned: a new one must show the traffic it serves
+    assert sorted(stores) == ["conflation.ext_space", "filtration._dim_feasible",
+                              "filtration._memo_table", "quiverrep._hom_dim",
+                              "quiverrep._hom_kernel"]
+    assert len(errors._stores) == len(stores)
     assert main(["-w", A2_F3_WS, "filter", "X", "--theta", "mixed"]) == 0
     capsys.readouterr()
     assert any(errors._stores)

@@ -1,6 +1,6 @@
 """The indecomposable walk and iso_key against the code they replaced.
 
-reference_indecomposables is the full walk of quiverrep._indecomposables as
+reference_indecomposables is the full walk of enumerate_indecomposables as
 it was before it read Gabriel's theorem, with reference_is_indecomposable,
 the split search it called on every raw representation; reference_iso_key is
 iso_key before it kept the quiver's paths, with reference_paths, the

@@ -299,6 +299,33 @@ def test_dynkin_walls_fall_under_a_small_budget(a2, a3, clear_caches):
         enumerate_indecomposables(kronecker, 3, (2, 2))
 
 
+def test_repeated_enumerations_charge_the_same(a2, clear_caches):
+    # no call leans on an earlier one: the walk runs, and charges, each time
+    clear_caches()
+    for _ in range(2):
+        with searching(Budget(1000)) as budget:
+            found = enumerate_indecomposables(a2, 3, (3, 3))
+        assert (len(found), budget.used) == (3, 20)
+
+
+def test_enumeration_walks_without_recursion():
+    # one vertex: every class is S^k, one sum deeper than the last
+    point = Quiver.from_edges(1, [])
+    classes = enumerate_reps(point, 2, (1100,))
+    assert [m.dim for m in classes] == [(k,) for k in range(1101)]
+
+
+def test_enumeration_charges_one_node_per_class(d4):
+    # 3406 classes here, for only 314 nodes of the indecomposable walk
+    with pytest.raises(BudgetExceeded), searching(Budget(1000)):
+        enumerate_reps(d4, 2, (3, 3, 3, 3))
+    with searching(Budget(10_000)) as walk:
+        enumerate_indecomposables(d4, 2, (2, 1, 1, 1))
+    with searching(Budget(10_000)) as budget:
+        classes = enumerate_reps(d4, 2, (2, 1, 1, 1))
+    assert budget.used == walk.used + len(classes)
+
+
 def test_enumeration_is_pairwise_nonisomorphic(a2):
     reps = enumerate_reps(a2, 2, (2, 2))
     for i, m in enumerate(reps):
@@ -463,7 +490,9 @@ def test_value_classes_are_frozen_and_compare_by_value():
     assert copy is not space and copy == space and hash(copy) == hash(space)
     assert repr(space) == "ExtSpace(C=(1, 0), A=(0, 1), dim=1)"
     p1, copy = values[0], copies[0]
-    assert [f is g for f, g in zip(hom_space(copy, copy), hom_space(p1, p1))] == [True]
+    # a value-equal pair hits the cached kernel, and the bases agree
+    assert hom_space(copy, copy) == hom_space(p1, p1)
+    assert quiverrep._hom_kernel(copy, copy) is quiverrep._hom_kernel(p1, p1)
     # the intertwiner law is checked unless the caller opts out
     broken = [Matrix(3, [[1]]), Matrix(3, [[0]])]
     with pytest.raises(ValidationError, match="intertwiner law fails at arrow a"):

@@ -9,6 +9,7 @@ same budget, including the point where a BudgetExceeded is raised.
 
 import itertools
 import random
+import sys
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,8 +21,8 @@ from filtra import (Budget, BudgetExceeded, Matrix, Quiver, Representation,
 from filtra.conflation import Conflation
 from filtra.errors import searching, spend
 from filtra.filtration import Filtration, FiltrationStep, _dim_feasible, transport_top
-from filtra.quiverrep import (_canonical_key, _fitting_split, _hom_dim, _hom_kernel,
-                              _invariants_match, hom_space, iso_key, kernel_sub)
+from filtra.quiverrep import (_canonical_key, _fitting_power, _hom_dim, _hom_kernel,
+                              _invariants_match, hom_space, image_sub, iso_key, kernel_sub)
 
 
 # -- the per-vector loops, kept as oracles -------------------------------------
@@ -72,6 +73,20 @@ def reference_iso_witness(m: Representation, n: Representation) -> Optional[RepM
             if all(Matrix(p, c).rank() == len(c) for c in comps):
                 return RepMorphism(m, n, [Matrix(p, c) for c in comps], check=False)
     return None
+
+
+def _fitting_split(m: Representation, phi_comps: list[np.ndarray]) -> Optional[tuple]:
+    """Split m along a high power of the endomorphism phi, if proper.
+
+    Returns (part_im, incl_im, part_ker, incl_ker) or None when the power is
+    zero or invertible.
+    """
+    phi = _fitting_power(m, phi_comps)
+    if phi is None:
+        return None
+    im, incl_im = image_sub(phi)
+    ker, incl_ker = kernel_sub(phi)
+    return im, incl_im, ker, incl_ker
 
 
 def reference_try_split(m: Representation) -> Optional[tuple]:
@@ -268,6 +283,9 @@ def test_scans_match_the_per_vector_loops(quiver_name, p, clear_caches):
         # its Fitting attempts settle nearly every split, so here the End scan
         # mostly runs to the end on indecomposable pieces (hits are tested below)
         if p ** len(hom_space(m, m)) <= MAX_SCAN:
+            with searching():
+                assert (quiverrep._decompose(m)
+                        == [piece for piece, _, _ in reference_decompose(m)])
             for limit in BUDGETS:
                 assert (_charged(lambda b: krull_schmidt(m), limit)
                         == _charged(lambda b: reference_krull_schmidt(m), limit))
@@ -416,7 +434,7 @@ def test_invariants_match_counts_hom_like_the_bases(quiver_name, p, clear_caches
         assert _hom_dim(same, mixed) == _hom_dim(mixed, same) == 2
 
 
-def test_memo_lookups_build_no_hom_basis(a3, clear_caches):
+def test_memo_lookups_build_no_hom_basis(a3, clear_caches, monkeypatch):
     p = 3
     rng = random.Random("memo-kernels")
     s1, p1 = Representation.simple(a3, p, 0), Representation.projective(a3, p, 0)
@@ -424,12 +442,20 @@ def test_memo_lookups_build_no_hom_basis(a3, clear_caches):
     m = direct_sum(direct_sum(p1, s1).rep, p1).rep
     copies = [_scrambled(rng, m), _scrambled(rng, m)]
     clear_caches()
-    for x in [m] + copies:
-        f = decide_filtered(x, theta)
-        assert f is not None and f.top == x
+
+    def no_hom_basis(*args):
+        raise AssertionError("hom_space called")
+
+    with monkeypatch.context() as patch:
+        # every filtra module that bound the name, so no caller reaches the real one
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "filtra" and vars(module).get("hom_space") is hom_space:
+                patch.setattr(module, "hom_space", no_hom_basis)
+        for x in [m] + copies:
+            f = decide_filtered(x, theta)
+            assert f is not None and f.top == x
     # the copies were answered by memo iso lookups, which scanned Hom(m, copy)
     assert all((m, x) in _hom_kernel.store for x in copies)
-    assert not quiverrep._hom_basis.store
     # hom_space unpacks the cached kernel without copying it
     kernel = _hom_kernel(m, m)
     assert not kernel.flags.writeable
