@@ -29,9 +29,9 @@ import numpy as np
 from . import quiverrep
 from .errors import DimensionMismatch, ValidationError, cached
 from .linalg import Matrix
-from .quiverrep import (Representation, RepMorphism, _block_extension, _flatten, _hom_shapes,
-                        _intertwiner_system, _unflatten, cokernel_quot, direct_sum,
-                        euler_pairing, hom_space, kernel_sub)
+from .quiverrep import (Representation, RepMorphism, _block_extension, _cokernel_quot, _flatten,
+                        _hom_shapes, _intertwiner_system, _kernel_sub, _unflatten, direct_sum,
+                        euler_pairing, hom_space)
 
 __all__ = [
     "Conflation",
@@ -63,7 +63,8 @@ class Conflation:
     The constructor checks the endpoints, that x is vertexwise injective and
     y vertexwise surjective, that y x = 0 and the dimension count, unless
     check=False.  filtra passes check=False only where exactness holds by
-    construction (split, realize, the ET4 composites, the peels);
+    construction (split, realize, the ET4 composites, the transports of
+    collapse and group, the peels);
     tests/test_trusted.py rebuilds those results with the checks on.
     """
 
@@ -142,22 +143,23 @@ class Conflation:
 
     # -- vertexwise splitting data -------------------------------------------
 
+    def sections(self) -> list[Matrix]:
+        """Deterministic vertexwise sections s_v of y, with y_v s_v = 1; plain
+        linear maps, not morphisms."""
+        sections = [yv.right_inverse() for yv in self.y.components]
+        assert all(s is not None for s in sections)  # y is vertexwise surjective
+        return sections
+
     def splitting_data(self) -> tuple[list[Matrix], list[Matrix]]:
-        """Deterministic vertexwise sections s_v of y and retractions t_v of x.
+        """The sections s_v of sections() and retractions t_v of x.
 
         These satisfy y_v s_v = 1, x_v t_v = 1 - s_v y_v (hence t_v x_v = 1
         and t_v s_v = 0); they are plain linear maps, not morphisms.
         """
-        p = self.B.p
-        sections, retractions = [], []
-        for v in range(self.B.quiver.vertex_count):
-            yv, xv = self.y.components[v], self.x.components[v]
-            s = yv.right_inverse()
-            assert s is not None  # y is vertexwise surjective
-            ident = Matrix.identity(p, self.B.dim[v])
-            t = xv.solve(ident - s @ yv)
+        sections, retractions = self.sections(), []
+        for s, xv, yv in zip(sections, self.x.components, self.y.components):
+            t = xv.solve(Matrix.identity(self.B.p, yv.cols) - s @ yv)
             assert t is not None  # image of 1 - s y is the kernel of y = image of x
-            sections.append(s)
             retractions.append(t)
         return sections, retractions
 
@@ -380,9 +382,7 @@ def complete_square(a: RepMorphism, b: RepMorphism, c1: Conflation, c2: Conflati
         raise ValidationError("square endpoints do not match the conflations")
     if c2.x @ a != b @ c1.x:
         raise ValidationError("left square does not commute")
-    sections, _ = c1.splitting_data()
-    comps = [c2.y.components[v] @ b.components[v] @ sections[v]
-             for v in range(c1.B.quiver.vertex_count)]
+    comps = [c2.y.components[v] @ b.components[v] @ s for v, s in enumerate(c1.sections())]
     return RepMorphism(c1.C, c2.C, comps, check=False)
 
 
@@ -445,24 +445,26 @@ def et4_compose(c1: Conflation, c2: Conflation) -> ET4:
 
     which tests/test_conflation.py::test_et4_compose_compatibilities and
     selftest criterion 3 assert.
+
+    d and e are the unique maps with d c1.y = h' c2.x and e h' = c2.y, where
+    h': C -> E is the cokernel projection: each is a factorization through a
+    vertexwise surjection, so d_v = h'_v c2.x_v s_v and e_v = c2.y_v t_v for
+    any sections s_v of c1.y_v and t_v of h'_v give the same matrices.  So
+    only c1's sections are solved for; t_v is the selector of the free
+    coordinates, at which the columns of h'_v are the identity
+    (cokernel_quot), and e_v is the free columns of c2.y_v.
     """
     if c1.B != c2.A:
         raise ValidationError("middle object of c1 must literally equal the sub object of c2")
     h = c2.x @ c1.x
-    E, hprime = cokernel_quot(h)
+    E, hprime, free = _cokernel_quot(h)
     composite = Conflation(c1.A, c2.B, E, h, hprime, check=False)
-    quiver = c1.B.quiver
-    f_sections, _ = c1.splitting_data()   # sections of f' = c1.y
-    d_comps = []
-    for v in range(quiver.vertex_count):
-        # f' is surjective and h' g kills the image of the inflation f,
-        # so h' g factors through f' as d
-        d_comps.append(hprime.components[v] @ c2.x.components[v] @ f_sections[v])
+    # f' = c1.y is surjective and h' g kills the image of the inflation f,
+    # so h' g factors through f' as d
+    d_comps = [hprime.components[v] @ c2.x.components[v] @ s
+               for v, s in enumerate(c1.sections())]
     d = RepMorphism(c1.C, E, d_comps, check=False)
-    comp_sections, _ = composite.splitting_data()  # sections of h'
-    e_comps = []
-    for v in range(quiver.vertex_count):
-        e_comps.append(c2.y.components[v] @ comp_sections[v])
+    e_comps = [Matrix._wrap(c1.B.p, yv.a[:, cols]) for yv, cols in zip(c2.y.components, free)]
     e = RepMorphism(E, c2.C, e_comps, check=False)
     return ET4(composite, Conflation(c1.C, E, c2.C, d, e, check=False), d, e)
 
@@ -481,19 +483,21 @@ def et4op_compose(c1: Conflation, c2: Conflation) -> ET4Op:
             class(c1),
 
     which tests/test_conflation.py::test_et4op_compose_compatibilities asserts.
+
+    The rows of the inclusion j: W -> B at the free coordinates of its
+    kernel basis are the identity (kernel_sub), so the unique lift a of
+    c1.x along j is c1.x at those rows.
     """
     if c1.C != c2.B:
         raise ValidationError("quotient object of c1 must literally equal the middle of c2")
     w_defl = c2.y @ c1.y
-    W, j = kernel_sub(w_defl)
+    W, j, free = _kernel_sub(w_defl)
     composite = Conflation(W, c1.B, c2.C, j, w_defl, check=False)
     quiver = c1.B.quiver
     a_comps, b_comps = [], []
     for v in range(quiver.vertex_count):
         # x lands in the kernel of the composite deflation, so it lifts along j
-        lifted = j.components[v].solve(c1.x.components[v])
-        assert lifted is not None
-        a_comps.append(lifted)
+        a_comps.append(Matrix._wrap(c1.B.p, c1.x.components[v].a[free[v]]))
         # y restricted to W lands in the kernel of q, so it lifts along c2.x
         through = c2.x.components[v].solve(c1.y.components[v] @ j.components[v])
         assert through is not None

@@ -284,8 +284,17 @@ class Matrix:
     def kernel_basis(self) -> "Matrix":
         """Matrix whose columns form the deterministic basis of the kernel
         (_kernel_rows of the reduced echelon form)."""
+        return self._kernel()[0]
+
+    def _kernel(self) -> tuple["Matrix", np.ndarray]:
+        """kernel_basis() and the free columns of the echelon form.
+
+        The basis rows at the free columns are the identity, so a vector
+        K @ c of the kernel has coordinates c = (K @ c)[free].
+        """
         R, pivots = self.rref()
-        return Matrix._wrap(self.p, _kernel_rows(R.a, pivots, self.p).T)
+        free = _free_columns(self.cols, pivots)
+        return Matrix._wrap(self.p, _kernel_rows(R.a, pivots, self.p).T), free
 
     def solve(self, rhs: "Matrix") -> Optional["Matrix"]:
         """One solution X of self @ X = rhs, or None when inconsistent.
@@ -328,6 +337,13 @@ class Matrix:
         return Matrix._wrap(self.p, self.a[:, list(pivots)])
 
 
+def _free_columns(n: int, pivots: Sequence[int]) -> np.ndarray:
+    """The columns 0 to n - 1 that are not pivot columns, in order."""
+    is_free = np.ones(n, dtype=bool)
+    is_free[list(pivots)] = False
+    return np.flatnonzero(is_free)
+
+
 def _kernel_rows(r: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
     """The deterministic kernel basis of a matrix, one vector per row.
 
@@ -336,9 +352,7 @@ def _kernel_rows(r: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
     echelon entry at each pivot position, 0 elsewhere.
     """
     n = r.shape[1]
-    is_free = np.ones(n, dtype=bool)
-    is_free[list(pivots)] = False
-    free = np.flatnonzero(is_free)
+    free = _free_columns(n, pivots)
     _check_entries("kernel basis", n, free.size)
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[np.arange(free.size), free] = 1

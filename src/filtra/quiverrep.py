@@ -620,16 +620,15 @@ class DirectSum:
     project_right: RepMorphism
 
 
-def _block_extension(A: Representation, C: Representation,
-                     cocycles: Optional[Sequence[Matrix]] = None
-                     ) -> tuple[Representation, RepMorphism, RepMorphism]:
+def _block_rep(A: Representation, C: Representation,
+               cocycles: Optional[Sequence[Matrix]] = None) -> Representation:
     """The block representation B_v = A_v (+) C_v with arrow maps
-    [[A_a, g_a], [0, C_a]], its inclusion x = [1; 0]: A -> B and its
-    projection y = [0 1]: B -> C.
+    [[A_a, g_a], [0, C_a]].
 
     g_a is cocycles[a], or 0 when no cocycles are given, so that B is the
-    direct sum.  Every block layout in filtra comes from here: direct_sum,
-    Conflation.split and conflation.realize.
+    direct sum.  Every block layout in filtra comes from here: enumerate_reps
+    and, through _block_extension, direct_sum, Conflation.split and
+    conflation.realize.
     """
     if A.quiver != C.quiver or A.p != C.p:
         raise ValidationError("direct sum requires the same quiver and field")
@@ -642,8 +641,16 @@ def _block_extension(A: Representation, C: Representation,
         if cocycles is not None:
             block[:ma.rows, ma.cols:] = cocycles[k].a
         maps.append(Matrix._wrap(p, block))
-    dim = tuple(da + dc for da, dc in zip(A.dim, C.dim))
-    B = Representation(A.quiver, p, dim, maps)
+    return Representation(A.quiver, p, tuple(da + dc for da, dc in zip(A.dim, C.dim)), maps)
+
+
+def _block_extension(A: Representation, C: Representation,
+                     cocycles: Optional[Sequence[Matrix]] = None
+                     ) -> tuple[Representation, RepMorphism, RepMorphism]:
+    """_block_rep(A, C, cocycles) as B, its inclusion x = [1; 0]: A -> B and
+    its projection y = [0 1]: B -> C."""
+    B = _block_rep(A, C, cocycles)
+    p = A.p
     x = RepMorphism(A, B, [Matrix._wrap(p, np.eye(da + dc, da, dtype=np.int64))
                            for da, dc in zip(A.dim, C.dim)], check=False)
     y = RepMorphism(B, C, [Matrix._wrap(p, np.eye(dc, da + dc, da, dtype=np.int64))
@@ -675,9 +682,30 @@ def direct_power(m: Representation, k: int) -> Representation:
 # -- subobjects and quotients ------------------------------------------------
 
 def kernel_sub(f: RepMorphism) -> tuple[Representation, RepMorphism]:
-    """Kernel subrepresentation with its inclusion into f.source."""
-    bases = [m.kernel_basis() for m in f.components]
-    return _sub_from_bases(f.source, bases)
+    """Kernel subrepresentation with its inclusion into f.source.
+
+    The inclusion at vertex v is the kernel basis K_v of f_v
+    (Matrix.kernel_basis), whose rows at the free columns of the echelon
+    form of f_v are the identity.  So the arrow map of the kernel, the
+    unique S with K_t @ S = big @ K_s, is read off as (big @ K_s)[free_t],
+    with no elimination.
+    """
+    sub, incl, _ = _kernel_sub(f)
+    return sub, incl
+
+
+def _kernel_sub(f: RepMorphism) -> tuple[Representation, RepMorphism, list[np.ndarray]]:
+    """kernel_sub(f) and the free coordinates of each inclusion component."""
+    quiver, p = f.source.quiver, f.source.p
+    bases, free = [], []
+    for m in f.components:
+        basis, columns = m._kernel()
+        bases.append(basis)
+        free.append(columns)
+    maps = [Matrix._wrap(p, (big @ bases[a.source]).a[free[a.target]])
+            for a, big in zip(quiver.arrows, f.source.maps)]
+    sub = Representation(quiver, p, tuple(b.cols for b in bases), maps)
+    return sub, RepMorphism(sub, f.source, bases, check=False), free
 
 
 def image_sub(f: RepMorphism) -> tuple[Representation, RepMorphism]:
@@ -703,25 +731,31 @@ def _sub_from_bases(ambient: Representation,
 
 
 def cokernel_quot(f: RepMorphism) -> tuple[Representation, RepMorphism]:
-    """Cokernel representation of f with the projection from f.target."""
-    quiver, p = f.target.quiver, f.target.p
-    projections = []
-    sections = []
-    for m in f.components:
-        q, _ = m.cokernel_projection()
-        projections.append(q)
-        s = q.right_inverse()
-        assert s is not None  # q has full row rank by construction
-        sections.append(s)
-    dim = tuple(q.rows for q in projections)
-    maps = []
-    for a, big in zip(quiver.arrows, f.target.maps):
-        # induced map: q_t @ big @ section_s; independent of the section since
-        # q_t @ big kills the image of f at the source vertex
-        maps.append(projections[a.target] @ big @ sections[a.source])
-    quot = Representation(quiver, p, dim, maps)
-    proj = RepMorphism(f.target, quot, projections, check=False)
+    """Cokernel representation of f with the projection from f.target.
+
+    The projection q_v is the transposed kernel basis of f_vᵀ
+    (Matrix.cokernel_projection), so its columns at the free columns of
+    the echelon form of f_vᵀ are the identity, and the selector of those
+    coordinates is a section of q_v.  The arrow map q_t @ big @ s does not
+    depend on the section s, since q_t @ big kills the image of f_s; with
+    the selector it is the free columns of q_t @ big, with no elimination.
+    """
+    quot, proj, _ = _cokernel_quot(f)
     return quot, proj
+
+
+def _cokernel_quot(f: RepMorphism) -> tuple[Representation, RepMorphism, list[np.ndarray]]:
+    """cokernel_quot(f) and the free coordinates of each projection component."""
+    quiver, p = f.target.quiver, f.target.p
+    projections, free = [], []
+    for m in f.components:
+        basis, columns = m.transpose()._kernel()
+        projections.append(basis.transpose())
+        free.append(columns)
+    maps = [Matrix._wrap(p, (projections[a.target] @ big).a[:, free[a.source]])
+            for a, big in zip(quiver.arrows, f.target.maps)]
+    quot = Representation(quiver, p, tuple(q.rows for q in projections), maps)
+    return quot, RepMorphism(f.target, quot, projections, check=False), free
 
 
 # -- isomorphism, indecomposability, Krull-Schmidt ---------------------------
@@ -988,7 +1022,7 @@ def enumerate_reps(quiver: Quiver, p: int, max_dim: Sequence[int]) -> list[Repre
             for k in range(first, len(indecs)):
                 piece = indecs[k]
                 if all(d <= r for d, r in zip(piece.dim, room)):
-                    stack.append((k, _block_extension(current, piece)[0],
+                    stack.append((k, _block_rep(current, piece),
                                   tuple(r - d for d, r in zip(piece.dim, room))))
     results.sort(key=_canonical_key)
     return results

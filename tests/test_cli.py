@@ -27,6 +27,7 @@ A2_POW_WS = str(DATA / "a2pow.ws")
 KRON3_WS = str(DATA / "kron3.ws")
 MID3_WS = str(DATA / "mid3.ws")
 D4_F3_WS = str(DATA / "d4f3.ws")
+A3_UNORDERED = str(DATA / "a3_unordered.json")
 
 MINIMAL = """\
 field 2
@@ -506,6 +507,10 @@ PINNED = [
      "4373f518e56d30b012c24f9574a59314bf7ad6b7fdcea624074401e7425d776d"),
     (D4_F3_WS, "precover X --theta arms --verify --max-dim 2,1,1,1", 0,
      "a46d7301da12081deb313e7ac284f0038f982549d3489dc039a37b797954bdfc"),
+    # seven steps over A3 at p = 2 labelled 2, 2, 1, 3, 3, 2, 3 from the bottom, some
+    # with scrambled middles: eleven exchanges, each an (ET4) and an (ET4)^op composition
+    (A3_WS, f"reorder --filtration {A3_UNORDERED}", 0,
+     "501e6f800829410de62dd409e3e27fb5141420aba4a7b6b3a02b53891450b0c8"),
 ]
 
 

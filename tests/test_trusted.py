@@ -6,9 +6,9 @@ only where the invariant holds by construction: the split, identity and
 realized conflations, the transports with_middle and with_quotient, both
 results of the two ET4 compositions and their maps, the direct sum of
 conflations, the split witnesses, complete_square, shift_base, exchange,
-the peels of decide_filtered and star_membership, power_filtration, extend,
-transport_top, reorder, group and the empty filtrations of the
-approximations.
+collapse, the peels of decide_filtered and star_membership,
+power_filtration, extend, transport_top, reorder, group and the empty
+filtrations of the approximations.
 
 A spy records every object of the four classes as it is made, with its
 check flag and the function that made it.  The first test drives every
@@ -40,7 +40,7 @@ CLASSES = (Conflation, RepMorphism, Filtration, GroupedFiltration)
 TRUSTED_SITES = {
     "split", "identity_right", "identity_left", "with_middle", "with_quotient",
     "realize", "et4_compose", "et4op_compose", "conflation_direct_sum",
-    "exchange", "is_split", "complete_square", "shift_base", "peel", "go",
+    "exchange", "collapse", "is_split", "complete_square", "shift_base", "peel", "go",
     "power_filtration", "extend", "transport_top", "reorder", "group",
     "preenvelope", "precover",
 }
