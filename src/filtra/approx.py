@@ -15,12 +15,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conflation import Conflation, et4_compose, et4op_compose, ext_space, realize
+from .conflation import Conflation, et4_compose, et4op_compose, ext_space
 from .errors import ExtObstruction, ValidationError, ZeroExt
 from .filtration import Filtration, extend, power_filtration
 from .linalg import Matrix
-from .quiverrep import (Representation, RepMorphism, ThetaFamily, _canonical_key, _flatten,
-                        _hom_dim, direct_power, hom_space)
+from .quiverrep import (Representation, RepMorphism, ThetaFamily, _block_extension,
+                        _canonical_key, _flatten, _hom_dim, direct_power, hom_space)
 
 __all__ = [
     "ApproxResult",
@@ -78,6 +78,14 @@ def universal_extension_cover(c_obj: Representation, a_obj: Representation) -> C
     hom(A^n, A) -> ext(C, A) is surjective, and when ext(A, A) = 0 the middle
     term satisfies ext(B, A) = 0.  Both are asserted by
     tests/test_approx.py::test_universal_extensions_hit_a_basis_of_ext.
+
+    The stacked basis cocycle is already the canonical representative of
+    its class in ext(C, A^n), so it is realized as it stands.  The
+    intertwiner system of (C, A^n) is n copies of the system of (C, A),
+    interleaved by the flattening order, with each copy in its own row and
+    column order.  So the leftmost-pivot projection and section of
+    (C, A^n) act copy by copy as those of (C, A), and sending the stacked
+    cocycle to coordinates and back would return it unchanged.
     """
     space = ext_space(c_obj, a_obj)
     n = space.dimension
@@ -86,12 +94,10 @@ def universal_extension_cover(c_obj: Representation, a_obj: Representation) -> C
     p = a_obj.p
     basis_cocycles = [delta.cocycles() for delta in space.basis]
     power = direct_power(a_obj, n)
-    target = ext_space(c_obj, power)
-    stacked = []
-    for k, arrow in enumerate(a_obj.quiver.arrows):
-        blocks = [g[k] for g in basis_cocycles]
-        stacked.append(Matrix.vstack(p, blocks, cols=c_obj.dim[arrow.source]))
-    return realize(target.element(target.coordinates(stacked)))
+    stacked = [Matrix.vstack(p, [g[k] for g in basis_cocycles], cols=c_obj.dim[arrow.source])
+               for k, arrow in enumerate(a_obj.quiver.arrows)]
+    B, x, y = _block_extension(power, c_obj, stacked)
+    return Conflation(power, B, c_obj, x, y, check=False)
 
 
 def universal_extension_env(n_obj: Representation, t_obj: Representation) -> Conflation:
@@ -102,27 +108,31 @@ def universal_extension_env(n_obj: Representation, t_obj: Representation) -> Con
     k-th power injection recovers the k-th basis class, so the connecting map
     hom(T, T^m) -> ext(T, N) is surjective, as
     tests/test_approx.py::test_universal_extensions_hit_a_basis_of_ext
-    asserts.  After the step ext(T, B) = 0 must hold; that can only fail when
-    ext(T, T) is nonzero, which is reported as an obstruction.
+    asserts.  The stacked basis cocycle is realized as it stands, for the
+    reason given in universal_extension_cover, with (T^m, N) in place of
+    (C, A^n).
+
+    After the step ext(T, B) = 0 must hold.  The path algebra is
+    hereditary, so the long exact sequence of hom(T, -) on N -> B -> T^m
+    ends hom(T, T^m) -> ext(T, N) -> ext(T, B) -> ext(T, T^m) -> 0.  Its
+    connecting map is onto, so ext(T, B) is ext(T, T)^m, and for m > 0 the
+    obstruction is decided by ext(T, T) before anything is built.
     """
     space = ext_space(t_obj, n_obj)
     m = space.dimension
     if m == 0:
         return Conflation.identity_right(n_obj)
+    d = ext_space(t_obj, t_obj).dimension
+    if d:
+        raise ExtObstruction(
+            f"ext(T, T) has dimension {d}, so the universal extension cannot kill ext(T, -)")
     p = n_obj.p
     basis_cocycles = [delta.cocycles() for delta in space.basis]
     power = direct_power(t_obj, m)
-    target = ext_space(power, n_obj)
-    stacked = []
-    for k, arrow in enumerate(n_obj.quiver.arrows):
-        blocks = [g[k] for g in basis_cocycles]
-        stacked.append(Matrix.hstack(p, blocks, rows=n_obj.dim[arrow.target]))
-    c = realize(target.element(target.coordinates(stacked)))
-    if ext_space(t_obj, c.B).dimension != 0:
-        d = ext_space(t_obj, t_obj).dimension
-        raise ExtObstruction(
-            f"ext(T, T) has dimension {d}, so the universal extension cannot kill ext(T, -)")
-    return c
+    stacked = [Matrix.hstack(p, [g[k] for g in basis_cocycles], rows=n_obj.dim[arrow.target])
+               for k, arrow in enumerate(n_obj.quiver.arrows)]
+    B, x, y = _block_extension(n_obj, power, stacked)
+    return Conflation(n_obj, B, power, x, y, check=False)
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,8 @@ class Conflation:
     The constructor checks the endpoints, that x is vertexwise injective and
     y vertexwise surjective, that y x = 0 and the dimension count, unless
     check=False.  filtra passes check=False only where exactness holds by
-    construction (split, realize, the ET4 composites, the transports of
-    collapse and group, the peels);
+    construction (split, realize, shift_base, the universal extensions, the
+    ET4 composites, the transports of collapse and group, the peels);
     tests/test_trusted.py rebuilds those results with the checks on.
     """
 
@@ -396,16 +396,18 @@ def shift_base(a: RepMorphism, c: Conflation) -> tuple[Conflation, RepMorphism]:
     """
     if a.source != c.A:
         raise ValidationError("base change needs a morphism out of the sub object")
-    delta = class_of(c)
-    moved = pushforward(a, delta)
-    shifted = realize(moved)
+    space = ext_space(c.C, c.A)
     g, _, retractions = _extracted_cocycle(c)
+    moved = pushforward(a, space.element(space.coordinates(g)))
+    canonical = moved.cocycles()
+    B, x, y = _block_extension(a.target, c.C, canonical)
+    shifted = Conflation(a.target, B, c.C, x, y, check=False)
     quiver, p = c.B.quiver, c.B.p
-    # realize embeds the canonical representative of a_* delta, which agrees
-    # with the pushed cocycle a o g only up to a coboundary d(h); that h is
-    # exactly the correction making the comparison map intertwine
+    # the block form embeds the canonical representative of a_* delta, which
+    # agrees with the pushed cocycle a o g only up to a coboundary d(h); that
+    # h is exactly the correction making the comparison map intertwine
     pushed = [a.components[arr.target] @ g[k] for k, arr in enumerate(quiver.arrows)]
-    diff = [pg - eg for pg, eg in zip(pushed, moved.cocycles())]
+    diff = [pg - eg for pg, eg in zip(pushed, canonical)]
     h = moved.space.coboundary_solve(diff)
     assert h is not None  # the two representatives are cohomologous
     comps = []

@@ -89,7 +89,9 @@ class PrimeField:
     """The field F_p for a small prime p.
 
     Entries of matrices over F_p are stored as canonical representatives in
-    [0, p).  The bound keeps p*p products far inside int64 range.
+    [0, p).  The bound keeps p*p products far inside int64 range.  The
+    validating Matrix and Representation constructors build one, so a
+    modulus it refuses never reaches the arithmetic.
     """
 
     p: int
@@ -108,19 +110,19 @@ class Matrix:
     Zero-sized shapes (0 x c, r x 0) are first-class citizens; they occur
     whenever a quiver representation has a zero space at some vertex.
     There are two ways in.  The constructor ``Matrix(p, entries, shape)``
-    takes outside data: it refuses anything but a rectangular array of
-    integers that fit int64, reduces it mod p and copies it.  ``_wrap`` is
-    for the results of this module's own operations, fresh int64 arrays
-    already in [0, p) that no caller holds, and for read-only views of them
-    (quiverrep's Hom bases are views of one cached kernel array); it skips
-    all of that.  Not a
-    dataclass: the constructor takes raw entries and a shape rather than its
-    fields.
+    takes outside data: it refuses a modulus that PrimeField refuses and
+    anything but a rectangular array of integers that fit int64, reduces it
+    mod p and copies it.  ``_wrap`` is for the results of this module's own
+    operations, fresh int64 arrays already in [0, p) that no caller holds,
+    and for read-only views of them (quiverrep's Hom bases are views of one
+    cached kernel array); it skips all of that.  Not a dataclass: the
+    constructor takes raw entries and a shape rather than its fields.
     """
 
     __slots__ = ("p", "a", "_hash")
 
     def __init__(self, p: int, entries, shape: tuple[int, int] | None = None):
+        PrimeField(p)  # raises ValidationError when p is not a small prime
         try:
             a = np.asarray(entries)
         except ValueError:

@@ -27,8 +27,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, cached, searching, spend
-from .linalg import (_RREF_SMALL_ENTRIES, Matrix, _check_entries, _kernel_rows, _rref_rank1,
-                     stack_ranks)
+from .linalg import (_RREF_SMALL_ENTRIES, Matrix, PrimeField, _check_entries, _kernel_rows,
+                     _rref_rank1, stack_ranks)
 
 __all__ = [
     "Arrow",
@@ -148,6 +148,7 @@ class Representation:
 
     def __post_init__(self):
         quiver, p = self.quiver, self.p
+        PrimeField(p)
         dim = tuple(int(d) for d in self.dim)
         maps = tuple(self.maps)
         if len(dim) != quiver.vertex_count:

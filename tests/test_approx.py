@@ -5,13 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from filtra import (Conflation, ExtObstruction, RepMorphism, Representation,
-                    ThetaFamily, ValidationError, ZeroExt, connecting_map,
+from filtra import (Conflation, ExtObstruction, ExtSpace, Quiver, RepMorphism, Representation,
+                    ThetaFamily, ValidationError, ZeroExt, approx, connecting_map,
                     direct_power, direct_sum, enumerate_indecomposables,
                     enumerate_reps, ext_space, group, is_isomorphic,
                     is_theta_injective, is_theta_projective, oracle_filtered,
-                    perp_class, precover, preenvelope, universal_extension_cover,
+                    perp_class, precover, preenvelope, realize, universal_extension_cover,
                     universal_extension_env, verify_precover, verify_preenvelope)
 from filtra.approx import _induced_onto
 from filtra.linalg import Matrix
@@ -247,3 +248,173 @@ def test_rank_test_matches_the_coordinate_solve(a2, a3, d4):
                     if hom_space(x, test) if side == "envelope" else hom_space(test, y):
                         outcomes[side].add(onto)
     assert outcomes == {"envelope": {True, False}, "cover": {True, False}}
+
+
+# -- universal extensions against the coordinates round trip ------------------
+#
+# The references below are the earlier universal extensions.  They sent the
+# stacked basis cocycle to coordinates in ext(C, A^n) or ext(T^m, N) and back
+# before realizing it, and universal_extension_env realized first and tested
+# ext(T, B) afterwards.  The round trip returns its input and ext(T, B) is
+# ext(T, T)^m, so the two must agree byte for byte.
+
+UE_QUIVERS = {
+    "A2": (Quiver.from_edges(2, [("a", 0, 1)]), 3),
+    "A3 linear": (Quiver.from_edges(3, [("a", 0, 1), ("b", 1, 2)]), 2),
+    "A3 middle sink": (Quiver.from_edges(3, [("a", 0, 1), ("b", 2, 1)]), 2),
+    "A3 middle source": (Quiver.from_edges(3, [("a", 1, 0), ("b", 1, 2)]), 2),
+    "Kronecker": (Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)]), 2),
+    "D4 centre source": (Quiver.from_edges(4, [("a", 0, 1), ("b", 0, 2), ("c", 0, 3)]), 2),
+    "D4 centre sink": (Quiver.from_edges(4, [("a", 1, 0), ("b", 2, 0), ("c", 3, 0)]), 2),
+}
+
+
+def reference_cover(c_obj, a_obj):
+    space = ext_space(c_obj, a_obj)
+    if space.dimension == 0:
+        raise ZeroExt("ext(C, A) = 0; there is nothing to extend by")
+    basis_cocycles = [delta.cocycles() for delta in space.basis]
+    target = ext_space(c_obj, direct_power(a_obj, space.dimension))
+    stacked = [Matrix.vstack(a_obj.p, [g[k] for g in basis_cocycles], cols=c_obj.dim[arrow.source])
+               for k, arrow in enumerate(a_obj.quiver.arrows)]
+    return realize(target.element(target.coordinates(stacked)))
+
+
+def reference_env_unchecked(n_obj, t_obj):
+    """The realized env conflation, before its ext(T, B) test."""
+    space = ext_space(t_obj, n_obj)
+    if space.dimension == 0:
+        return Conflation.identity_right(n_obj)
+    basis_cocycles = [delta.cocycles() for delta in space.basis]
+    target = ext_space(direct_power(t_obj, space.dimension), n_obj)
+    stacked = [Matrix.hstack(n_obj.p, [g[k] for g in basis_cocycles], rows=n_obj.dim[arrow.target])
+               for k, arrow in enumerate(n_obj.quiver.arrows)]
+    return realize(target.element(target.coordinates(stacked)))
+
+
+def reference_env(n_obj, t_obj):
+    c = reference_env_unchecked(n_obj, t_obj)
+    if ext_space(t_obj, c.B).dimension != 0:
+        d = ext_space(t_obj, t_obj).dimension
+        raise ExtObstruction(
+            f"ext(T, T) has dimension {d}, so the universal extension cannot kill ext(T, -)")
+    return c
+
+
+def conflation_bytes(c):
+    """Dimension vectors and (modulus, shape, bytes) of every matrix of c."""
+    mats = [m for r in (c.A, c.B, c.C) for m in r.maps] + list(c.x.components + c.y.components)
+    return [c.A.dim, c.B.dim, c.C.dim] + [(m.p, m.shape, m.a.tobytes()) for m in mats]
+
+
+def outcome(fn, *args):
+    """The bytes of fn(*args), or the type and message of what it raised."""
+    try:
+        return conflation_bytes(fn(*args))
+    except (ZeroExt, ExtObstruction) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def ue_cases(draw):
+    """A quiver, a prime, two representations with zero dimensions allowed."""
+    quiver, top = UE_QUIVERS[draw(st.sampled_from(sorted(UE_QUIVERS)))]
+    p = draw(st.sampled_from([2, 3, 5]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    bound = (top,) * quiver.vertex_count
+    return Representation.random(quiver, p, bound, rng), Representation.random(quiver, p, bound, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ue_cases())
+def test_universal_extensions_match_the_round_trip(case):
+    first, second = case
+    assert outcome(universal_extension_cover, first, second) == \
+        outcome(reference_cover, first, second)
+    assert outcome(universal_extension_env, first, second) == \
+        outcome(reference_env, first, second)
+
+
+def test_env_obstruction_is_ext_of_t_with_the_middle():
+    # T ranges over random representations and two with ext(T, T) != 0:
+    # S1 + S2 over A2 and a regular simple of the Kronecker quiver
+    rng = random.Random(2103)
+    a2, kronecker = UE_QUIVERS["A2"][0], UE_QUIVERS["Kronecker"][0]
+    outcomes = {True: 0, False: 0}
+    for p in (2, 3, 5):
+        pairs = []
+        for quiver, top in UE_QUIVERS.values():
+            bound = (top,) * quiver.vertex_count
+            pairs += [(Representation.random(quiver, p, bound, rng),
+                       Representation.random(quiver, p, bound, rng)) for _ in range(6)]
+        both = direct_sum(Representation.simple(a2, p, 0), Representation.simple(a2, p, 1)).rep
+        regular = Representation(kronecker, p, (1, 1), [Matrix(p, [[1]]), Matrix(p, [[p - 1]])])
+        for t_obj in (both, regular):
+            assert ext_space(t_obj, t_obj).dimension
+            pairs += [(Representation.random(t_obj.quiver, p, (2, 2), rng), t_obj)
+                      for _ in range(8)]
+        for n_obj, t_obj in pairs:
+            if not ext_space(t_obj, n_obj).dimension:
+                continue
+            obstructed = ext_space(t_obj, reference_env_unchecked(n_obj, t_obj).B).dimension != 0
+            try:
+                universal_extension_env(n_obj, t_obj)
+                raised = False
+            except ExtObstruction:
+                raised = True
+            assert raised == obstructed, (p, n_obj, t_obj)
+            outcomes[raised] += 1
+    assert outcomes[True] >= 15 and outcomes[False] >= 15
+
+
+def test_approximation_stages_build_no_power_or_middle_ext(monkeypatch, clear_caches, a2, a3, d4):
+    """A stage realizes its stacked cocycle as it stands, and decides the
+    env obstruction by ext(T, T): the only Ext spaces it builds are
+    ext(C, A) for a cover and ext(T, N) and ext(T, T) for an env, never one
+    of the power object or ext(T, B) of its own middle."""
+    rng = random.Random(2101)
+    calls = []
+    for p in (2, 3):
+        s1, s2 = Representation.simple(a2, p, 0), Representation.simple(a2, p, 1)
+        theta = ThetaFamily((s1, s2))
+        for x in (direct_power(s2, 2), direct_power(s1, 3), direct_sum(s2, Representation.projective(a2, p, 0)).rep):
+            calls += [(preenvelope, x, theta), (precover, x, theta)]
+        for quiver in (a3, d4):
+            for theta in standard_families(quiver, p):
+                x = Representation.random(quiver, p, (2,) * quiver.vertex_count, rng)
+                calls += [(preenvelope, x, theta), (precover, x, theta)]
+    built, stages = [], []
+    post_init = ExtSpace.__post_init__
+
+    def spy(self):
+        built.append((self.C, self.A))
+        post_init(self)
+
+    def watched(name):
+        fn = getattr(approx, name)
+
+        def stage(first, second):
+            start = len(built)
+            c = fn(first, second)
+            stages.append((name, first, second, c, built[start:]))
+            return c
+        return stage
+
+    clear_caches()
+    monkeypatch.setattr(ExtSpace, "__post_init__", spy)
+    for name in ("universal_extension_env", "universal_extension_cover"):
+        monkeypatch.setattr(approx, name, watched(name))
+    for fn, x, theta in calls:
+        fn(x, theta)
+    powers = 0
+    for name, first, second, c, inside in stages:
+        if name == "universal_extension_env":
+            allowed = {(second, first), (second, second)}
+            powers += c.C != second
+        else:
+            allowed = {(first, second)}
+            powers += c.A != second
+        assert set(inside) <= allowed, (name, first, second)
+    assert {name for name, *_ in stages} == {"universal_extension_env",
+                                              "universal_extension_cover"}
+    assert powers >= 5

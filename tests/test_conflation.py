@@ -227,7 +227,32 @@ def test_complete_square_random(a2, a3):
     assert twisted >= 20
 
 
+def reference_shift_base(a, c):
+    """shift_base as it was composed before: class_of, pushforward and
+    realize, with the cocycle extracted and the pushed class read twice."""
+    from filtra.conflation import _extracted_cocycle
+    delta = class_of(c)
+    moved = pushforward(a, delta)
+    shifted = realize(moved)
+    g, _, retractions = _extracted_cocycle(c)
+    quiver, p = c.B.quiver, c.B.p
+    pushed = [a.components[arr.target] @ g[k] for k, arr in enumerate(quiver.arrows)]
+    h = moved.space.coboundary_solve([pg - eg for pg, eg in zip(pushed, moved.cocycles())])
+    comps = [Matrix.vstack(p, [a.components[v] @ retractions[v] + h[v] @ c.y.components[v],
+                               c.y.components[v]], cols=c.B.dim[v])
+             for v in range(quiver.vertex_count)]
+    return shifted, RepMorphism(c.B, shifted.B, comps, check=False)
+
+
+def _conflation_bytes(c):
+    return ([c.A.dim, c.B.dim, c.C.dim]
+            + [_matrix_bytes(m) for r in (c.A, c.B, c.C) for m in r.maps]
+            + [_matrix_bytes(m) for f in (c.x, c.y) for m in f.components])
+
+
 def test_shift_base_pushout(a2, a3):
+    # the shifted conflation and b are also the bytes of the earlier
+    # composition, which extracted the cocycle and read a_* delta twice
     rng = random.Random(27)
     for quiver in (a2, a3):
         bound = (2,) * quiver.vertex_count
@@ -244,6 +269,10 @@ def test_shift_base_pushout(a2, a3):
                 assert class_of(shifted) == pushforward(a, class_of(c))
                 assert b @ c.x == shifted.x @ a
                 assert shifted.y @ b == c.y
+                ref_shifted, ref_b = reference_shift_base(a, c)
+                assert _conflation_bytes(shifted) == _conflation_bytes(ref_shifted)
+                assert [_matrix_bytes(m) for m in b.components] == \
+                    [_matrix_bytes(m) for m in ref_b.components]
 
 
 def test_et4_compose_compatibilities(a2, a3):

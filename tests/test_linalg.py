@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra import DimensionMismatch, Matrix, ValidationError
+from filtra import DimensionMismatch, Matrix, Quiver, Representation, ValidationError
 from filtra.linalg import _RREF_SMALL_ENTRIES, PrimeField, _reduce, _rref_rank1, stack_ranks
 
 
@@ -30,6 +30,29 @@ def test_prime_field_checks_size_before_primality():
     with pytest.raises(ValidationError, match="too large"):
         PrimeField(2 ** 15)
     PrimeField(32749)
+
+
+def test_constructors_refuse_a_modulus_that_is_not_prime():
+    # over Z/4, 2 is neither zero nor invertible, so inverse and rank would
+    # answer nonsense; the constructors refuse the modulus instead
+    for bad, match in ((4, "prime"), (1, "prime"), (True, "prime"), (3.0, "prime"),
+                       (2 ** 15, "too large")):
+        with pytest.raises(ValidationError, match=match):
+            Matrix(bad, [[2]])
+        with pytest.raises(ValidationError, match=match):
+            Matrix.from_rows(bad, [[1, 2]])
+    a1 = Quiver.from_edges(1, [])
+    a2 = Quiver.from_edges(2, [("a", 0, 1)])
+    for bad in (1, 4, 2 ** 15):
+        with pytest.raises(ValidationError, match="modulus"):
+            Representation.simple(a2, bad, 0)
+        # no arrow matrix to carry the modulus: only the representation checks it
+        with pytest.raises(ValidationError, match="modulus"):
+            Representation(a1, bad, (1,), [])
+    wrapped = Matrix._wrap(4, np.array([[2]], dtype=np.int64))  # unchecked by design
+    with pytest.raises(ValidationError, match="modulus"):
+        Representation(a2, 4, (1, 1), [wrapped])
+    assert Matrix(3, [[2]]).inverse() == Matrix(3, [[2]])
 
 
 def test_matmul_and_identity():

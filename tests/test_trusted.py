@@ -7,8 +7,8 @@ realized conflations, the transports with_middle and with_quotient, both
 results of the two ET4 compositions and their maps, the direct sum of
 conflations, the split witnesses, complete_square, shift_base, exchange,
 collapse, the peels of decide_filtered and star_membership,
-power_filtration, extend, transport_top, reorder, group and the empty
-filtrations of the approximations.
+power_filtration, extend, transport_top, reorder, group, the two universal
+extensions and the empty filtrations of the approximations.
 
 A spy records every object of the four classes as it is made, with its
 check flag and the function that made it.  The first test drives every
@@ -28,7 +28,8 @@ from filtra import (Conflation, Filtration, GroupedFiltration, RepMorphism,
                     conflation_direct_sum, decide_filtered, et4_compose,
                     et4op_compose, ext_space, extend, group, hom_space, in_add,
                     is_split, power_filtration, precover, preenvelope, realize,
-                    reorder, shift_base, star_membership)
+                    reorder, shift_base, star_membership, universal_extension_cover,
+                    universal_extension_env)
 from filtra.linalg import Matrix
 from filtra.selftest import (_random_automorphism, random_conflation,
                              random_filtration, scramble_middle, standard_families)
@@ -42,7 +43,7 @@ TRUSTED_SITES = {
     "realize", "et4_compose", "et4op_compose", "conflation_direct_sum",
     "exchange", "collapse", "is_split", "complete_square", "shift_base", "peel", "go",
     "power_filtration", "extend", "transport_top", "reorder", "group",
-    "preenvelope", "precover",
+    "universal_extension_cover", "universal_extension_env", "preenvelope", "precover",
 }
 
 
@@ -107,6 +108,14 @@ def _drive_trusted_sites(rng, quiver, p):
         complete_square(a, b, c1, shifted)
         et4_compose(c1, _realize_random(rng, y, c1.B))
         et4op_compose(_realize_random(rng, c1.B, x), c1)
+        if ext_space(x, y).dimension:
+            universal_extension_cover(x, y)
+            if not ext_space(x, x).dimension:
+                universal_extension_env(y, x)
+    # ext(S0, S1) != 0 over every quiver here, and S0 has no self-extensions
+    s0, s1 = Representation.simple(quiver, p, 0), Representation.simple(quiver, p, 1)
+    universal_extension_cover(s0, s1)
+    universal_extension_env(s1, s0)
     for theta in standard_families(quiver, p):
         for _ in range(3):
             f = random_filtration(rng, theta, 2 + rng.randrange(3))
