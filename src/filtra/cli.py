@@ -572,9 +572,12 @@ def _run(args) -> int:
         return args.run(args)
     if not args.workspace:
         raise ValidationError("--workspace is required for this command")
-    with open(args.workspace, "r", encoding="utf-8") as fh:
-        ws = parse_workspace(fh.read())
-    return args.run(ws, args)
+    try:
+        with open(args.workspace, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"workspace {args.workspace} is not UTF-8: {exc}") from None
+    return args.run(parse_workspace(text), args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

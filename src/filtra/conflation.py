@@ -20,18 +20,17 @@ inverse of realize.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import quiverrep
 from .errors import DimensionMismatch, ValidationError, cached
 from .linalg import Matrix
-from .quiverrep import (Representation, RepMorphism, _block_extension, _cokernel_quot, _flatten,
-                        _hom_shapes, _intertwiner_system, _kernel_sub, _unflatten, direct_sum,
-                        euler_pairing, hom_space)
+from .quiverrep import (Representation, RepMorphism, _block_extension, _cokernel_quot, _ext_dim,
+                        _flatten, _hom_shapes, _intertwiner_system, _kernel_sub, _unflatten,
+                        direct_sum, hom_space)
 
 __all__ = [
     "Conflation",
@@ -175,22 +174,22 @@ class ExtSpace:
     projection, well defined modulo coboundaries.  All choices come from the
     deterministic elimination in linalg, so bases are reproducible.
 
-    The dimension is dim Hom - euler_pairing(C, A) (rank-nullity on d) when
-    the Hom kernel of (C, A) is cached (quiverrep._hom_kernel), else the
-    size of the cokernel projection.  d, the projection and its section
-    are built on first use.
+    The dimension is counted by rank-nullity on d (quiverrep._ext_dim) and
+    builds no matrix here.  d, the projection and its section are built on
+    first use, by coordinates, cocycle_of, basis and coboundary_solve; the
+    projection has exactly dimension rows.
     """
 
     C: Representation
     A: Representation
-    dimension: int = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.C.quiver != self.A.quiver or self.C.p != self.A.p:
             raise ValidationError("ext requires representations over the same quiver and field")
-        hom = quiverrep._hom_kernel.store.get((self.C, self.A))
-        object.__setattr__(self, "dimension", self._projection.rows if hom is None
-                           else len(hom) - euler_pairing(self.C, self.A))
+
+    @cached_property
+    def dimension(self) -> int:
+        return _ext_dim(self.C, self.A)
 
     @cached_property
     def cocycle_shapes(self) -> tuple[tuple[int, int], ...]:

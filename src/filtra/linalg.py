@@ -295,8 +295,8 @@ class Matrix:
         K @ c of the kernel has coordinates c = (K @ c)[free].
         """
         R, pivots = self.rref()
-        free = _free_columns(self.cols, pivots)
-        return Matrix._wrap(self.p, _kernel_rows(R.a, pivots, self.p).T), free
+        basis, free = _kernel_rows(R.a, pivots, self.p)
+        return Matrix._wrap(self.p, basis.T), free
 
     def solve(self, rhs: "Matrix") -> Optional["Matrix"]:
         """One solution X of self @ X = rhs, or None when inconsistent.
@@ -339,27 +339,23 @@ class Matrix:
         return Matrix._wrap(self.p, self.a[:, list(pivots)])
 
 
-def _free_columns(n: int, pivots: Sequence[int]) -> np.ndarray:
-    """The columns 0 to n - 1 that are not pivot columns, in order."""
-    is_free = np.ones(n, dtype=bool)
-    is_free[list(pivots)] = False
-    return np.flatnonzero(is_free)
-
-
-def _kernel_rows(r: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
-    """The deterministic kernel basis of a matrix, one vector per row.
+def _kernel_rows(r: np.ndarray, pivots: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The deterministic kernel basis of a matrix, one vector per row, and
+    the free columns of its echelon form (the non-pivot columns, in order).
 
     r is the reduced row echelon form of the matrix and pivots its pivot
     columns.  One basis vector per free column f: entry 1 at f, minus the
     echelon entry at each pivot position, 0 elsewhere.
     """
     n = r.shape[1]
-    free = _free_columns(n, pivots)
+    is_free = np.ones(n, dtype=bool)
+    is_free[list(pivots)] = False
+    free = np.flatnonzero(is_free)
     _check_entries("kernel basis", n, free.size)
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, list(pivots)] = -r[:len(pivots), free].T % p
-    return basis
+    return basis, free
 
 
 def _reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -518,7 +518,7 @@ def _hom_kernel(m: Representation, n: Representation) -> np.ndarray:
     echelon form as a plain elimination, so the basis is the same too.
     """
     _check_same_category(m, n)
-    kernel = _kernel_rows(*_hom_rref(m, n), m.p)
+    kernel, _ = _kernel_rows(*_hom_rref(m, n), m.p)
     kernel.setflags(write=False)
     return kernel
 
@@ -1076,12 +1076,23 @@ def euler_pairing(m: Representation, n: Representation) -> int:
 
     For an acyclic quiver this equals dim Hom(m,n) - dim Ext(m,n): it is
     the column count minus the row count of the intertwiner system, whose
-    kernel is Hom and whose cokernel is Ext (rank-nullity).  ExtSpace and
-    ThetaFamily.ordering_failures use it to read dim Ext off dim Hom; the
-    test suite and the selftest check it against an independent
-    elimination of the cokernel.
+    kernel is Hom and whose cokernel is Ext (rank-nullity).  _ext_dim uses
+    it to read dim Ext off dim Hom; the test suite and the selftest check
+    it against an independent elimination of the cokernel.
     """
     return _euler_form(m.quiver, m.dim, n.dim)
+
+
+def _ext_dim(m: Representation, n: Representation) -> int:
+    """dim Ext(m, n) = dim Hom(m, n) - euler_pairing(m, n).
+
+    The one definition of dim Ext, behind ExtSpace.dimension and
+    ThetaFamily.ordering_failures: Hom is the kernel and Ext the cokernel of
+    one intertwiner system (Ringel's standard exact sequence), so rank-nullity
+    counts Ext from the pivots of the Hom elimination (_hom_dim) and builds
+    no cokernel.
+    """
+    return _hom_dim(m, n) - euler_pairing(m, n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -1114,17 +1125,10 @@ class ThetaFamily:
 
     @staticmethod
     def ordering_failures(members: Sequence[Representation]) -> list[tuple[int, int, int]]:
-        """(j, i, dim ext) for every pair j >= i with nonvanishing ext.
-
-        dim Ext(C, A) = dim Hom(C, A) - euler_pairing(C, A) (rank-nullity).
-        """
-        bad = []
-        for j in range(len(members)):
-            for i in range(j + 1):
-                d = _hom_dim(members[j], members[i]) - euler_pairing(members[j], members[i])
-                if d:
-                    bad.append((j, i, d))
-        return bad
+        """(j, i, dim ext) for every pair j >= i with nonvanishing ext (_ext_dim)."""
+        dims = ((j, i, _ext_dim(members[j], members[i]))
+                for j in range(len(members)) for i in range(j + 1))
+        return [(j, i, d) for j, i, d in dims if d]
 
     @property
     def quiver(self) -> Quiver:

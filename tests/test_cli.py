@@ -291,6 +291,15 @@ def test_cli_missing_workspace_exits_2(capsys):
     assert "workspace" in doc["error"]
 
 
+def test_cli_workspace_not_utf8_exits_2(capsys, tmp_path):
+    ws = tmp_path / "bad.ws"
+    ws.write_bytes(b"# \xff\xfe\n" + MINIMAL.encode())
+    status, doc = run(capsys, "-w", str(ws), "hom", "S1", "S1")
+    assert status == 2
+    assert list(doc) == ["error"]
+    assert str(ws) in doc["error"] and "UTF-8" in doc["error"]
+
+
 def test_cli_filter_over_f3(capsys, tmp_path):
     # runs before test_cli_budget_env, whose filter cases must not reuse this decision
     ws = tmp_path / "a2f3.ws"

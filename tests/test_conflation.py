@@ -3,15 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from filtra import (Conflation, DimensionMismatch, Representation,
+from filtra import (Conflation, DimensionMismatch, Representation, ThetaFamily,
                     ValidationError, class_of, complete_square,
                     conflation_direct_sum, conflations_equivalent,
                     connecting_map, et4_compose, et4op_compose, ext_space,
                     hom_space, is_isomorphic, is_split, pullback, pushforward,
                     realize, shift_base)
-from filtra import Matrix, Quiver, linalg
-from filtra.quiverrep import RepMorphism
+from filtra import Matrix, Quiver, errors, linalg
+from filtra.quiverrep import RepMorphism, _intertwiner_system
 from filtra.selftest import _random_automorphism, random_conflation, scramble_middle
 
 
@@ -35,9 +36,10 @@ def _ext_state(space):
 
 
 def test_ext_space_ignores_call_order(monkeypatch, clear_caches, a2, a3, d4):
-    """Ext built before Hom eliminates its cokernel at once; Ext built after
-    Hom takes its dimension from the Hom basis and eliminates nothing until
-    the cokernel is asked for.  Both give the same matrices and bases."""
+    """Building an Ext space eliminates nothing, and reading its dimension
+    (rank-nullity on the Hom elimination) builds no matrix on the space,
+    whether Hom was computed first or not.  The matrices and bases built
+    once coordinates are read are the same in both orders."""
     kronecker = Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)])
     # every elimination goes through linalg._reduce: rref, rank, solve, kernels
     rref_calls = []
@@ -46,6 +48,10 @@ def test_ext_space_ignores_call_order(monkeypatch, clear_caches, a2, a3, d4):
     def counted_reduce(a, p):
         rref_calls.append(a.shape)
         return reduce(a, p)
+
+    def built(space):
+        return [name for name in ("_coboundary", "_projection", "_section")
+                if name in space.__dict__]
 
     monkeypatch.setattr(linalg, "_reduce", counted_reduce)
     rng = random.Random(81)
@@ -56,22 +62,64 @@ def test_ext_space_ignores_call_order(monkeypatch, clear_caches, a2, a3, d4):
             for _ in range(6):
                 c = Representation.random(quiver, p, bound, rng)
                 a = Representation.random(quiver, p, bound, rng)
+                case = (quiver, p, c.dim, a.dim)
                 clear_caches()
                 rref_calls.clear()
                 space = ext_space(c, a)
-                # the cokernel projection only: the section waits for a cocycle
-                assert len(rref_calls) == 1, (quiver, p, c.dim, a.dim)
+                assert rref_calls == [], case
+                space.dimension
+                assert built(space) == [], case
                 ext_first = _ext_state(space)
                 clear_caches()
                 hom_space(c, a)
                 rref_calls.clear()
                 space = ext_space(c, a)
                 assert space.dimension == ext_first[0]
-                assert rref_calls == [], (quiver, p, c.dim, a.dim)
-                assert _ext_state(space) == ext_first, (quiver, p, c.dim, a.dim)
+                # the dimension is read off the cached Hom kernel
+                assert rref_calls == [] and built(space) == [], case
+                assert _ext_state(space) == ext_first, case
                 assert rref_calls
                 dimensions.append(space.dimension)
         assert max(dimensions) > 0, quiver
+
+
+ORACLE_QUIVERS = {
+    "A2": (Quiver.from_edges(2, [("a", 0, 1)]), 3),
+    "A3 linear": (Quiver.from_edges(3, [("a", 0, 1), ("b", 1, 2)]), 2),
+    "A3 middle sink": (Quiver.from_edges(3, [("a", 0, 1), ("b", 2, 1)]), 2),
+    "Kronecker": (Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)]), 3),
+    "D4 centre source": (Quiver.from_edges(4, [("a", 0, 1), ("b", 0, 2), ("c", 0, 3)]), 2),
+    "D4 centre sink": (Quiver.from_edges(4, [("a", 1, 0), ("b", 2, 0), ("c", 3, 0)]), 2),
+}
+
+
+@st.composite
+def ext_cases(draw):
+    """A quiver, a prime, C and A with zero dimensions allowed, and whether
+    Hom(C, A) is computed before the Ext space."""
+    quiver, top = ORACLE_QUIVERS[draw(st.sampled_from(sorted(ORACLE_QUIVERS)))]
+    p = draw(st.sampled_from([2, 3, 5]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    bound = (top,) * quiver.vertex_count
+    c, a = (Representation.random(quiver, p, bound, rng) for _ in range(2))
+    return c, a, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ext_cases())
+def test_ext_dimension_is_the_cokernel_count(case):
+    c, a, hom_first = case
+    errors.clear_caches()
+    if hom_first:
+        hom_space(c, a)
+    space = ext_space(c, a)
+    dimension = space.dimension
+    assert not {"_coboundary", "_projection", "_section"} & set(space.__dict__)
+    # an elimination of the cokernel on its own, apart from every cache
+    expected = _intertwiner_system(c, a).cokernel_projection()[0].rows
+    assert dimension == expected
+    failures = {(j, i): d for j, i, d in ThetaFamily.ordering_failures((a, c))}
+    assert failures.get((1, 0), 0) == expected
 
 
 def test_ext_coordinates_refuse_other_moduli(s1, s2, a2):
