@@ -310,6 +310,9 @@ def _rep_from_doc(ws: Workspace, doc: dict, where: str) -> Representation:
             raise ValidationError(f"{where}: dimension {d} is too large (at most {_DIM_LIMIT - 1})")
     if not isinstance(doc["maps"], dict):
         raise ValidationError(f"{where}: maps must map arrow names to matrices")
+    unknown = set(doc["maps"]) - {a.name for a in ws.quiver.arrows}
+    if unknown:
+        raise ValidationError(f"{where}: unknown arrow names {sorted(unknown)}")
     maps = {}
     for a in ws.quiver.arrows:
         entries = doc["maps"].get(a.name, [])
@@ -401,6 +404,7 @@ def _cmd_realize(ws: Workspace, args) -> int:
 
 def _cmd_check_theta(ws: Workspace, args) -> int:
     members = ws.theta_members(args.theta)
+    ThetaFamily.check_members(members)
     failures = ThetaFamily.ordering_failures(members)
     _emit({"valid": not failures,
            "failures": [{"later": j + 1, "earlier": i + 1, "dimension": d}
@@ -436,7 +440,7 @@ def _cmd_reorder(ws: Workspace, args) -> int:
         if "filtration" in doc:
             doc = doc["filtration"]
         f, theta_name = _filtration_from_doc(ws, doc)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, RecursionError) as exc:
         raise ValidationError(f"invalid filtration document: {exc}") from exc
     _emit({"filtration": _filtration_doc(reorder(f), theta_name)})
     return 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -53,25 +53,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiltrationStep:
-    """One layer: a conflation M_{i-1} -> M_i -> X with X ~ theta[label]."""
+    """One layer: a conflation M_{i-1} -> M_i -> X with X ~ theta[label].
+
+    Its quotient is one copy of theta[label], so it counts once toward the
+    multiplicity vector, as a GroupedStep counts its multiplicity.
+    """
 
     conflation: Conflation
     label: int
     witness: RepMorphism  # isomorphism conflation.C -> theta[label]
+    multiplicity: ClassVar[int] = 1
 
 
 @dataclass(frozen=True, slots=True)
-class Filtration:
-    """A labeled chain of conflations from 0 up to its top object.
+class _Chain:
+    """What Filtration and GroupedFiltration share: a labeled chain of
+    conflations from 0 up to its top object.
 
-    The constructor runs validate() unless check=False, which filtra passes
-    where the chain holds by construction: power_filtration, extend,
-    transport_top, reorder and the decide_filtered peel.
-    tests/test_trusted.py validates their results.
+    The constructor runs validate() unless check=False.  validate() walks the
+    chain once: the first step starts at the zero representation, neighbours
+    share their middle object literally, every label indexes the family, and
+    each step passes the subclass's own _check_step.
     """
 
     theta: ThetaFamily
-    steps: tuple[FiltrationStep, ...]
+    steps: tuple  # of FiltrationStep or of GroupedStep
     check: InitVar[bool] = True
 
     def __post_init__(self, check: bool):
@@ -80,22 +86,16 @@ class Filtration:
             self.validate()
 
     def validate(self) -> None:
-        prev = None
         for i, step in enumerate(self.steps):
             c = step.conflation
             if i == 0:
                 if c.A.total_dim != 0:
                     raise ValidationError("a filtration must start at the zero representation")
-            elif c.A != prev:
+            elif c.A != self.steps[i - 1].conflation.B:
                 raise ValidationError(f"steps {i} and {i + 1} do not share their middle object")
             if not 0 <= step.label < len(self.theta):
                 raise ValidationError(f"step {i + 1} carries the out-of-range label {step.label}")
-            w = step.witness
-            if w.source != c.C or w.target != self.theta[step.label]:
-                raise ValidationError(f"step {i + 1} witness endpoints do not match")
-            if not w.is_isomorphism():
-                raise ValidationError(f"step {i + 1} witness is not an isomorphism")
-            prev = c.B
+            self._check_step(i, step)
 
     @property
     def top(self) -> Representation:
@@ -107,8 +107,36 @@ class Filtration:
     def labels(self) -> tuple[int, ...]:
         return tuple(s.label for s in self.steps)
 
+    @property
+    def multiplicity_vector(self) -> tuple[int, ...]:
+        """How many copies of each family member the layers carry in all."""
+        counts = [0] * len(self.theta)
+        for s in self.steps:
+            counts[s.label] += s.multiplicity
+        return tuple(counts)
+
     def __len__(self) -> int:
         return len(self.steps)
+
+
+@dataclass(frozen=True, slots=True)
+class Filtration(_Chain):
+    """A labeled chain of conflations from 0 up to its top object, one
+    family member per step, each quotient with an isomorphism witness onto
+    theta[label].
+
+    The constructor runs validate() unless check=False, which filtra passes
+    where the chain holds by construction: power_filtration, extend,
+    transport_top, reorder and the decide_filtered peel.
+    tests/test_trusted.py validates their results.
+    """
+
+    def _check_step(self, i: int, step: FiltrationStep) -> None:
+        w = step.witness
+        if w.source != step.conflation.C or w.target != self.theta[step.label]:
+            raise ValidationError(f"step {i + 1} witness endpoints do not match")
+        if not w.is_isomorphism():
+            raise ValidationError(f"step {i + 1} witness is not an isomorphism")
 
     def is_ordered(self) -> bool:
         labels = self.labels
@@ -128,76 +156,35 @@ class GroupedStep:
 
 
 @dataclass(frozen=True, slots=True)
-class GroupedFiltration:
-    """Strictly-decreasing-label chain with direct-power quotients.
+class GroupedFiltration(_Chain):
+    """Ringel's grouped form: a chain whose labels strictly decrease and
+    whose step with label i has the literal direct power theta[i]^m_i as its
+    quotient, m_i > 0.
 
     The constructor runs validate() unless check=False, as for Filtration.
     group passes check=False: its steps chain and carry the labeled powers
     by construction, and tests/test_trusted.py validates its results.
     """
 
-    theta: ThetaFamily
-    steps: tuple[GroupedStep, ...]
-    check: InitVar[bool] = True
-
-    def __post_init__(self, check: bool):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if check:
-            self.validate()
-
-    def validate(self) -> None:
-        prev = None
-        prev_label = None
-        for i, step in enumerate(self.steps):
-            c = step.conflation
-            if i == 0:
-                if c.A.total_dim != 0:
-                    raise ValidationError("a grouped filtration must start at zero")
-            elif c.A != prev:
-                raise ValidationError(f"grouped steps {i} and {i + 1} do not chain")
-            if not 0 <= step.label < len(self.theta):
-                raise ValidationError(f"grouped step {i + 1} has an out-of-range label")
-            if prev_label is not None and step.label >= prev_label:
-                raise ValidationError("grouped labels must strictly decrease")
-            if step.multiplicity < 1:
-                raise ValidationError("grouped multiplicities must be positive")
-            if c.C != direct_power(self.theta[step.label], step.multiplicity):
-                raise ValidationError(
-                    f"grouped step {i + 1} quotient is not the labeled direct power")
-            prev = c.B
-            prev_label = step.label
-
-    @property
-    def top(self) -> Representation:
-        if self.steps:
-            return self.steps[-1].conflation.B
-        return Representation.zero(self.theta.quiver, self.theta.p)
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(s.label for s in self.steps)
-
-    @property
-    def multiplicity_vector(self) -> tuple[int, ...]:
-        counts = [0] * len(self.theta)
-        for s in self.steps:
-            counts[s.label] += s.multiplicity
-        return tuple(counts)
-
-    def __len__(self) -> int:
-        return len(self.steps)
+    def _check_step(self, i: int, step: GroupedStep) -> None:
+        if i and step.label >= self.steps[i - 1].label:
+            raise ValidationError("grouped labels must strictly decrease")
+        if step.multiplicity < 1:
+            raise ValidationError("grouped multiplicities must be positive")
+        if step.conflation.C != direct_power(self.theta[step.label], step.multiplicity):
+            raise ValidationError(
+                f"grouped step {i + 1} quotient is not the labeled direct power")
 
     def __repr__(self) -> str:
         return (f"GroupedFiltration(top={self.top.dim}, labels={self.labels}, "
                 f"multiplicities={[s.multiplicity for s in self.steps]})")
 
 
-def multiplicities(f: Filtration) -> tuple[int, ...]:
-    """How many steps carry each family label; sums to the length."""
-    counts = [0] * len(f.theta)
-    for s in f.steps:
-        counts[s.label] += 1
-    return tuple(counts)
+def multiplicities(f: Filtration | GroupedFiltration) -> tuple[int, ...]:
+    """How many copies of each family member the layers of f carry: the
+    number of steps with each label for a Filtration, and the multiplicities
+    summed per label for a GroupedFiltration (f.multiplicity_vector)."""
+    return f.multiplicity_vector
 
 
 def transport_top(f: Filtration, phi: RepMorphism) -> Filtration:
@@ -352,22 +339,14 @@ def group(f: Filtration) -> GroupedFiltration:
     """
     if not f.is_ordered():
         raise ValidationError("group needs an ordered filtration; reorder first")
-    # the witnesses are isomorphisms, checked when f was built or made so by
-    # construction, so the quotients move along them without a rank test
-    normalized = []
-    for s in f.steps:
-        c, w = s.conflation, s.witness
-        normalized.append(Conflation(c.A, c.B, w.target, c.x, w @ c.y, check=False))
-    grouped: list[GroupedStep] = []
-    pos = 0
-    while pos < len(normalized):
-        label = f.steps[pos].label
-        end = pos
-        while end < len(normalized) and f.steps[end].label == label:
-            end += 1
-        run = normalized[pos:end]
-        grouped.append(GroupedStep(collapse(run), label, end - pos))
-        pos = end
+    grouped = []
+    for label, run in itertools.groupby(f.steps, key=lambda s: s.label):
+        # the witnesses are isomorphisms, checked when f was built or made so
+        # by construction, so the quotients move along them without a rank test
+        normalized = [Conflation(s.conflation.A, s.conflation.B, s.witness.target,
+                                 s.conflation.x, s.witness @ s.conflation.y, check=False)
+                      for s in run]
+        grouped.append(GroupedStep(collapse(normalized), label, len(normalized)))
     return GroupedFiltration(f.theta, grouped, check=False)
 
 

@@ -1099,7 +1099,8 @@ def _ext_dim(m: Representation, n: Representation) -> int:
 class ThetaFamily:
     """Ordered family of nonzero representations with one-way ext vanishing.
 
-    Construction checks ext(members[j], members[i]) = 0 for all j >= i (both
+    Construction runs check_members, which the check-theta command runs
+    too, and checks ext(members[j], members[i]) = 0 for all j >= i (both
     indices 0-based); this is the standing hypothesis for every reordering,
     grouping and staircase construction in the package.
     """
@@ -1108,6 +1109,18 @@ class ThetaFamily:
 
     def __post_init__(self):
         members = tuple(self.members)
+        self.check_members(members)
+        failures = self.ordering_failures(members)
+        if failures:
+            j, i, d = failures[0]
+            raise ValidationError(
+                f"theta ordering fails: ext(member {j + 1}, member {i + 1}) has dimension {d}")
+        object.__setattr__(self, "members", members)
+
+    @staticmethod
+    def check_members(members: Sequence[Representation]) -> None:
+        """Raise ValidationError unless the members are at least one nonzero
+        representation, all over one quiver and field."""
         if not members:
             raise ValidationError("theta family needs at least one member")
         quiver, p = members[0].quiver, members[0].p
@@ -1116,12 +1129,6 @@ class ThetaFamily:
                 raise ValidationError("theta members must share one quiver and field")
             if rep.is_zero():
                 raise ValidationError("theta members must be nonzero")
-        failures = self.ordering_failures(members)
-        if failures:
-            j, i, d = failures[0]
-            raise ValidationError(
-                f"theta ordering fails: ext(member {j + 1}, member {i + 1}) has dimension {d}")
-        object.__setattr__(self, "members", members)
 
     @staticmethod
     def ordering_failures(members: Sequence[Representation]) -> list[tuple[int, int, int]]:

@@ -147,6 +147,11 @@ def test_cli_check_theta(capsys, tmp_path):
     status, doc = run(capsys, "-w", str(bad), "check-theta", "rev")
     assert status == 1
     assert doc["failures"] == [{"later": 2, "earlier": 1, "dimension": 1}]
+    # a zero member is refused as by every command that builds the family
+    bad.write_text(MINIMAL + "rep Z\ndim 0 0\ntheta t S1 Z\n")
+    refused = run(capsys, "-w", str(bad), "filter", "S1", "--theta", "t")
+    assert refused == (2, {"error": "theta members must be nonzero"})
+    assert run(capsys, "-w", str(bad), "check-theta", "t") == refused
 
 
 def test_cli_realize_round_trip(capsys):
@@ -177,7 +182,8 @@ def test_cli_reorder_from_file(capsys, tmp_path):
                                   "infinite label", "fractional dim",
                                   "huge dim in a document", "boolean label", "string dim",
                                   "boolean entry", "dense kernel past memory",
-                                  "dense system past memory"])
+                                  "dense system past memory", "deeply nested document",
+                                  "unknown arrow name"])
 def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
     ws = tmp_path / "a2.ws"
     ws.write_text(MINIMAL)
@@ -247,8 +253,12 @@ def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
             second["sub"]["dim"] = [0, "1"]
         elif case == "boolean entry":
             second["middle"]["maps"]["a"] = [[True]]
+        elif case == "unknown arrow name":
+            second["sub"]["maps"]["zz"] = [[5, 5], [7]]
         path = tmp_path / "f.json"
-        path.write_text("{not json" if case == "malformed json" else json.dumps(doc))
+        path.write_text({"malformed json": "{not json",
+                         "deeply nested document": "[" * 100000 + "]" * 100000,
+                         }.get(case, json.dumps(doc)))
         status, doc = run(capsys, "-w", str(ws), "reorder", "--filtration", str(path))
     assert status == 2
     assert list(doc) == ["error"]
@@ -256,6 +266,8 @@ def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
         assert "at most 32767" in doc["error"]
     if case in ("boolean label", "string dim", "boolean entry"):
         assert doc["error"].endswith("is not an integer")
+    if case == "unknown arrow name":
+        assert doc["error"] == "step 2: unknown arrow names ['zz']"
 
 
 def test_cli_precover(capsys):
@@ -621,6 +633,10 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=6)
+# stands for a leaf nested about 2,000 arrays deep, past json's recursion limit;
+# it is spliced into the written text, since json.dumps would not reach it either
+_DEEP = "<deep>"
+_DEEP_TEXT = "[" * 2000 + "0" + "]" * 2000
 
 
 def _entries(node):
@@ -641,7 +657,8 @@ def filter_output():
 
 
 @settings(max_examples=200, deadline=None)
-@given(edits=st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6), _JSON_VALUES),
+@given(edits=st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6),
+                                _JSON_VALUES | st.just(_DEEP)),
                       min_size=1, max_size=4))
 def test_cli_fuzzed_filtration_documents_exit_cleanly(tmp_path_factory, filter_output, edits):
     # each edit deletes a key or replaces a leaf, picked by index
@@ -659,7 +676,7 @@ def test_cli_fuzzed_filtration_documents_exit_cleanly(tmp_path_factory, filter_o
         else:
             container[key] = value
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace(json.dumps(_DEEP), _DEEP_TEXT))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = main(["-w", A2_WS, "reorder", "--filtration", str(path)])

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from filtra import (Budget, Conflation, ExtObstruction, Filtration,
-                    FiltrationStep, Quiver, RepMorphism, Representation, ThetaFamily,
+                    FiltrationStep, GroupedFiltration, GroupedStep, Quiver,
+                    RepMorphism, Representation, ThetaFamily,
                     ValidationError, collapse, decide_filtered, direct_power,
                     direct_sum, enumerate_indecomposables, enumerate_reps,
                     exchange, ext_space, extend, group, in_add, is_isomorphic,
@@ -118,6 +119,35 @@ def test_reorder_random_roundtrip(a2, a3):
                 assert grouped.top == f.top
                 assert grouped.multiplicity_vector == multiplicities(f)
                 assert len(grouped) <= len(theta)
+
+
+def test_group_keeps_multiplicities_of_repeated_labels(a2, a3):
+    # one step more than the family has members, so some label repeats
+    rng = random.Random(47)
+    for quiver in (a2, a3):
+        for theta in standard_families(quiver, 2):
+            for extra in (1, 2):
+                f = random_filtration(rng, theta, len(theta) + extra)
+                grouped = group(reorder(f))
+                assert len(grouped) < len(f)
+                assert multiplicities(grouped) == multiplicities(f)
+
+
+@pytest.mark.parametrize("broken", ["nonzero start", "unshared middle", "out-of-range label"])
+def test_grouped_and_plain_chains_refuse_alike(full_family, s1, s2, broken):
+    if broken == "nonzero start":
+        chain = [(Conflation.split(s1, s2), 1)]
+    elif broken == "unshared middle":
+        chain = [(Conflation.identity_left(s2), 1), (Conflation.identity_left(s1), 0)]
+    else:
+        chain = [(Conflation.identity_left(s2), 2)]
+    plain = [FiltrationStep(c, label, RepMorphism.identity(c.C)) for c, label in chain]
+    grouped = [GroupedStep(c, label, 1) for c, label in chain]
+    with pytest.raises(ValidationError) as plain_error:
+        Filtration(full_family, plain)
+    with pytest.raises(ValidationError) as grouped_error:
+        GroupedFiltration(full_family, grouped)
+    assert str(grouped_error.value) == str(plain_error.value)
 
 
 def test_group_needs_order(full_family, s1, s2):
