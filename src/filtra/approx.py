@@ -19,8 +19,8 @@ from .conflation import Conflation, et4_compose, et4op_compose, ext_space
 from .errors import ExtObstruction, ValidationError, ZeroExt
 from .filtration import Filtration, extend, power_filtration
 from .linalg import Matrix
-from .quiverrep import (Representation, RepMorphism, ThetaFamily, _block_extension,
-                        _canonical_key, _flatten, _hom_dim, direct_power, hom_space)
+from .quiverrep import (Representation, RepMorphism, ThetaFamily, _block_extension, _blocks,
+                        _canonical_key, _hom_dim, _hom_kernel, _hom_shapes, direct_power)
 
 __all__ = [
     "ApproxResult",
@@ -245,17 +245,34 @@ def _induced_onto(f: RepMorphism, test: Representation, side: str) -> bool:
     cover: g -> f o g, hom(test, f.source) -> hom(test, f.target).  The
     composites of a source basis lie in the target hom space, so the map is
     onto iff their flattened components have rank equal to its dimension.
+    The source basis is the cached Hom kernel, read in place (_blocks), and
+    each vertex composes all of its rows in one product.
     """
     envelope = side == "envelope"
     need = _hom_dim(f.source, test) if envelope else _hom_dim(test, f.target)
     if not need:
         return True
-    composites = ([g @ f for g in hom_space(f.target, test)] if envelope
-                  else [f @ g for g in hom_space(test, f.source)])
-    if not composites:
-        return False
-    flat = np.stack([_flatten(g.components) for g in composites])
-    return Matrix(f.source.p, flat).rank() == need
+    ends = (f.target, test) if envelope else (test, f.source)
+    kernel = _hom_kernel(*ends)
+    composites = [g @ fv.a if envelope else fv.a @ g
+                  for g, fv in zip(_blocks(kernel, _hom_shapes(*ends)), f.components)]
+    flat = np.concatenate([c.reshape(len(c), c.shape[1] * c.shape[2]) for c in composites], 1)
+    return Matrix._wrap(f.source.p, flat % f.source.p).rank() == need
+
+
+def _verify(result: ApproxResult, test_objects: Sequence[Representation], side: str,
+            perpendicular, refusal: str) -> VerifyReport:
+    """The check of verify_preenvelope and verify_precover: test objects in
+    canonical order, those outside the perpendicular class skipped."""
+    if result.side != side:
+        raise ValidationError(refusal)
+    entries, skipped = [], []
+    for obj in sorted(test_objects, key=_canonical_key):
+        if perpendicular(obj, result.theta):
+            entries.append((obj, _induced_onto(result.map, obj, side)))
+        else:
+            skipped.append(obj)
+    return VerifyReport(side, tuple(entries), tuple(skipped))
 
 
 def verify_preenvelope(result: ApproxResult,
@@ -269,15 +286,8 @@ def verify_preenvelope(result: ApproxResult,
     map is onto iff they have rank dim hom(source, test).  Objects that are
     not perpendicular are skipped and reported, not failed.
     """
-    if result.side != "envelope":
-        raise ValidationError("verify_preenvelope needs an envelope result")
-    entries, skipped = [], []
-    for obj in sorted(test_objects, key=_canonical_key):
-        if not is_theta_injective(obj, result.theta):
-            skipped.append(obj)
-            continue
-        entries.append((obj, _induced_onto(result.map, obj, "envelope")))
-    return VerifyReport("envelope", tuple(entries), tuple(skipped))
+    return _verify(result, test_objects, "envelope", is_theta_injective,
+                   "verify_preenvelope needs an envelope result")
 
 
 def verify_precover(result: ApproxResult,
@@ -286,12 +296,5 @@ def verify_precover(result: ApproxResult,
     onto hom(test, target) for every perpendicular test object.  The
     composites f o g of a basis of hom(test, cover) lie in hom(test, target),
     so the map is onto iff they have rank dim hom(test, target)."""
-    if result.side != "cover":
-        raise ValidationError("verify_precover needs a cover result")
-    entries, skipped = [], []
-    for obj in sorted(test_objects, key=_canonical_key):
-        if not is_theta_projective(obj, result.theta):
-            skipped.append(obj)
-            continue
-        entries.append((obj, _induced_onto(result.map, obj, "cover")))
-    return VerifyReport("cover", tuple(entries), tuple(skipped))
+    return _verify(result, test_objects, "cover", is_theta_projective,
+                   "verify_precover needs a cover result")

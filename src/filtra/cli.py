@@ -504,8 +504,16 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ValidationErrors, so main prints them
+    as an error document; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="filtra",
         description="Filtered quiver representations over prime fields.")
     parser.add_argument("--workspace", "-w", help="workspace file to load")
@@ -586,9 +594,9 @@ def _run(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command from empty caches under one search budget (FILTRA_BUDGET, if set)."""
-    args = build_parser().parse_args(argv)
     clear_caches()
     try:
+        args = build_parser().parse_args(argv)
         with searching():
             return _run(args)
     except (FiltraError, OSError, MemoryError) as exc:

@@ -228,12 +228,7 @@ class ExtSpace:
         return tuple(int(v) for v in coords.a.reshape(-1))
 
     def cocycle_of(self, coords: Sequence[int]) -> tuple[Matrix, ...]:
-        coords = tuple(int(c) % self.p for c in coords)
-        if len(coords) != self.dimension:
-            raise DimensionMismatch(f"expected {self.dimension} coordinates, got {len(coords)}")
-        col = Matrix._wrap(self.p, np.asarray(coords, dtype=np.int64).reshape(-1, 1))
-        return tuple(_unflatten(self.p, (self._section @ col).a.reshape(-1),
-                                self.cocycle_shapes))
+        return ExtClass(self, coords).cocycles()
 
     @property
     def basis(self) -> list["ExtClass"]:
@@ -241,9 +236,6 @@ class ExtSpace:
                 for k in range(self.dimension)]
 
     def element(self, coords: Sequence[int]) -> "ExtClass":
-        coords = tuple(int(c) % self.p for c in coords)
-        if len(coords) != self.dimension:
-            raise DimensionMismatch(f"expected {self.dimension} coordinates, got {len(coords)}")
         return ExtClass(self, coords)
 
     @property
@@ -263,30 +255,38 @@ class ExtSpace:
 
 @dataclass(frozen=True)
 class ExtClass:
-    """An element of an ExtSpace, stored by its coordinate vector."""
+    """An element of an ExtSpace, stored by its coordinate vector.
+
+    The constructor is the one place that reduces coordinates mod p and
+    checks their count, so a class compares equal however it was built.
+    """
 
     space: ExtSpace
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coords) != self.space.dimension:
-            raise DimensionMismatch("coordinate count does not match the ext dimension")
+        space = self.space
+        coords = tuple(int(c) % space.p for c in self.coords)
+        if len(coords) != space.dimension:
+            raise DimensionMismatch(f"expected {space.dimension} coordinates, got {len(coords)}")
+        object.__setattr__(self, "coords", coords)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def cocycles(self) -> tuple[Matrix, ...]:
-        return self.space.cocycle_of(self.coords)
+        space = self.space
+        col = Matrix._wrap(space.p, np.asarray(self.coords, dtype=np.int64).reshape(-1, 1))
+        return tuple(_unflatten(space.p, (space._section @ col).a.reshape(-1),
+                                space.cocycle_shapes))
 
     def __add__(self, other: "ExtClass") -> "ExtClass":
         if self.space != other.space:
             raise ValidationError("cannot add classes from different ext spaces")
-        p = self.space.p
-        return ExtClass(self.space, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
+        return ExtClass(self.space, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, c: int) -> "ExtClass":
-        p = self.space.p
-        return ExtClass(self.space, tuple((c * v) % p for v in self.coords))
+        return ExtClass(self.space, tuple(c * v for v in self.coords))
 
 
 @cached
@@ -530,7 +530,7 @@ def connecting_map(c: Conflation, x_obj: Representation, side: str) -> Matrix:
     p = c.B.p
     if not columns:
         return Matrix.zeros(p, target.dimension, 0)
-    return Matrix(p, np.asarray(columns, dtype=np.int64).T)
+    return Matrix._wrap(p, np.asarray(columns, dtype=np.int64).T)
 
 
 def conflation_direct_sum(c1: Conflation, c2: Conflation) -> Conflation:
@@ -557,7 +557,7 @@ def conflations_equivalent(c1: Conflation, c2: Conflation) -> Optional[RepMorphi
     extra = _flatten([m for v in range(B1.quiver.vertex_count)
                       for m in (c2.x.components[v], c1.y.components[v])])
     rhs = np.concatenate([np.zeros(system.rows - extra.size, dtype=np.int64), extra])
-    solution = system.solve(Matrix(B1.p, rhs.reshape(-1, 1)))
+    solution = system.solve(Matrix._wrap(B1.p, rhs.reshape(-1, 1)))
     if solution is None:
         return None
     comps = _unflatten(B1.p, solution.a.reshape(-1), _hom_shapes(B1, B2))

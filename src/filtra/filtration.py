@@ -27,8 +27,8 @@ from .conflation import (Conflation, et4_compose, et4op_compose, ext_space,
 from .errors import Budget, ExtObstruction, ValidationError, cached, searching
 from .linalg import Matrix
 from .quiverrep import (Representation, RepMorphism, ThetaFamily, direct_power,
-                        direct_sum, _flatten, _hom_kernel, _rank_mask, _scan,
-                        cokernel_quot, enumerate_subreps,
+                        direct_sum, _blocks, _flatten, _hom_kernel, _hom_shapes, _rank_mask,
+                        _scan, cokernel_quot, enumerate_subreps,
                         is_isomorphic, iso_key, iso_witness, kernel_sub)
 
 __all__ = [
@@ -209,7 +209,14 @@ def transport_top(f: Filtration, phi: RepMorphism) -> Filtration:
 
 
 def power_filtration(theta: ThetaFamily, label: int, k: int) -> Filtration:
-    """The split filtration of theta[label]^k by k copies of theta[label]."""
+    """The split filtration of theta[label]^k by k copies of theta[label].
+
+    ValidationError unless label indexes the family and k >= 0.
+    """
+    if not 0 <= label < len(theta):
+        raise ValidationError(f"label {label} is out of range for {len(theta)} members")
+    if k < 0:
+        raise ValidationError("power must be nonnegative")
     member = theta[label]
     ident = RepMorphism.identity(member)
     power = Representation.zero(member.quiver, member.p)
@@ -353,13 +360,10 @@ def group(f: Filtration) -> GroupedFiltration:
 def _composites_through(m: Representation, x: Representation) -> np.ndarray:
     """The endomorphisms a o b of m, b in the Hom basis of (m, x) and a in
     that of (x, m), one row each in _flatten coordinates."""
-    into, back = _hom_kernel(m, x), _hom_kernel(x, m)
-    offsets = list(itertools.accumulate((dm * dx for dm, dx in zip(m.dim, x.dim)), initial=0))
-    blocks = []
-    for dm, dx, lo, hi in zip(m.dim, x.dim, offsets, offsets[1:]):
-        b = into[:, lo:hi].reshape(len(into), dx, dm)
-        a = back[:, lo:hi].reshape(len(back), dm, dx)
-        blocks.append((a[:, None] @ b[None, :]).reshape(len(back) * len(into), dm * dm))
+    into = _blocks(_hom_kernel(m, x), _hom_shapes(m, x))
+    back = _blocks(_hom_kernel(x, m), _hom_shapes(x, m))
+    blocks = [(a[:, None] @ b[None, :]).reshape(len(a) * len(b), dm * dm)
+              for a, b, dm in zip(back, into, m.dim)]
     return np.concatenate(blocks, axis=1) % m.p
 
 
@@ -503,7 +507,7 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
                          lambda cs: _rank_mask(cs, member.dim, cur.p), leading_one=True)
             for comps in epis:
                 epi = RepMorphism(cur, member,
-                                  [Matrix(cur.p, c) for c in comps], check=False)
+                                  [Matrix._wrap(cur.p, c) for c in comps], check=False)
                 sub, incl = kernel_sub(epi)
                 below = peel(sub, i)
                 if below is not None:

@@ -258,7 +258,7 @@ def _path_representation(quiver: Quiver, p: int, v: int, out: bool) -> Represent
             extended = names + (a.name,) if out else (a.name,) + names
             if extended in paths_at[a.target]:
                 m[paths_at[a.target].index(extended), col] = 1
-        maps.append(Matrix(p, m))
+        maps.append(Matrix._wrap(p, m))
     return Representation(quiver, p, dim, maps)
 
 
@@ -279,6 +279,8 @@ class RepMorphism:
         if len(components) != source.quiver.vertex_count:
             raise DimensionMismatch("one component per vertex required")
         for v, m in enumerate(components):
+            if m.p != source.p:
+                raise ValidationError(f"vertex {v}: matrix modulus {m.p} != {source.p}")
             if m.shape != (target.dim[v], source.dim[v]):
                 raise DimensionMismatch(
                     f"vertex {v}: expected shape {(target.dim[v], source.dim[v])}, got {m.shape}")
@@ -364,11 +366,16 @@ def _flatten(blocks: Sequence[Matrix]) -> np.ndarray:
     return np.concatenate([b.a.reshape(-1) for b in blocks])
 
 
-def _blocks(vec: np.ndarray, shapes: Sequence[tuple[int, int]]) -> list[np.ndarray]:
-    """Inverse of _flatten: views of vec cut into blocks of the given shapes."""
-    out, pos = [], 0
+def _blocks(rows: np.ndarray, shapes: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """Inverse of _flatten: views of rows cut into blocks of the given shapes.
+
+    rows is one vector or a stack of them, such as a Hom kernel
+    (_hom_kernel) or combinations of its rows; each block is then a
+    (..., r, c) stack.  The one reader of the layout of a Hom vector.
+    """
+    lead, out, pos = rows.shape[:-1], [], 0
     for r, c in shapes:
-        out.append(vec[pos:pos + r * c].reshape(r, c))
+        out.append(rows[..., pos:pos + r * c].reshape(*lead, r, c))
         pos += r * c
     return out
 
@@ -556,7 +563,8 @@ def _scan(kernel: np.ndarray, m: Representation, n: Representation, test,
     A chunk of vectors is the base-p digits of an arange (only the low
     digits it reaches, so p ** h may pass int64), its combinations are one
     matrix product with kernel, and test maps their per-vertex (N, r, c)
-    stacks to a hit mask.
+    stacks (_blocks) to a hit mask.  A hit is yielded as fresh arrays, which
+    callers wrap without a copy (Matrix._wrap).
 
     Each vector costs one budget node, charged as a loop over the vectors
     would: up to and including a hit before it is yielded, so a chunk that
@@ -564,7 +572,6 @@ def _scan(kernel: np.ndarray, m: Representation, n: Representation, test,
     """
     p, h = m.p, len(kernel)
     shapes = _hom_shapes(m, n)
-    bounds = list(itertools.accumulate((r * c for r, c in shapes), initial=0))
     total = p ** h
     start, size = 0, _SCAN_FIRST_CHUNK
     while start < total:
@@ -578,17 +585,23 @@ def _scan(kernel: np.ndarray, m: Representation, n: Representation, test,
         if leading_one:
             first_nonzero = np.cumsum(coeffs != 0, axis=1) == 1
             coeffs = coeffs[((coeffs == 1) & first_nonzero).any(axis=1)]
-        combos = coeffs @ kernel % p
-        comps = [combos[:, lo:hi].reshape(len(coeffs), r, c)
-                 for lo, hi, (r, c) in zip(bounds, bounds[1:], shapes)]
+        comps = _blocks(coeffs @ kernel % p, shapes)
         charged = 0
         for j in np.flatnonzero(test(comps)).tolist():
             spend(j + 1 - charged)
             charged = j + 1
-            yield [c[j] for c in comps]
+            yield [c[j].copy() for c in comps]
         if len(coeffs) > charged:
             spend(len(coeffs) - charged)
         start, size = stop, min(4 * size, _SCAN_MAX_CHUNK)
+
+
+def _first_hit(m: Representation, n: Representation, test) -> Optional[RepMorphism]:
+    """The first element of Hom(m, n) that _scan passes test, or None."""
+    comps = next(_scan(_hom_kernel(m, n), m, n, test), None)
+    if comps is None:
+        return None
+    return RepMorphism(m, n, [Matrix._wrap(m.p, c) for c in comps], check=False)
 
 
 def _rank_mask(comps: list[np.ndarray], ranks: Sequence[int], p: int) -> np.ndarray:
@@ -816,12 +829,8 @@ def iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
         return RepMorphism.identity(m)
     if not _invariants_match(m, n):
         return None
-    p = m.p
     with searching():
-        comps = next(_scan(_hom_kernel(m, n), m, n, lambda cs: _rank_mask(cs, n.dim, p)), None)
-    if comps is None:
-        return None
-    return RepMorphism(m, n, [Matrix(p, c) for c in comps], check=False)
+        return _first_hit(m, n, lambda cs: _rank_mask(cs, n.dim, m.p))
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
@@ -831,11 +840,11 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
 def _fitting_power(m: Representation, phi_comps: list[np.ndarray]) -> Optional[RepMorphism]:
     """A high power of the endomorphism phi when it is neither zero nor
     invertible, else None.  Its image and kernel then split m (Fitting)."""
-    p = m.p
-    power = [c.copy() for c in phi_comps]
+    p, power = m.p, phi_comps
+    # at least two squarings, so the power is made of fresh arrays
     for _ in range(max(1, m.total_dim).bit_length() + 1):
         power = [(c @ c) % p for c in power]
-    mats = [Matrix(p, c) for c in power]
+    mats = [Matrix._wrap(p, c) for c in power]
     rank_total = sum(mat.rank() for mat in mats)
     if rank_total == 0 or rank_total == m.total_dim:
         return None
@@ -848,10 +857,10 @@ def _try_split(m: Representation) -> Optional[RepMorphism]:
 
     Fitting powers of the End basis elements and of their pairwise sums
     first, then an exhaustive scan of End(m) (_scan) for a nontrivial
-    idempotent, whose power is the first one in itertools.product order of
-    the coefficient vectors.  Every Fitting attempt and every scanned
-    vector up to that idempotent costs one budget node.  Call it inside
-    searching().
+    idempotent: the first one in itertools.product order of the coefficient
+    vectors, which is its own Fitting power.  Every Fitting attempt and
+    every scanned vector up to that idempotent costs one budget node.  Call
+    it inside searching().
     """
     if m.total_dim == 0:
         return None
@@ -867,11 +876,7 @@ def _try_split(m: Representation) -> Optional[RepMorphism]:
         power = _fitting_power(m, _blocks((f + g) % p, shapes))
         if power is not None:
             return power
-    for comps in _scan(kernel, m, m, lambda cs: _nontrivial_idempotent_mask(cs, p)):
-        power = _fitting_power(m, comps)
-        if power is not None:
-            return power
-    return None
+    return _first_hit(m, m, lambda cs: _nontrivial_idempotent_mask(cs, p))
 
 
 def is_indecomposable(m: Representation) -> bool:
@@ -923,7 +928,8 @@ def _all_raw_reps(quiver: Quiver, p: int, dim: tuple[int, ...]) -> Iterator[Repr
         maps = []
         pos = 0
         for (r, c), size in zip(shapes, sizes):
-            maps.append(Matrix(p, np.asarray(flat[pos:pos + size], dtype=np.int64), shape=(r, c)))
+            entries = np.asarray(flat[pos:pos + size], dtype=np.int64)
+            maps.append(Matrix._wrap(p, entries.reshape(r, c)))
             pos += size
         yield Representation(quiver, p, dim, maps)
 
@@ -1048,7 +1054,7 @@ def _subspaces(p: int, d: int) -> list[Matrix]:
                     basis[pc, r] = 1
                 for (pos, col), val in zip(free_positions, values):
                     basis[pos, col] = val
-                out.append(Matrix(p, basis))
+                out.append(Matrix._wrap(p, basis))
     return out
 
 

@@ -312,6 +312,25 @@ def test_cli_workspace_not_utf8_exits_2(capsys, tmp_path):
     assert str(ws) in doc["error"] and "UTF-8" in doc["error"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["-w", A2_WS, "hom"], "the following arguments are required: source, target"),
+    (["selftest", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["-w", A2_WS, "hom", "S1", "S2", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+])
+def test_cli_usage_errors_print_an_error_document(capsys, argv, message):
+    # main returns 2 with one error document on stdout, as for any other error
+    assert run(capsys, *argv) == (2, {"error": message})
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["hom", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: filtra hom")
+
+
 def test_cli_filter_over_f3(capsys, tmp_path):
     # runs before test_cli_budget_env, whose filter cases must not reuse this decision
     ws = tmp_path / "a2f3.ws"

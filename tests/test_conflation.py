@@ -11,7 +11,7 @@ from filtra import (Conflation, DimensionMismatch, Representation, ThetaFamily,
                     connecting_map, et4_compose, et4op_compose, ext_space,
                     hom_space, is_isomorphic, is_split, pullback, pushforward,
                     realize, shift_base)
-from filtra import Matrix, Quiver, errors, linalg
+from filtra import ExtClass, Matrix, Quiver, errors, linalg
 from filtra.quiverrep import RepMorphism, _intertwiner_system
 from filtra.selftest import _random_automorphism, random_conflation, scramble_middle
 
@@ -128,6 +128,45 @@ def test_ext_coordinates_refuse_other_moduli(s1, s2, a2):
     assert space.coordinates([Matrix(2, [[1]])]) == (1,)
     with pytest.raises(DimensionMismatch, match="over F_3"):
         space.coordinates([Matrix(3, [[2]])])
+
+
+def test_ext_class_holds_reduced_coordinates(s1, s2):
+    # however a class is built, it stores its coordinates mod p, so it
+    # compares equal to the class that class_of finds for its realization
+    space = ext_space(s1, s2)
+    for coords, reduced in (((2,), (0,)), ((-1,), (1,)), ((5,), (1,))):
+        delta = ExtClass(space, coords)
+        assert delta.coords == reduced
+        assert delta == space.element(reduced) == class_of(realize(delta))
+        assert delta.is_zero() == (reduced == (0,))
+    assert ExtClass(space, (2,)) == space.zero and ExtClass(space, (2,)).is_zero()
+    assert space.cocycle_of((3,)) == space.element((1,)).cocycles()
+    for make in (lambda c: ExtClass(space, c), space.element, space.cocycle_of):
+        with pytest.raises(DimensionMismatch, match="expected 1 coordinates, got 2"):
+            make((1, 0))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ext_class_arithmetic_is_coordinate_arithmetic(p):
+    # sums, multiples and the zero class against the coordinates mod p
+    kronecker = Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)])
+    rng = random.Random(2400 + p)
+    spaces = [ext_space(Representation.random(kronecker, p, (2, 2), rng),
+                        Representation.random(kronecker, p, (2, 2), rng)) for _ in range(12)]
+    assert any(space.dimension > 1 for space in spaces)
+    for space in spaces:
+        n = space.dimension
+        zero = space.zero
+        assert zero.coords == (0,) * n and zero.is_zero()
+        for _ in range(4):
+            a = [rng.randrange(-2 * p, 2 * p) for _ in range(n)]
+            b = [rng.randrange(-2 * p, 2 * p) for _ in range(n)]
+            c = rng.randrange(-2 * p, 2 * p)
+            x, y = space.element(a), space.element(b)
+            assert (x + y).coords == tuple((i + j) % p for i, j in zip(a, b))
+            assert x.scale(c).coords == tuple(c * i % p for i in a)
+            assert x + zero == x and x.scale(p) == zero == x + x.scale(p - 1)
+            assert (x + y).cocycles() == space.cocycle_of([i + j for i, j in zip(a, b)])
 
 
 def test_conflation_validates_exactness(s1, s2, p1):

@@ -45,6 +45,23 @@ def test_power_filtration_shape(full_family, s2):
     assert len(g) == 1 and g.steps[0].multiplicity == 3
 
 
+@pytest.mark.parametrize("label, k, message", [
+    (-1, 2, "label -1 is out of range for 2 members"),
+    (2, 1, "label 2 is out of range for 2 members"),
+    (5, 1, "label 5 is out of range for 2 members"),
+    (0, -3, "power must be nonnegative"),
+])
+def test_power_filtration_refuses_bad_label_or_power(full_family, label, k, message):
+    with pytest.raises(ValidationError, match=message):
+        power_filtration(full_family, label, k)
+
+
+def test_power_filtration_of_power_zero_is_empty(full_family):
+    f = power_filtration(full_family, 0, 0)
+    assert len(f) == 0 and f.top.is_zero()
+    f.validate()
+
+
 def test_extend_concatenates_labels(full_family, s1, s2):
     c = realize(ext_space(s1, s2).element([1]))
     f_sub = Filtration(full_family, [one_step(full_family, 1)])

@@ -86,6 +86,20 @@ def test_morphism_must_intertwine(s2, p1):
         RepMorphism(p1, s2, [Matrix.zeros(2, 0, 1), Matrix.from_rows(2, [[1]])])
 
 
+def test_morphism_components_live_over_its_field(s1):
+    # a component over F_3 between representations over F_2 is refused where
+    # it enters, with the check on or off, before any arithmetic mixes moduli
+    point = Quiver.from_edges(1, [])
+    s = Representation.simple(point, 2, 0)
+    for check in (True, False):
+        with pytest.raises(ValidationError, match="vertex 0: matrix modulus 3 != 2"):
+            RepMorphism(s, s, [Matrix(3, [[2]])], check=check)
+    # over A2 the intertwiner law would otherwise see the mismatch first
+    with pytest.raises(ValidationError, match="vertex 0: matrix modulus 3 != 2"):
+        RepMorphism(s1, s1, [Matrix(3, [[1]]), Matrix.zeros(3, 0, 0)])
+    assert RepMorphism(s, s, [Matrix(2, [[1]])]).is_isomorphism()
+
+
 def test_hom_dimensions_on_the_desk(s1, s2, p1):
     table = {
         ("s1", "s1"): 1, ("s1", "s2"): 0, ("s1", "p1"): 0,

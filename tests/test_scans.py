@@ -461,3 +461,35 @@ def test_memo_lookups_build_no_hom_basis(a3, clear_caches, monkeypatch):
     assert not kernel.flags.writeable
     blocks = [c.a for f in hom_space(m, m) for c in f.components if c.a.size]
     assert blocks and all(np.shares_memory(b, kernel) and not b.flags.writeable for b in blocks)
+
+
+def test_split_scan_hit_matches_the_loop(clear_caches):
+    # a scrambled R + S over the Kronecker quiver at p = 3 with End = F_9 x F_3:
+    # no End basis element and no pairwise sum has a proper Fitting power, so
+    # the split is the first nontrivial idempotent of the End scan
+    quiver = QUIVERS["Kronecker"][0]
+    m = Representation.from_dict(quiver, 3, (3, 3), {
+        "a": [[1, 0, 0], [2, 1, 2], [1, 1, 0]], "b": [[2, 2, 2], [1, 0, 0], [1, 2, 0]]})
+    basis = hom_space(m, m)
+    assert len(basis) == 3
+    assert all(_fitting_split(m, [c.a for c in f.components]) is None for f in basis)
+    assert all(_fitting_split(m, [(a.a + b.a) % 3 for a, b in zip(f.components, g.components)])
+               is None for f, g in itertools.combinations(basis, 2))
+
+    def split(budget):
+        power = quiverrep._try_split(m)
+        return None if power is None else image_sub(power) + kernel_sub(power)
+
+    # the split search spends 21 nodes (6 Fitting attempts, 15 scanned
+    # vectors) and the whole decomposition 37; a budget below that stops both
+    # at the same node as the loops
+    for limit in BUDGETS + (20, 21, 36, 37):
+        clear_caches()
+        got = _charged(split, limit)
+        assert got == _charged(lambda b: reference_try_split(m), limit)
+        assert got[1] == (21 if limit is None else min(21, limit + 1))
+        clear_caches()
+        got = _charged(lambda b: krull_schmidt(m), limit)
+        assert got == _charged(lambda b: reference_krull_schmidt(m), limit)
+        assert got[1] == (37 if limit is None else min(37, limit + 1))
+    assert [rep.dim for rep, count in krull_schmidt(m)] == [(1, 1), (2, 2)]

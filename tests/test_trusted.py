@@ -11,11 +11,14 @@ power_filtration, extend, transport_top, reorder, group, the two universal
 extensions and the empty filtrations of the approximations.
 
 A spy records every object of the four classes as it is made, with its
-check flag and the function that made it.  The first test drives every
-trusted site over A2, A3 and D4 at p = 2 and 3 and rebuilds each trusted
-object with the validating constructors.  The last one asserts that the
-approximations, reorder, group and the decision peel make no validating
-construction, so a new internal site that forgets check=False fails here.
+check flag and the function that made it, and every Matrix made by the
+validating constructor Matrix(p, ...) rather than Matrix._wrap.  The first
+test drives every trusted site over A2, A3 and D4 at p = 2 and 3 and
+rebuilds each trusted object with the validating constructors.  The last
+one asserts that the approximations, reorder, group, the decision peel,
+enumerate_reps and the iso and split scans make no validating
+construction, so a new internal site that forgets check=False, or wraps
+its own arrays through Matrix(p, ...), fails here.
 """
 
 import random
@@ -23,13 +26,13 @@ import sys
 
 import pytest
 
-from filtra import (Conflation, Filtration, GroupedFiltration, RepMorphism,
+from filtra import (Conflation, Filtration, GroupedFiltration, Quiver, RepMorphism,
                     Representation, ValidationError, complete_square,
-                    conflation_direct_sum, decide_filtered, et4_compose,
-                    et4op_compose, ext_space, extend, group, hom_space, in_add,
-                    is_split, power_filtration, precover, preenvelope, realize,
-                    reorder, shift_base, star_membership, universal_extension_cover,
-                    universal_extension_env)
+                    conflation_direct_sum, decide_filtered, direct_sum, enumerate_reps,
+                    et4_compose, et4op_compose, ext_space, extend, group, hom_space,
+                    in_add, is_split, iso_witness, krull_schmidt, power_filtration,
+                    precover, preenvelope, realize, reorder, shift_base, star_membership,
+                    universal_extension_cover, universal_extension_env)
 from filtra.linalg import Matrix
 from filtra.selftest import (_random_automorphism, random_conflation,
                              random_filtration, scramble_middle, standard_families)
@@ -51,7 +54,8 @@ TRUSTED_SITES = {
 def constructions(monkeypatch):
     """(object, check flag, name of the building function) for
     every Conflation, RepMorphism, Filtration and GroupedFiltration made
-    while the test runs."""
+    while the test runs, and for every Matrix that the validating
+    constructor makes, with check flag True."""
     made = []
     for cls in CLASSES:
         def spy(self, check, post_init=cls.__post_init__):
@@ -59,6 +63,15 @@ def constructions(monkeypatch):
             made.append((self, check, sys._getframe(2).f_code.co_name))
             post_init(self, check)
         monkeypatch.setattr(cls, "__post_init__", spy)
+
+    def matrix_spy(self, *args, init=Matrix.__init__, **kwargs):
+        # frames: spy, then the building function, perhaps inside a comprehension
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        made.append((self, True, frame.f_code.co_name))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Matrix, "__init__", matrix_spy)
     return made
 
 
@@ -174,6 +187,14 @@ def test_filtra_trusts_its_own_constructions(a3, d4, constructions, clear_caches
                 calls += [(preenvelope, m, theta), (precover, m, theta),
                           (decide_filtered, f.top, theta)]
                 calls.append((lambda f: group(reorder(f)), f))
+    # the iso and split scans, on a scrambled R + S over the Kronecker quiver
+    # whose split is found by the idempotent scan, and the enumerations
+    kronecker = Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)])
+    m = Representation.from_dict(kronecker, 3, (3, 3), {
+        "a": [[1, 0, 0], [2, 1, 2], [1, 1, 0]], "b": [[2, 2, 2], [1, 0, 0], [1, 2, 0]]})
+    pieces = [rep for rep, _ in krull_schmidt(m)]
+    calls += [(krull_schmidt, m), (iso_witness, direct_sum(*pieces).rep, m),
+              (enumerate_reps, kronecker, 2, (2, 1)), (enumerate_reps, d4, 2, (1, 1, 1, 1))]
     clear_caches()
     constructions.clear()
     for fn, *args in calls:
