@@ -395,19 +395,18 @@ def shift_base(a: RepMorphism, c: Conflation) -> tuple[Conflation, RepMorphism]:
     """
     if a.source != c.A:
         raise ValidationError("base change needs a morphism out of the sub object")
-    space = ext_space(c.C, c.A)
+    space = ext_space(c.C, a.target)
     g, _, retractions = _extracted_cocycle(c)
-    moved = pushforward(a, space.element(space.coordinates(g)))
-    canonical = moved.cocycles()
+    quiver, p = c.B.quiver, c.B.p
+    # a_* class(c) has the coordinates of the pushed cocycle a o g, since
+    # a o d(h) = d(a o h); the block form embeds the canonical representative
+    # of those coordinates, which differs from a o g by a coboundary d(h),
+    # and that h is exactly the correction making the comparison map intertwine
+    pushed = [a.components[arr.target] @ g[k] for k, arr in enumerate(quiver.arrows)]
+    canonical = space.cocycle_of(space.coordinates(pushed))
     B, x, y = _block_extension(a.target, c.C, canonical)
     shifted = Conflation(a.target, B, c.C, x, y, check=False)
-    quiver, p = c.B.quiver, c.B.p
-    # the block form embeds the canonical representative of a_* delta, which
-    # agrees with the pushed cocycle a o g only up to a coboundary d(h); that
-    # h is exactly the correction making the comparison map intertwine
-    pushed = [a.components[arr.target] @ g[k] for k, arr in enumerate(quiver.arrows)]
-    diff = [pg - eg for pg, eg in zip(pushed, canonical)]
-    h = moved.space.coboundary_solve(diff)
+    h = space.coboundary_solve([pg - eg for pg, eg in zip(pushed, canonical)])
     assert h is not None  # the two representatives are cohomologous
     comps = []
     for v in range(quiver.vertex_count):
@@ -546,22 +545,20 @@ def conflation_direct_sum(c1: Conflation, c2: Conflation) -> Conflation:
 def conflations_equivalent(c1: Conflation, c2: Conflation) -> Optional[RepMorphism]:
     """Isomorphism b: c1.B -> c2.B with b x1 = x2 and y2 b = y1, or None.
 
-    Requires the literal equality c1.A == c2.A and c1.C == c2.C.  Solving the
-    combined linear system suffices: any solution is automatically invertible
-    (five lemma), which is asserted.
+    Requires the literal equality c1.A == c2.A and c1.C == c2.C.  The two
+    are equivalent iff their extracted cocycles differ by a coboundary,
+    g1 - g2 = d(h), as is_split decides the case of a split c2.  Then
+    b = x2 (t1 + h y1) + s2 y1, with t1 the retractions of c1 and s2 the
+    sections of c2, is [[1, h], [0, 1]] in their splitting coordinates: it
+    intertwines because g1 - g2 = d(h), and it is invertible.
     """
     if c1.A != c2.A or c1.C != c2.C:
         raise ValidationError("equivalence is only defined over equal end objects")
-    B1, B2 = c1.B, c2.B
-    system = _intertwiner_system(B1, B2, c1.x.components, c2.y.components)
-    extra = _flatten([m for v in range(B1.quiver.vertex_count)
-                      for m in (c2.x.components[v], c1.y.components[v])])
-    rhs = np.concatenate([np.zeros(system.rows - extra.size, dtype=np.int64), extra])
-    solution = system.solve(Matrix._wrap(B1.p, rhs.reshape(-1, 1)))
-    if solution is None:
+    g1, _, t1 = _extracted_cocycle(c1)
+    g2, s2, _ = _extracted_cocycle(c2)
+    h = ext_space(c1.C, c1.A).coboundary_solve([a - b for a, b in zip(g1, g2)])
+    if h is None:
         return None
-    comps = _unflatten(B1.p, solution.a.reshape(-1), _hom_shapes(B1, B2))
-    morphism = RepMorphism(B1, B2, comps)
-    if not morphism.is_isomorphism():
-        raise ValidationError("solved comparison map is not invertible; exactness is broken")
-    return morphism
+    comps = [x2 @ (t + hv @ y1) + s @ y1
+             for x2, t, hv, y1, s in zip(c2.x.components, t1, h, c1.y.components, s2)]
+    return RepMorphism(c1.B, c2.B, comps, check=False)

@@ -436,18 +436,28 @@ def star_membership(m: Representation,
 @cached
 def _dim_feasible(theta_dims: tuple[tuple[int, ...], ...],
                   dim: tuple[int, ...], start: int) -> bool:
-    """Can dim be a nonnegative integer combination of theta_dims[start:]?"""
-    if all(d == 0 for d in dim):
-        return True
-    if start >= len(theta_dims):
-        return False
-    step = theta_dims[start]
-    top = min((d // s for d, s in zip(dim, step) if s), default=0)
-    for mult in range(top + 1):
-        rest = tuple(d - mult * s for d, s in zip(dim, step))
-        if _dim_feasible(theta_dims, rest, start + 1):
+    """Can dim be a nonnegative integer combination of theta_dims[start:]?
+
+    A walk over the remainders reachable from dim by subtracting members:
+    each remainder is reached once and tries one subtraction per member, so
+    the work is at most their number times the number of members.
+    """
+    seen, todo = {dim}, [dim]
+    while todo:
+        rest = todo.pop()
+        if not any(rest):
             return True
+        for step in theta_dims[start:]:
+            below = tuple(d - s for d, s in zip(rest, step))
+            if min(below, default=0) >= 0 and below not in seen:
+                seen.add(below)
+                todo.append(below)
     return False
+
+
+def _check_over_family(m: Representation, theta: ThetaFamily) -> None:
+    if m.quiver != theta.quiver or m.p != theta.p:
+        raise ValidationError("the module and the family must be over the same quiver and field")
 
 
 # the memo of one search ("decide" or "oracle") over one family: (module,
@@ -479,6 +489,7 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
     it, so budget.used and the point of any BudgetExceeded are those of a
     loop over the vectors one at a time.
     """
+    _check_over_family(m, theta)
     t = len(theta)
     theta_dims = tuple(mem.dim for mem in theta.members)
     memo = _memo_table("decide", theta)
@@ -534,6 +545,7 @@ def oracle_filtered(m: Representation, theta: ThetaFamily,
     memoized up to isomorphism.  The budget pays for the subspaces and
     tuples that enumerate_subreps walks and for the iso scans.
     """
+    _check_over_family(m, theta)
     memo = _memo_table("oracle", theta)
 
     def go(cur: Representation) -> bool:

@@ -400,15 +400,12 @@ def _kron_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         left.shape[0] * rt.shape[0], left.shape[1] * rt.shape[1])
 
 
-def _intertwiner_system(m: Representation, n: Representation,
-                        x: Sequence[Matrix] = (), y: Sequence[Matrix] = ()) -> Matrix:
+def _intertwiner_system(m: Representation, n: Representation) -> Matrix:
     """The linear system of morphisms m -> n in _flatten coordinates.
 
     One block row per arrow a: i -> j holds n_a f_i - f_j m_a, so the
     kernel is Hom(m, n) and, for m = C and n = A, the cokernel is Ext(C, A)
-    (Ringel's standard exact sequence).  Given one map x_v into m_v and one
-    map y_v out of n_v per vertex, the rows of f_v x_v and y_v f_v follow,
-    vertex by vertex: the extra equations of an equivalence of conflations.
+    (Ringel's standard exact sequence).
 
     The unknowns of f_0 come first.  In the rows of the arrows out of
     vertex 0 they meet n_a kron I, and stacked over those arrows that is
@@ -418,24 +415,17 @@ def _intertwiner_system(m: Representation, n: Representation,
     the plain elimination's.
     """
     offsets = list(itertools.accumulate((r * c for r, c in _hom_shapes(m, n)), initial=0))
-    # (height, terms): the rows of the sum of L @ f_v @ R over the terms
-    # (v, L, R), where None stands for an identity
-    equations = [(n.dim[a.target] * m.dim[a.source],
-                  [(a.source, na.a, None), (a.target, None, -ma.a)])
-                 for a, ma, na in zip(m.quiver.arrows, m.maps, n.maps)]
-    for v, (xv, yv) in enumerate(zip(x, y)):
-        equations += [(n.dim[v] * xv.cols, [(v, None, xv.a)]),
-                      (yv.rows * m.dim[v], [(v, yv.a, None)])]
-    rows = sum(height for height, _ in equations)
-    _check_entries("intertwiner system", rows, offsets[-1])
-    system = np.zeros((rows, offsets[-1]), dtype=np.int64)
+    heights = [n.dim[a.target] * m.dim[a.source] for a in m.quiver.arrows]
+    _check_entries("intertwiner system", sum(heights), offsets[-1])
+    system = np.zeros((sum(heights), offsets[-1]), dtype=np.int64)
     start = 0
-    for height, terms in equations:
-        for v, left, right in terms:
-            if height and offsets[v + 1] > offsets[v]:
-                left = np.eye(n.dim[v], dtype=np.int64) if left is None else left
-                right = np.eye(m.dim[v], dtype=np.int64) if right is None else right
-                system[start:start + height, offsets[v]:offsets[v + 1]] += _kron_block(left, right)
+    for a, ma, na, height in zip(m.quiver.arrows, m.maps, n.maps, heights):
+        i, j, rows = a.source, a.target, slice(start, start + height)
+        # empty blocks are skipped: they have nothing to write
+        if height and offsets[i + 1] > offsets[i]:
+            system[rows, offsets[i]:offsets[i + 1]] += _kron_block(na.a, np.eye(m.dim[i], dtype=np.int64))
+        if height and offsets[j + 1] > offsets[j]:
+            system[rows, offsets[j]:offsets[j + 1]] -= _kron_block(np.eye(n.dim[j], dtype=np.int64), ma.a)
         start += height
     return Matrix._wrap(m.p, system % m.p)
 

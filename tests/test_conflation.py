@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -436,6 +437,68 @@ def test_conflations_equivalent_same_class(s1, s2, a3):
         split = conflations_equivalent(c1, Conflation.split(c1.A, c1.C))
         assert (split is None) == (not class_of(c1).is_zero())
     assert moved >= 20
+
+
+def reference_conflations_equivalent(c1, c2):
+    """conflations_equivalent as it was solved before: the system of
+    morphisms B1 -> B2 with the rows of b x1 = x2 and y2 b = y1 below it,
+    one solve; the solution, or None."""
+    B1, B2, p = c1.B, c2.B, c1.B.p
+    hom = _intertwiner_system(B1, B2).a
+    offsets = np.cumsum([0] + [d1 * d2 for d1, d2 in zip(B1.dim, B2.dim)])
+    blocks, rhs = [hom], [np.zeros(hom.shape[0], dtype=np.int64)]
+    for v in range(B1.quiver.vertex_count):
+        # row-major vec(L f R) = (L kron R^T) vec(f)
+        for coeff, value in ((np.kron(np.eye(B2.dim[v], dtype=np.int64), c1.x.components[v].a.T),
+                              c2.x.components[v]),
+                             (np.kron(c2.y.components[v].a, np.eye(B1.dim[v], dtype=np.int64)),
+                              c1.y.components[v])):
+            rows = np.zeros((coeff.shape[0], offsets[-1]), dtype=np.int64)
+            rows[:, offsets[v]:offsets[v + 1]] = coeff
+            blocks.append(rows)
+            rhs.append(value.a.reshape(-1))
+    system = Matrix(p, np.vstack(blocks))
+    return system.solve(Matrix(p, np.concatenate(rhs).reshape(-1, 1)))
+
+
+EQUIVALENCE_QUIVERS = {
+    "A2": (Quiver.from_edges(2, [("a", 0, 1)]), (2, 2)),
+    "A3": (Quiver.from_edges(3, [("a", 0, 1), ("b", 1, 2)]), (2, 2, 2)),
+    "A3 middle sink": (Quiver.from_edges(3, [("a", 0, 1), ("b", 2, 1)]), (2, 2, 2)),
+    "Kronecker": (Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)]), (2, 2)),
+    "D4": (Quiver.from_edges(4, [("a", 0, 1), ("b", 0, 2), ("c", 0, 3)]), (2, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(EQUIVALENCE_QUIVERS))
+def test_conflations_equivalent_matches_the_augmented_solve(name):
+    # same-ends pairs: c1 scrambled, c1 twisted by automorphisms of its ends,
+    # and a random class over the same ends; the coboundary solve finds an
+    # equivalence exactly when the augmented solve does
+    quiver, bound = EQUIVALENCE_QUIVERS[name]
+    rng = random.Random(f"equivalent-{name}")
+    found = {True: 0, False: 0}
+    for p in (2, 3):
+        for k in range(36):
+            c1 = random_conflation(rng, quiver, p, bound)
+            if k % 3 == 0:
+                c2 = scramble_middle(rng, c1)
+            elif k % 3 == 1:
+                phi = _random_automorphism(rng, c1.A) or RepMorphism.identity(c1.A)
+                psi = _random_automorphism(rng, c1.C) or RepMorphism.identity(c1.C)
+                c2 = Conflation(c1.A, c1.B, c1.C, c1.x @ phi.inverse(), psi @ c1.y)
+            else:
+                space = ext_space(c1.C, c1.A)
+                c2 = scramble_middle(rng, realize(space.element(
+                    [rng.randrange(p) for _ in range(space.dimension)])))
+            b = conflations_equivalent(c1, c2)
+            assert (b is None) == (reference_conflations_equivalent(c1, c2) is None)
+            found[b is not None] += 1
+            if b is not None:
+                RepMorphism(b.source, b.target, b.components)  # b intertwines
+                assert b.source == c1.B and b.target == c2.B and b.is_isomorphism()
+                assert b @ c1.x == c2.x and c2.y @ b == c1.y
+    assert found[True] >= 24 and found[False] >= 4, found
 
 
 def test_identity_conflations(s2):

@@ -14,6 +14,7 @@ from filtra import (Budget, Conflation, ExtObstruction, Filtration,
                     oracle_filtered, power_filtration, realize, reorder,
                     star_membership, transport_top)
 from filtra.errors import searching
+from filtra.filtration import _dim_feasible
 from filtra.selftest import random_filtration, standard_families
 
 
@@ -244,6 +245,60 @@ def test_decide_dimension_additivity(a2, full_family):
             for v in range(2):
                 total[v] += k * full_family[i].dim[v]
         assert tuple(total) == m.dim
+
+
+@pytest.mark.parametrize("quiver_name, p, vertex", [
+    ("a3", 2, 0), ("a3", 2, None), ("a2", 3, 0), ("a2", 3, None)])
+def test_decisions_refuse_a_module_over_another_quiver_or_field(request, full_family,
+                                                               quiver_name, p, vertex):
+    # full_family lives over A2 at p = 2; None stands for the zero module
+    quiver = request.getfixturevalue(quiver_name)
+    m = (Representation.zero(quiver, p) if vertex is None
+         else Representation.simple(quiver, p, vertex))
+    for decide in (decide_filtered, oracle_filtered):
+        with pytest.raises(ValidationError, match="module and the family must be over the same"):
+            decide(m, full_family)
+
+
+def reference_dim_feasible(theta_dims, dim, start):
+    """The recursion _dim_feasible made before: every multiplicity of each
+    member in turn."""
+    if all(d == 0 for d in dim):
+        return True
+    if start >= len(theta_dims):
+        return False
+    step = theta_dims[start]
+    top = min((d // s for d, s in zip(dim, step) if s), default=0)
+    return any(reference_dim_feasible(theta_dims, tuple(d - k * s for d, s in zip(dim, step)),
+                                      start + 1)
+               for k in range(top + 1))
+
+
+def test_dim_feasible_matches_the_recursion():
+    rng = random.Random(437)
+    answers = set()
+    for _ in range(600):
+        vertices, count = rng.randint(1, 3), rng.randint(1, 4)
+        members = []
+        while len(members) < count:
+            dims = tuple(rng.randint(0, 3) for _ in range(vertices))
+            if any(dims):
+                members.append(dims)
+        dim = tuple(rng.randint(0, 9) for _ in range(vertices))
+        for start in range(len(members) + 1):
+            expected = reference_dim_feasible(tuple(members), dim, start)
+            assert _dim_feasible(tuple(members), dim, start) == expected
+            answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_dim_feasible_keeps_one_entry_per_query(clear_caches):
+    # members of dim 2 and 4 at one vertex: the recursion tried every pair
+    # of multiplicities and cached every remainder it reached
+    clear_caches()
+    assert not _dim_feasible(((2,), (4,)), (2999,), 0)
+    assert _dim_feasible(((2,), (4,)), (3000,), 0)
+    assert len(_dim_feasible.store) == 2
 
 
 def test_decide_respects_budget(a2):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtra import DimensionMismatch, Matrix, Quiver, Representation, ValidationError
-from filtra.linalg import _RREF_SMALL_ENTRIES, PrimeField, _reduce, _rref_rank1, stack_ranks
+from filtra.linalg import (_RREF_SMALL_ENTRIES, PrimeField, _is_prime, _reduce, _rref_rank1,
+                           stack_ranks)
 
 
 def random_matrix(rng, p, rows, cols):
@@ -21,6 +22,16 @@ def test_prime_field_rejects_composites():
     for bad in (0, 1, 4, 6, 9):
         with pytest.raises(ValidationError):
             PrimeField(bad)
+
+
+def test_is_prime_matches_a_sieve():
+    # every n below PrimeField's bound of 2^15
+    bound = 2 ** 15
+    sieve = [False, False] + [True] * (bound - 2)
+    for n in range(2, bound):
+        if sieve[n]:
+            sieve[n * n::n] = [False] * len(range(n * n, bound, n))
+    assert [n for n in range(bound) if _is_prime(n)] == [n for n in range(bound) if sieve[n]]
 
 
 def test_prime_field_checks_size_before_primality():

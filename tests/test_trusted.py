@@ -5,10 +5,11 @@ invariants on construction unless check=False.  filtra passes check=False
 only where the invariant holds by construction: the split, identity and
 realized conflations, the transports with_middle and with_quotient, both
 results of the two ET4 compositions and their maps, the direct sum of
-conflations, the split witnesses, complete_square, shift_base, exchange,
-collapse, the peels of decide_filtered and star_membership,
-power_filtration, extend, transport_top, reorder, group, the two universal
-extensions and the empty filtrations of the approximations.
+conflations, the split witnesses, complete_square, shift_base, the
+equivalences of conflations_equivalent, exchange, collapse, the peels of
+decide_filtered and star_membership, power_filtration, extend,
+transport_top, reorder, group, the two universal extensions and the empty
+filtrations of the approximations.
 
 A spy records every object of the four classes as it is made, with its
 check flag and the function that made it, and every Matrix made by the
@@ -28,11 +29,12 @@ import pytest
 
 from filtra import (Conflation, Filtration, GroupedFiltration, Quiver, RepMorphism,
                     Representation, ValidationError, complete_square,
-                    conflation_direct_sum, decide_filtered, direct_sum, enumerate_reps,
-                    et4_compose, et4op_compose, ext_space, extend, group, hom_space,
-                    in_add, is_split, iso_witness, krull_schmidt, power_filtration,
-                    precover, preenvelope, realize, reorder, shift_base, star_membership,
-                    universal_extension_cover, universal_extension_env)
+                    conflation_direct_sum, conflations_equivalent, decide_filtered,
+                    direct_sum, enumerate_reps, et4_compose, et4op_compose, ext_space,
+                    extend, group, hom_space, in_add, is_split, iso_witness,
+                    krull_schmidt, power_filtration, precover, preenvelope, realize,
+                    reorder, shift_base, star_membership, universal_extension_cover,
+                    universal_extension_env)
 from filtra.linalg import Matrix
 from filtra.selftest import (_random_automorphism, random_conflation,
                              random_filtration, scramble_middle, standard_families)
@@ -44,7 +46,8 @@ CLASSES = (Conflation, RepMorphism, Filtration, GroupedFiltration)
 TRUSTED_SITES = {
     "split", "identity_right", "identity_left", "with_middle", "with_quotient",
     "realize", "et4_compose", "et4op_compose", "conflation_direct_sum",
-    "exchange", "collapse", "is_split", "complete_square", "shift_base", "peel", "go",
+    "exchange", "collapse", "is_split", "complete_square", "shift_base",
+    "conflations_equivalent", "peel", "go",
     "power_filtration", "extend", "transport_top", "reorder", "group",
     "universal_extension_cover", "universal_extension_env", "preenvelope", "precover",
 }
@@ -114,6 +117,7 @@ def _drive_trusted_sites(rng, quiver, p):
         conflation_direct_sum(c1, scramble_middle(rng, Conflation.split(x, y)))
         is_split(c1)
         is_split(scramble_middle(rng, Conflation.split(x, y)))
+        conflations_equivalent(c1, scramble_middle(rng, c1))
         a = RepMorphism.zero(c1.A, x)
         for g in hom_space(c1.A, x):
             a = a + g.scale(rng.randrange(p))
