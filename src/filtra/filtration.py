@@ -208,10 +208,14 @@ def transport_top(f: Filtration, phi: RepMorphism) -> Filtration:
     return Filtration(f.theta, f.steps[:-1] + (moved,), check=False)
 
 
+@cached
 def power_filtration(theta: ThetaFamily, label: int, k: int) -> Filtration:
     """The split filtration of theta[label]^k by k copies of theta[label].
 
-    ValidationError unless label indexes the family and k >= 0.
+    ValidationError unless label indexes the family and k >= 0.  Built once
+    per (theta, label, k) and shared by every later call until
+    clear_caches(), which is safe because values are frozen; the store holds
+    only the powers that the family's approximations asked for.
     """
     if not 0 <= label < len(theta):
         raise ValidationError(f"label {label} is out of range for {len(theta)} members")

@@ -673,9 +673,16 @@ def direct_sum(m: Representation, n: Representation) -> DirectSum:
     return DirectSum(total, inject_left, inject_right, project_left, project_right)
 
 
+@cached
 def direct_power(m: Representation, k: int) -> Representation:
     """m^k with one block-diagonal map per arrow, equal to the left-to-right
-    fold of direct sums, so powers nest literally."""
+    fold of direct sums, so powers nest literally.
+
+    Built once per (m, k) and shared by every later call until
+    clear_caches(), which is safe because values are frozen.  The
+    approximations and the GroupedFiltration check ask only for powers of
+    family members, so their traffic keeps the store to those.
+    """
     if k < 0:
         raise ValidationError("power must be nonnegative")
     eye = np.eye(k, dtype=np.int64)

@@ -1,23 +1,25 @@
 """Universal extensions, preenvelopes, precovers, and their verification."""
 
 import dataclasses
+import hashlib
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra import (Conflation, ExtObstruction, ExtSpace, Quiver, RepMorphism, Representation,
-                    ThetaFamily, ValidationError, ZeroExt, approx, connecting_map,
-                    direct_power, direct_sum, enumerate_indecomposables,
+from filtra import (Conflation, ExtObstruction, ExtSpace, Filtration, GroupedFiltration, Quiver,
+                    RepMorphism, Representation, ThetaFamily, ValidationError, ZeroExt, approx,
+                    connecting_map, direct_power, direct_sum, enumerate_indecomposables,
                     enumerate_reps, ext_space, group, is_isomorphic,
                     is_theta_injective, is_theta_projective, oracle_filtered,
-                    perp_class, precover, preenvelope, realize, universal_extension_cover,
-                    universal_extension_env, verify_precover, verify_preenvelope)
+                    perp_class, power_filtration, precover, preenvelope, realize, reorder,
+                    universal_extension_cover, universal_extension_env, verify_precover,
+                    verify_preenvelope)
 from filtra.approx import _induced_onto
 from filtra.linalg import Matrix
 from filtra.quiverrep import _flatten, hom_space
-from filtra.selftest import standard_families
+from filtra.selftest import random_filtration, standard_families
 
 # every indecomposable of A3 and of D4 lies under these bounds
 INDECOMPOSABLE_BOUNDS = {3: (1, 1, 1), 4: (2, 1, 1, 1)}
@@ -418,3 +420,81 @@ def test_approximation_stages_build_no_power_or_middle_ext(monkeypatch, clear_ca
     assert {name for name, *_ in stages} == {"universal_extension_env",
                                               "universal_extension_cover"}
     assert powers >= 5
+
+
+def result_parts(obj) -> list:
+    """Every type name, dimension vector, label, side and matrix (modulus,
+    shape, bytes) reachable from obj, in field order; families left out."""
+    if isinstance(obj, Matrix):
+        return [(obj.p, obj.shape, obj.a.tobytes())]
+    if isinstance(obj, (int, str)):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [x for o in obj for x in result_parts(o)]
+    if isinstance(obj, Representation):
+        return [obj.dim] + result_parts(obj.maps)
+    return [type(obj).__name__] + [x for fld in dataclasses.fields(obj) if fld.name != "theta"
+                                   for x in result_parts(getattr(obj, fld.name))]
+
+
+def approximation_work(quivers, seed):
+    """(family, modules, filtration) for every standard family of each
+    quiver at p = 2 and 3, drawn from one seeded stream."""
+    rng = random.Random(seed)
+    work = []
+    for quiver in quivers:
+        for p in (2, 3):
+            for theta in standard_families(quiver, p):
+                modules = [Representation.random(quiver, p, (2,) * quiver.vertex_count, rng),
+                           random_filtration(rng, theta, 3).top]
+                work.append((theta, modules, random_filtration(rng, theta, 5)))
+    return work
+
+
+def approximation_outputs(work) -> list:
+    """preenvelope and precover of every module, group(reorder(f)) of every filtration."""
+    return [out for theta, modules, f in work
+            for out in [g(x, theta) for x in modules for g in (preenvelope, precover)]
+            + [group(reorder(f))]]
+
+
+# sha256 of repr(result_parts(...)) of the outputs for approximation_work((a3, d4), 2601),
+# taken from the construction that built a fresh power at every stage
+APPROXIMATION_DIGEST = "0896744c0e87eb68c3d41c0c43f339574583465f5e84fb70bed07f5d42abf678"
+
+
+def test_approximations_read_the_same_bytes_warm_as_cold(clear_caches, a3, d4):
+    """The shared powers and power filtrations give the bytes a cold run
+    gives, after other modules over the same families filled the stores."""
+    work = approximation_work((a3, d4), 2601)
+    filler = approximation_work((a3, d4), 2602)
+    clear_caches()
+    cold = result_parts(approximation_outputs(work))
+    asked = set(power_filtration.store), set(direct_power.store)
+    clear_caches()
+    approximation_outputs(filler)
+    # the warm run reads powers that the filler's modules built
+    assert asked[0] & set(power_filtration.store) and asked[1] & set(direct_power.store)
+    warm = approximation_outputs(work)
+    assert result_parts(warm) == cold
+    assert hashlib.sha256(repr(cold).encode()).hexdigest() == APPROXIMATION_DIGEST
+    for result in warm:
+        if isinstance(result, GroupedFiltration):
+            GroupedFiltration(result.theta, result.steps)
+        else:
+            Filtration(result.theta, result.filtered_part.steps)
+            c = result.triangle
+            Conflation(c.A, c.B, c.C, c.x, c.y)
+
+
+def test_bad_power_requests_raise_every_time_and_store_nothing(clear_caches, a3):
+    theta = standard_families(a3, 3)[0]
+    clear_caches()
+    for _ in range(2):
+        for label, k, message in ((len(theta), 1, "out of range"), (-1, 1, "out of range"),
+                                  (0, -1, "nonnegative")):
+            with pytest.raises(ValidationError, match=message):
+                power_filtration(theta, label, k)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            direct_power(theta[0], -1)
+    assert not power_filtration.store and not direct_power.store

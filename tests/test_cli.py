@@ -383,8 +383,9 @@ def test_every_cross_call_store_is_registered(capsys):
     assert stray == []
     # each errors.cached store, pinned: a new one must show the traffic it serves
     assert sorted(stores) == ["conflation.ext_space", "filtration._dim_feasible",
-                              "filtration._memo_table", "quiverrep._hom_dim",
-                              "quiverrep._hom_kernel"]
+                              "filtration._memo_table", "filtration.power_filtration",
+                              "quiverrep._hom_dim", "quiverrep._hom_kernel",
+                              "quiverrep.direct_power"]
     assert len(errors._stores) == len(stores)
     assert main(["-w", A2_F3_WS, "filter", "X", "--theta", "mixed"]) == 0
     capsys.readouterr()
