@@ -92,7 +92,7 @@ def universal_extension_cover(c_obj: Representation, a_obj: Representation) -> C
     if n == 0:
         raise ZeroExt("ext(C, A) = 0; there is nothing to extend by")
     p = a_obj.p
-    basis_cocycles = space._basis_cocycles()
+    basis_cocycles = space.basis_cocycles()
     power = direct_power(a_obj, n)
     stacked = [Matrix.vstack(p, [g[k] for g in basis_cocycles], cols=c_obj.dim[arrow.source])
                for k, arrow in enumerate(a_obj.quiver.arrows)]
@@ -127,7 +127,7 @@ def universal_extension_env(n_obj: Representation, t_obj: Representation) -> Con
         raise ExtObstruction(
             f"ext(T, T) has dimension {d}, so the universal extension cannot kill ext(T, -)")
     p = n_obj.p
-    basis_cocycles = space._basis_cocycles()
+    basis_cocycles = space.basis_cocycles()
     power = direct_power(t_obj, m)
     stacked = [Matrix.hstack(p, [g[k] for g in basis_cocycles], rows=n_obj.dim[arrow.target])
                for k, arrow in enumerate(n_obj.quiver.arrows)]

@@ -381,8 +381,8 @@ def _cmd_hom(ws: Workspace, args) -> int:
 def _cmd_ext(ws: Workspace, args) -> int:
     from .conflation import ext_space
     space = ext_space(ws.rep(args.base), ws.rep(args.coefficient))
-    basis = [{a.name: g.entries for a, g in zip(ws.quiver.arrows, cls.cocycles())}
-             for cls in space.basis]
+    basis = [{a.name: g.entries for a, g in zip(ws.quiver.arrows, cocycles)}
+             for cocycles in space.basis_cocycles()]
     _emit({"dimension": space.dimension, "basis": basis})
     return 0
 

@@ -235,10 +235,11 @@ class ExtSpace:
         return [self.element(tuple(1 if i == k else 0 for i in range(self.dimension)))
                 for k in range(self.dimension)]
 
-    def _basis_cocycles(self) -> list[list[Matrix]]:
-        """The cocycles of each basis class, read in place: the k-th unit
-        vector's section image is the k-th column of the section."""
-        return [_unflatten(self.p, column, self.cocycle_shapes) for column in self._section.a.T]
+    def basis_cocycles(self) -> list[list[Matrix]]:
+        """The cocycles of each class of basis, in order, read in place: the
+        k-th unit vector's section image is the k-th column of the section."""
+        return ([_unflatten(self.p, column, self.cocycle_shapes) for column in self._section.a.T]
+                if self.dimension else [])
 
     def element(self, coords: Sequence[int]) -> "ExtClass":
         return ExtClass(self, coords)

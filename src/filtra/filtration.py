@@ -214,8 +214,9 @@ def power_filtration(theta: ThetaFamily, label: int, k: int) -> Filtration:
 
     ValidationError unless label indexes the family and k >= 0.  Built once
     per (theta, label, k) and shared by every later call until
-    clear_caches(), which is safe because values are frozen; the store holds
-    only the powers that the family's approximations asked for.
+    clear_caches(), which is safe because values are frozen.  Every call
+    that returns keeps its entry for the life of the process; within the
+    library only the approximations ask, for powers of their own family.
     """
     if not 0 <= label < len(theta):
         raise ValidationError(f"label {label} is out of range for {len(theta)} members")

@@ -679,9 +679,11 @@ def direct_power(m: Representation, k: int) -> Representation:
     fold of direct sums, so powers nest literally.
 
     Built once per (m, k) and shared by every later call until
-    clear_caches(), which is safe because values are frozen.  The
-    approximations and the GroupedFiltration check ask only for powers of
-    family members, so their traffic keeps the store to those.
+    clear_caches(), which is safe because values are frozen.  Every call
+    that returns adds its (m, k) to the store for the life of the process,
+    whatever m is; the store stays small only because the library itself
+    (the approximations and the GroupedFiltration check) passes family
+    members alone.
     """
     if k < 0:
         raise ValidationError("power must be nonnegative")

@@ -122,7 +122,7 @@ def test_ext_dimension_is_the_cokernel_count(case):
     failures = {(j, i): d for j, i, d in ThetaFamily.ordering_failures((a, c))}
     assert failures.get((1, 0), 0) == expected
     # the basis cocycles read in place from the section, against ExtClass.cocycles
-    assert [[_matrix_bytes(g) for g in cocycles] for cocycles in space._basis_cocycles()] == \
+    assert [[_matrix_bytes(g) for g in cocycles] for cocycles in space.basis_cocycles()] == \
         [[_matrix_bytes(g) for g in cls.cocycles()] for cls in space.basis]
 
 
