@@ -29,7 +29,7 @@ from .linalg import Matrix
 from .quiverrep import (Representation, RepMorphism, ThetaFamily, direct_power,
                         direct_sum, _blocks, _flatten, _hom_kernel, _hom_shapes, _rank_mask,
                         _scan, cokernel_quot, enumerate_subreps,
-                        is_isomorphic, iso_key, iso_witness, kernel_sub)
+                        is_isomorphic, iso_key, kernel_sub)
 
 __all__ = [
     "FiltrationStep",
@@ -465,10 +465,11 @@ def _check_over_family(m: Representation, theta: ThetaFamily) -> None:
         raise ValidationError("the module and the family must be over the same quiver and field")
 
 
-# the memo of one search ("decide" or "oracle") over one family: (module,
-# answer) pairs under a cheap iso invariant, resolved to iso classes on lookup
+# the memo of one search over one family: "decide" maps (module, min_label)
+# to its answer; "oracle" keeps (module, answer) pairs under a cheap iso
+# invariant, resolved to iso classes on lookup
 @cached
-def _memo_table(search: str, theta: ThetaFamily) -> dict[tuple, list]:
+def _memo_table(search: str, theta: ThetaFamily) -> dict:
     return {}
 
 
@@ -483,16 +484,15 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
     The epimorphisms are tried in itertools.product order of their
     coefficient vectors, one per line through the origin (leading nonzero
     coefficient 1), by a chunked scan (quiverrep._scan) that yields them
-    one at a time.  Results, positive and negative, are memoized up to
-    isomorphism together with the minimum-label bound; a cached filtration
-    of an isomorphic object is transported along the first isomorphism
-    witness (iso_witness).  So within one process the filtration returned
-    (never the membership) can be an earlier isomorphic module's, moved
-    over; errors.clear_caches() resets this, and each CLI command starts
-    with empty caches.  Every coefficient vector of the peel and of the
-    memo's iso scans costs one budget node, charged when the scan reaches
-    it, so budget.used and the point of any BudgetExceeded are those of a
-    loop over the vectors one at a time.
+    one at a time.  Results, positive and negative, are memoized for the
+    life of the process, keyed by the module itself (value equality) and
+    the minimum-label bound.  The peel is deterministic, so a memo hit
+    returns exactly what the call would compute with empty caches; only
+    budget.used can be lower on a warm call.  errors.clear_caches() empties
+    the memo, and each CLI command starts with empty caches.  Every
+    coefficient vector of the peel costs one budget node, charged when the
+    scan reaches it, so budget.used and the point of any BudgetExceeded are
+    those of a loop over the vectors one at a time.
     """
     _check_over_family(m, theta)
     t = len(theta)
@@ -504,16 +504,9 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
             return Filtration(theta, (), check=False)
         if not _dim_feasible(theta_dims, cur.dim, min_label):
             return None
-        key = (iso_key(cur), min_label)
-        for rep, cached in memo.get(key, []):
-            if rep == cur:
-                return cached
-            phi = iso_witness(rep, cur)
-            if phi is None:
-                continue
-            if cached is None:
-                return None
-            return transport_top(cached, phi)
+        key = (cur, min_label)
+        if key in memo:
+            return memo[key]
         result = None
         for i in range(min_label, t):
             member = theta[i]
@@ -533,7 +526,7 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
                     break
             if result is not None:
                 break
-        memo.setdefault(key, []).append((cur, result))
+        memo[key] = result
         return result
 
     with searching(budget):

@@ -442,8 +442,8 @@ import sys
 import filtra
 names = {PACKAGE_NAMES!r}
 assert filtra.__all__ == names, filtra.__all__
-assert [m for m in sys.modules if m.startswith("filtra.")] == []
 assert set(names) <= set(dir(filtra))
+assert [m for m in sys.modules if m.startswith("filtra.")] == []
 star = {{}}
 exec("from filtra import *", star)
 assert sorted(set(star) - {{"__builtins__"}}) == sorted(names)
@@ -457,6 +457,11 @@ except AttributeError as exc:
     assert out == "module 'filtra' has no attribute 'no_such_name'\n"
 
 
+def test_dir_lists_every_public_name():
+    listed = dir(filtra)
+    assert listed == sorted(listed) and set(PACKAGE_NAMES) <= set(listed)
+
+
 def test_cli_output_is_deterministic(capsys):
     main(["-w", A2_WS, "enumerate", "--max-dim", "2,2"])
     first = capsys.readouterr().out
@@ -466,9 +471,10 @@ def test_cli_output_is_deterministic(capsys):
 
 # sha256 of stdout.  The first seven were taken before the Hom scans were
 # batched: the printed epimorphisms are the first hits of the decide_filtered
-# peel, Y's decisions run memo iso scans, and the others run the split and iso
-# scans.  The last four pin the staircases of universal extensions and their
-# compositions that preenvelope and precover print.
+# peel, Y's decision by the mixed family peels sub-modules isomorphic to
+# earlier ones, and the others run the split and iso scans.  The last four pin
+# the staircases of universal extensions and their compositions that
+# preenvelope and precover print.
 PINNED = [
     (A2_F3_WS, "filter X --theta mixed", 0,
      "d727538477164566c6dde73092a5d45b81a66c88b3fbf83560442915dfcb44af"),
@@ -563,8 +569,8 @@ def test_cli_stdout_pinned(capsys):
 
 
 def test_cli_output_ignores_earlier_work_in_the_process(capsys):
-    # deciding a module isomorphic to X first leaves its filtration in the
-    # memo, and a warm memo would move it over to X
+    # deciding a module isomorphic to X first fills the memo, which the
+    # command, starting with empty caches, must not read
     a2 = Quiver.from_edges(2, [("a", 0, 1)])
     s1, p1 = Representation.simple(a2, 3, 0), Representation.projective(a2, 3, 0)
     x = direct_sum(direct_sum(p1, p1).rep, s1).rep

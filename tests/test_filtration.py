@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from filtra import (Budget, Conflation, ExtObstruction, Filtration,
+from filtra import (Budget, Conflation, ExtObstruction, Filtration, Matrix,
                     FiltrationStep, GroupedFiltration, GroupedStep, Quiver,
                     RepMorphism, Representation, ThetaFamily,
                     ValidationError, collapse, decide_filtered, direct_power,
@@ -312,8 +312,8 @@ def test_decide_respects_budget(a2):
 
 
 def test_decide_charges_the_memo_iso_scan(a2, clear_caches):
-    # a module isomorphic but not equal to a decided one is looked up in the
-    # memo through an iso scan of Hom, which the budget pays for
+    # the memo is keyed by the module itself, so a module isomorphic but not
+    # equal to a decided one misses it and is peeled, which the budget pays for
     clear_caches()
     fam = ThetaFamily((Representation.simple(a2, 3, 0), Representation.simple(a2, 3, 1)))
     m = direct_sum(Representation.projective(a2, 3, 0), Representation.simple(a2, 3, 0)).rep
@@ -324,6 +324,46 @@ def test_decide_charges_the_memo_iso_scan(a2, clear_caches):
     f = decide_filtered(scrambled, fam, budget)
     assert f is not None and f.top == scrambled
     assert budget.used > 0
+
+
+def _conjugated(m):
+    """m under the vertexwise change of basis by the upper triangular
+    matrices of ones."""
+    g = [Matrix(m.p, [[int(j >= i) for j in range(d)] for i in range(d)], shape=(d, d))
+         for d in m.dim]
+    maps = [g[a.target] @ mm @ g[a.source].inverse() for a, mm in zip(m.quiver.arrows, m.maps)]
+    return Representation(m.quiver, m.p, m.dim, maps)
+
+
+def _matrices(f):
+    """Every matrix of a filtration, step by step: the maps of each middle
+    object, the inflation, the deflation and the witness."""
+    return [(mm.shape, mm.a.tobytes()) for s in f.steps
+            for mm in (s.conflation.B.maps + s.conflation.x.components
+                       + s.conflation.y.components + s.witness.components)]
+
+
+@pytest.mark.parametrize("quiver_name", ["a2", "a3"])
+def test_decision_ignores_earlier_calls(request, quiver_name, clear_caches):
+    # an isomorphic copy decided first must not hand its filtration over
+    quiver = request.getfixturevalue(quiver_name)
+    p = 3
+    s1, p1 = Representation.simple(quiver, p, 0), Representation.projective(quiver, p, 0)
+    theta = ThetaFamily([s1, p1])
+    x = direct_sum(direct_sum(p1, s1).rep, p1).rep
+    copy = _conjugated(x)
+    assert copy != x and is_isomorphic(copy, x)
+    clear_caches()
+    cold_budget = Budget()
+    cold = decide_filtered(x, theta, cold_budget)
+    assert cold is not None and cold.top == x
+    clear_caches()
+    assert decide_filtered(copy, theta) is not None
+    warm_budget = Budget()
+    warm = decide_filtered(x, theta, warm_budget)
+    assert _matrices(warm) == _matrices(cold)
+    assert warm == cold
+    assert warm_budget.used <= cold_budget.used
 
 
 def test_filtration_of_direct_power_family(a2, s1, s2):

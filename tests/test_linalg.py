@@ -165,6 +165,14 @@ def test_entries_are_reduced_mod_p():
     assert m.entries == [[1, 2]]
 
 
+def test_matrix_refuses_assignment():
+    m = Matrix.from_rows(3, [[1, 2]])
+    for name, value in (("a", np.zeros((1, 2), dtype=np.int64)), ("p", 5), ("foo", 1)):
+        with pytest.raises(AttributeError, match="Matrix is immutable"):
+            setattr(m, name, value)
+    assert m.p == 3 and m.entries == [[1, 2]] and not hasattr(m, "foo")
+
+
 def test_matrix_refuses_non_integer_entries():
     for entries in ([[0.5]], [[1.0]], np.ones((2, 2)), [["1"]], [[None]], [[1, 2.5]]):
         with pytest.raises(ValidationError, match="must be integers"):

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from filtra import (Matrix, Quiver, RepMorphism, Representation, ThetaFamily,
-                    ValidationError, direct_power, direct_sum,
+from filtra import (DimensionMismatch, Matrix, Quiver, RepMorphism, Representation,
+                    ThetaFamily, ValidationError, direct_power, direct_sum,
                     enumerate_indecomposables, enumerate_reps, euler_pairing,
                     hom_space, is_indecomposable, is_isomorphic, iso_witness,
                     krull_schmidt)
@@ -98,6 +98,20 @@ def test_morphism_components_live_over_its_field(s1):
     with pytest.raises(ValidationError, match="vertex 0: matrix modulus 3 != 2"):
         RepMorphism(s1, s1, [Matrix(3, [[1]]), Matrix.zeros(3, 0, 0)])
     assert RepMorphism(s, s, [Matrix(2, [[1]])]).is_isomorphism()
+
+
+def test_morphism_difference_adds_the_negation(a2):
+    p = 3
+    m = direct_sum(Representation.projective(a2, p, 0), Representation.simple(a2, p, 0)).rep
+    basis = hom_space(m, m)
+    rng = random.Random("difference")
+    a, b = (sum((f.scale(rng.randrange(p)) for f in basis), RepMorphism.zero(m, m))
+            for _ in range(2))
+    assert a - b == a + b.scale(p - 1)
+    assert (a - b) + b == a and (a - a).is_zero()
+    s1, s2 = Representation.simple(a2, p, 0), Representation.simple(a2, p, 1)
+    with pytest.raises(DimensionMismatch, match="difference endpoints do not match"):
+        RepMorphism.identity(s1) - RepMorphism.identity(s2)
 
 
 def test_hom_dimensions_on_the_desk(s1, s2, p1):

@@ -3,8 +3,10 @@
 The reference functions below are the one-vector-at-a-time scans of
 quiverrep.iso_witness, quiverrep._try_split and the filtration.decide_filtered
 peel as they were before the scans were batched, kept verbatim apart from
-their names.  The batched scans must return the same first hit and charge the
-same budget, including the point where a BudgetExceeded is raised.
+their names and the peel's memo: it is keyed by the module, as the library's
+is, and by_iso selects the older memo that looked modules up by an iso scan.
+The batched scans must return the same first hit and charge the same budget,
+including the point where a BudgetExceeded is raised.
 """
 
 import itertools
@@ -17,12 +19,14 @@ import pytest
 
 from filtra import (Budget, BudgetExceeded, Matrix, Quiver, Representation,
                     RepMorphism, ThetaFamily, ValidationError, decide_filtered,
-                    direct_sum, iso_witness, krull_schmidt, quiverrep)
+                    direct_sum, enumerate_indecomposables, iso_witness, krull_schmidt,
+                    quiverrep)
 from filtra.conflation import Conflation
 from filtra.errors import searching, spend
 from filtra.filtration import Filtration, FiltrationStep, _dim_feasible, transport_top
 from filtra.quiverrep import (_canonical_key, _fitting_power, _hom_dim, _hom_kernel,
                               _invariants_match, hom_space, image_sub, iso_key, kernel_sub)
+from filtra.selftest import random_filtration, standard_families
 
 
 # -- the per-vector loops, kept as oracles -------------------------------------
@@ -167,7 +171,12 @@ def _normalized_coefficients(p: int, h: int):
 
 
 def reference_decide_filtered(m: Representation, theta: ThetaFamily, memo: dict,
-                              budget: Optional[Budget] = None) -> Optional[Filtration]:
+                              budget: Optional[Budget] = None,
+                              by_iso: bool = False) -> Optional[Filtration]:
+    """The per-vector peel.  Its memo maps (module, min_label) to the answer;
+    with by_iso it is the older memo instead, kept as an oracle: (module,
+    answer) pairs under (iso_key, min_label), a lookup scanning Hom for an
+    isomorphism and moving a cached filtration over along it."""
     t = len(theta)
     theta_dims = tuple(mem.dim for mem in theta.members)
 
@@ -176,16 +185,21 @@ def reference_decide_filtered(m: Representation, theta: ThetaFamily, memo: dict,
             return Filtration(theta, ())
         if not _dim_feasible(theta_dims, cur.dim, min_label):
             return None
-        key = (iso_key(cur), min_label)
-        for rep, cached in memo.get(key, []):
-            if rep == cur:
-                return cached
-            phi = reference_iso_witness(rep, cur)
-            if phi is None:
-                continue
-            if cached is None:
-                return None
-            return transport_top(cached, phi)
+        if by_iso:
+            key = (iso_key(cur), min_label)
+            for rep, cached in memo.get(key, []):
+                if rep == cur:
+                    return cached
+                phi = reference_iso_witness(rep, cur)
+                if phi is None:
+                    continue
+                if cached is None:
+                    return None
+                return transport_top(cached, phi)
+        else:
+            key = (cur, min_label)
+            if key in memo:
+                return memo[key]
         result = None
         for i in range(min_label, t):
             member = theta[i]
@@ -210,7 +224,10 @@ def reference_decide_filtered(m: Representation, theta: ThetaFamily, memo: dict,
                     break
             if result is not None:
                 break
-        memo.setdefault(key, []).append((cur, result))
+        if by_iso:
+            memo.setdefault(key, []).append((cur, result))
+        else:
+            memo[key] = result
         return result
 
     with searching(budget):
@@ -290,7 +307,8 @@ def test_scans_match_the_per_vector_loops(quiver_name, p, clear_caches):
                 assert (_charged(lambda b: krull_schmidt(m), limit)
                         == _charged(lambda b: reference_krull_schmidt(m), limit))
                 checked["split"] += 1
-    # decide: a module, then a scrambled copy, which the memo answers by transport
+    # decide: a module, then two scrambled copies, which the memo does not
+    # answer unless one equals an earlier module: they are peeled
     simples = [Representation.simple(quiver, p, v) for v in range(quiver.vertex_count)]
     families = [ThetaFamily(simples)]
     try:
@@ -311,6 +329,70 @@ def test_scans_match_the_per_vector_loops(quiver_name, p, clear_caches):
                                         limit))
                     checked["decide"] += 1
     assert all(checked.values()), checked
+
+
+# the budget of each decision in the sweep below: the per-vector loops run
+# a few thousand vectors at most, and the iso memo runs past it on some modules
+SWEEP_LIMIT = 3000
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("quiver_name", list(QUIVERS))
+def test_value_memo_matches_the_iso_memo_cold(quiver_name, p, clear_caches):
+    # each decision from empty caches, against the peel with the older memo:
+    # within one call its iso lookups serve isomorphic sub-modules, which the
+    # value-keyed memo peels instead
+    quiver, bound = QUIVERS[quiver_name]
+    rng = random.Random(f"sweep-{quiver_name}-{p}")
+    indecs = enumerate_indecomposables(quiver, p, bound)
+    families = standard_families(quiver, p)
+    for _ in range(200):
+        if len(families) == 6:
+            break
+        members = rng.sample(indecs, rng.randint(2, 3))
+        if not ThetaFamily.ordering_failures(members):
+            families.append(ThetaFamily(members))
+    seen = {"answered": 0, "member": 0, "budget out": 0}
+    for theta in families:
+        modules = []
+        for _ in range(3):
+            # an iterated extension of members, with and without a stray
+            # summand, and a random module
+            top = random_filtration(rng, theta, rng.randint(2, 4)).top
+            modules += [top, direct_sum(top, rng.choice(indecs)).rep,
+                        Representation.random(quiver, p, tuple(2 * b for b in bound), rng)]
+        for x in modules:
+            clear_caches()
+            old, old_used = _charged(
+                lambda b: reference_decide_filtered(x, theta, {}, b, by_iso=True), SWEEP_LIMIT)
+            clear_caches()
+            new, new_used = _charged(lambda b: decide_filtered(x, theta, b), SWEEP_LIMIT)
+            assert new_used <= old_used
+            if old is BudgetExceeded:
+                seen["budget out"] += 1
+                continue
+            assert new == old
+            seen["answered"] += 1
+            seen["member"] += old is not None
+    assert seen["answered"] > seen["member"] > 0, seen
+
+
+def test_the_d4_wall_falls(clear_caches):
+    # a D4 non-member at p = 2 whose dimension vector is the sum
+    # 2 (1,1,0,1) + (2,1,1,1) + (1,0,0,1).  Its peel meets three unequal but
+    # isomorphic sub-modules of dim (4,2,1,3), and the iso memo answered each
+    # by scanning a 15-dimensional Hom space for an isomorphism: 27,905 nodes
+    # in all, where the whole decision with the value-keyed memo takes 105
+    quiver, bound = QUIVERS["D4"]
+    indecs = {m.dim: m for m in enumerate_indecomposables(quiver, 2, bound)}
+    theta = ThetaFamily([indecs[(1, 1, 0, 1)], indecs[(2, 1, 1, 1)], indecs[(1, 0, 0, 1)]])
+    m = _random_at(random.Random(28), quiver, 2, (5, 3, 1, 4))
+    clear_caches()
+    budget = Budget(10_000)
+    assert decide_filtered(m, theta, budget) is None
+    clear_caches()
+    assert _charged(lambda b: reference_decide_filtered(m, theta, {}, b, by_iso=True),
+                    100_000) == (None, 27_905)
 
 
 def test_wide_hom_scan_stops_at_the_budget():
@@ -454,8 +536,9 @@ def test_memo_lookups_build_no_hom_basis(a3, clear_caches, monkeypatch):
         for x in [m] + copies:
             f = decide_filtered(x, theta)
             assert f is not None and f.top == x
-    # the copies were answered by memo iso lookups, which scanned Hom(m, copy)
-    assert all((m, x) in _hom_kernel.store for x in copies)
+    # the copies were peeled, not looked up by an iso scan of Hom(m, copy)
+    assert all(x != m for x in copies)
+    assert all((m, x) not in _hom_kernel.store for x in copies)
     # hom_space unpacks the cached kernel without copying it
     kernel = _hom_kernel(m, m)
     assert not kernel.flags.writeable
