@@ -117,7 +117,12 @@ _stores: list[dict] = []
 
 
 def cached(fn):
-    """fn memoized on its positional arguments until clear_caches(); fn.store is the dict."""
+    """fn memoized on its positional arguments until clear_caches(); fn.store is the dict.
+
+    A miss runs fn outside the lookup's except block, so what fn raises
+    carries no KeyError of the store as its __context__.  What raises
+    stores nothing.
+    """
     store: dict = {}
     _stores.append(store)
 
@@ -126,8 +131,9 @@ def cached(fn):
         try:
             return store[args]
         except KeyError:
-            store[args] = result = fn(*args)
-            return result
+            pass
+        store[args] = result = fn(*args)
+        return result
     wrapper.store = store
     return wrapper
 

@@ -465,12 +465,37 @@ def _check_over_family(m: Representation, theta: ThetaFamily) -> None:
         raise ValidationError("the module and the family must be over the same quiver and field")
 
 
-# the memo of one search over one family: "decide" maps (module, min_label)
-# to its answer; "oracle" keeps (module, answer) pairs under a cheap iso
-# invariant, resolved to iso classes on lookup
+def _peel(theta: ThetaFamily, cur: Representation, min_label: int) -> Optional[Filtration]:
+    """The filtration that decide_filtered finds for cur by theta[min_label:],
+    or None: the empty filtration on zero, None when no sum of those members
+    has the dimension vector of cur, and otherwise the cached _search."""
+    if cur.total_dim == 0:
+        return Filtration(theta, (), check=False)
+    if not _dim_feasible(tuple(mem.dim for mem in theta.members), cur.dim, min_label):
+        return None
+    return _search(theta, cur, min_label)
+
+
 @cached
-def _memo_table(search: str, theta: ThetaFamily) -> dict:
-    return {}
+def _search(theta: ThetaFamily, cur: Representation, min_label: int) -> Optional[Filtration]:
+    """The filtration of cur topped by the first epimorphism cur -> theta[i],
+    i >= min_label, whose kernel _peel filters by theta[i:]; else None."""
+    for i in range(min_label, len(theta)):
+        member = theta[i]
+        if any(dc < dm for dc, dm in zip(cur.dim, member.dim)):
+            continue
+        epis = _scan(_hom_kernel(cur, member), cur, member,
+                     lambda cs: _rank_mask(cs, member.dim, cur.p), leading_one=True)
+        for comps in epis:
+            epi = RepMorphism(cur, member,
+                              [Matrix._wrap(cur.p, c) for c in comps], check=False)
+            sub, incl = kernel_sub(epi)
+            below = _peel(theta, sub, i)
+            if below is not None:
+                step = FiltrationStep(Conflation(sub, cur, member, incl, epi, check=False),
+                                      i, RepMorphism.identity(member))
+                return Filtration(theta, below.steps + (step,), check=False)
+    return None
 
 
 def decide_filtered(m: Representation, theta: ThetaFamily,
@@ -484,53 +509,20 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
     The epimorphisms are tried in itertools.product order of their
     coefficient vectors, one per line through the origin (leading nonzero
     coefficient 1), by a chunked scan (quiverrep._scan) that yields them
-    one at a time.  Results, positive and negative, are memoized for the
-    life of the process, keyed by the module itself (value equality) and
-    the minimum-label bound.  The peel is deterministic, so a memo hit
-    returns exactly what the call would compute with empty caches; only
-    budget.used can be lower on a warm call.  errors.clear_caches() empties
-    the memo, and each CLI command starts with empty caches.  Every
-    coefficient vector of the peel costs one budget node, charged when the
-    scan reaches it, so budget.used and the point of any BudgetExceeded are
-    those of a loop over the vectors one at a time.
+    one at a time.  Every coefficient vector of the peel costs one budget
+    node, charged when the scan reaches it, so budget.used and the point of
+    any BudgetExceeded are those of a loop over the vectors one at a time.
+
+    The search below each nonzero, dimension-feasible module is an
+    errors.cached function of (theta, module, min_label), so its answers,
+    positive and negative, last until clear_caches().  The peel is
+    deterministic, so a warm call returns exactly what it would compute
+    with empty caches; only budget.used can be lower.  Each CLI command
+    starts with empty caches.
     """
     _check_over_family(m, theta)
-    t = len(theta)
-    theta_dims = tuple(mem.dim for mem in theta.members)
-    memo = _memo_table("decide", theta)
-
-    def peel(cur: Representation, min_label: int) -> Optional[Filtration]:
-        if cur.total_dim == 0:
-            return Filtration(theta, (), check=False)
-        if not _dim_feasible(theta_dims, cur.dim, min_label):
-            return None
-        key = (cur, min_label)
-        if key in memo:
-            return memo[key]
-        result = None
-        for i in range(min_label, t):
-            member = theta[i]
-            if any(dc < dm for dc, dm in zip(cur.dim, member.dim)):
-                continue
-            epis = _scan(_hom_kernel(cur, member), cur, member,
-                         lambda cs: _rank_mask(cs, member.dim, cur.p), leading_one=True)
-            for comps in epis:
-                epi = RepMorphism(cur, member,
-                                  [Matrix._wrap(cur.p, c) for c in comps], check=False)
-                sub, incl = kernel_sub(epi)
-                below = peel(sub, i)
-                if below is not None:
-                    step = FiltrationStep(Conflation(sub, cur, member, incl, epi, check=False),
-                                          i, RepMorphism.identity(member))
-                    result = Filtration(theta, below.steps + (step,), check=False)
-                    break
-            if result is not None:
-                break
-        memo[key] = result
-        return result
-
     with searching(budget):
-        return peel(m, 0)
+        return _peel(theta, m, 0)
 
 
 def oracle_filtered(m: Representation, theta: ThetaFamily,
@@ -539,20 +531,23 @@ def oracle_filtered(m: Representation, theta: ThetaFamily,
 
     Recursive search over all subrepresentations: m is filtered iff it is
     zero or some subrepresentation with quotient isomorphic to a family
-    member is filtered.  No ordering shortcut and no hom-space enumeration;
-    memoized up to isomorphism.  The budget pays for the subspaces and
-    tuples that enumerate_subreps walks and for the iso scans.
+    member is filtered.  No ordering shortcut and no hom-space enumeration.
+    Within the call, answers are memoized up to isomorphism: (module,
+    answer) pairs under iso_key, resolved to iso classes on lookup.  The
+    memo lasts one call, so the answer and budget.used do not depend on
+    earlier calls.  The budget pays for the subspaces and tuples that
+    enumerate_subreps walks and for the iso scans.
     """
     _check_over_family(m, theta)
-    memo = _memo_table("oracle", theta)
+    memo: dict = {}
 
     def go(cur: Representation) -> bool:
         if cur.total_dim == 0:
             return True
         key = iso_key(cur)
-        for rep, cached in memo.get(key, []):
+        for rep, known in memo.get(key, []):
             if rep == cur or is_isomorphic(rep, cur):
-                return cached
+                return known
         answer = False
         for sub, incl in enumerate_subreps(cur):
             qdim = tuple(dc - ds for dc, ds in zip(cur.dim, sub.dim))

@@ -520,13 +520,13 @@ def _hom_kernel(m: Representation, n: Representation) -> np.ndarray:
     return kernel
 
 
-@cached
 def _hom_dim(m: Representation, n: Representation) -> int:
     """dim Hom(m, n) without a basis where none is cached.
 
     The length of a cached _hom_kernel, else the number of unknowns of the
     intertwiner system minus its rank, which reads only the pivots of one
-    elimination and keeps no array.
+    elimination and keeps no array.  The count itself is not cached: few
+    calls ask twice for one pair.
     """
     kernel = _hom_kernel.store.get((m, n))
     if kernel is not None:

@@ -381,11 +381,11 @@ def test_every_cross_call_store_is_registered(capsys):
             if hasattr(value, "store") and getattr(value, "__module__", None) == module.__name__:
                 stores.append(f"{info.name}.{name}")
     assert stray == []
-    # each errors.cached store, pinned: a new one must show the traffic it serves
+    # each errors.cached store, pinned: a new one must show the traffic it
+    # serves (CHANGES.md gives the hits and misses of each on the benchmark)
     assert sorted(stores) == ["conflation.ext_space", "filtration._dim_feasible",
-                              "filtration._memo_table", "filtration.power_filtration",
-                              "quiverrep._hom_dim", "quiverrep._hom_kernel",
-                              "quiverrep.direct_power"]
+                              "filtration._search", "filtration.power_filtration",
+                              "quiverrep._hom_kernel", "quiverrep.direct_power"]
     assert len(errors._stores) == len(stores)
     assert main(["-w", A2_F3_WS, "filter", "X", "--theta", "mixed"]) == 0
     capsys.readouterr()

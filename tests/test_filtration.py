@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from filtra import (Budget, Conflation, ExtObstruction, Filtration, Matrix,
-                    FiltrationStep, GroupedFiltration, GroupedStep, Quiver,
+from filtra import (Budget, BudgetExceeded, Conflation, ExtObstruction, Filtration,
+                    Matrix, FiltrationStep, GroupedFiltration, GroupedStep, Quiver,
                     RepMorphism, Representation, ThetaFamily,
                     ValidationError, collapse, decide_filtered, direct_power,
                     direct_sum, enumerate_indecomposables, enumerate_reps,
@@ -15,6 +15,7 @@ from filtra import (Budget, Conflation, ExtObstruction, Filtration, Matrix,
                     star_membership, transport_top)
 from filtra.errors import searching
 from filtra.filtration import _dim_feasible
+from filtra.quiverrep import _hom_kernel
 from filtra.selftest import random_filtration, standard_families
 
 
@@ -309,6 +310,46 @@ def test_decide_respects_budget(a2):
     with pytest.raises(Exception) as info:
         decide_filtered(target, fam, Budget(1))
     assert "budget" in str(info.value)
+
+
+def test_cached_errors_carry_no_store_lookup(a2, clear_caches):
+    # a miss runs the cached function outside the lookup's except block, so
+    # its errors chain no KeyError, however deep the cached peel recursed
+    clear_caches()
+    one = Quiver.from_edges(1, [])
+    big = Representation.from_dict(one, 2, (300,), {})
+    with pytest.raises(ValidationError, match="too large") as refused:
+        _hom_kernel(big, big)
+    assert refused.value.__context__ is None
+    fam = ThetaFamily((Representation.simple(a2, 3, 0), Representation.simple(a2, 3, 1)))
+    target = direct_power(Representation.projective(a2, 3, 0), 3)
+    with pytest.raises(BudgetExceeded) as spent:
+        decide_filtered(target, fam, Budget(3))
+    assert spent.value.__context__ is None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("quiver_name, bound", [("a2", (2, 2)), ("a3", (1, 2, 1))])
+def test_oracle_ignores_earlier_calls(request, quiver_name, bound, p, clear_caches):
+    # each desk module decided after the others before it in one process
+    # gets the answer and the budget.used of its call from empty caches
+    quiver = request.getfixturevalue(quiver_name)
+    desk = enumerate_reps(quiver, p, bound)
+    answers = set()
+    for theta in standard_families(quiver, p):
+        cold = []
+        for m in desk:
+            clear_caches()
+            budget = Budget()
+            cold.append((oracle_filtered(m, theta, budget), budget.used))
+        clear_caches()
+        warm = []
+        for m in desk:
+            budget = Budget()
+            warm.append((oracle_filtered(m, theta, budget), budget.used))
+        assert warm == cold
+        answers |= {answer for answer, _ in cold}
+    assert answers == {True, False}
 
 
 def test_decide_charges_the_memo_iso_scan(a2, clear_caches):

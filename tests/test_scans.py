@@ -23,7 +23,8 @@ from filtra import (Budget, BudgetExceeded, Matrix, Quiver, Representation,
                     quiverrep)
 from filtra.conflation import Conflation
 from filtra.errors import searching, spend
-from filtra.filtration import Filtration, FiltrationStep, _dim_feasible, transport_top
+from filtra.filtration import (Filtration, FiltrationStep, _dim_feasible, _search,
+                               transport_top)
 from filtra.quiverrep import (_canonical_key, _fitting_power, _hom_dim, _hom_kernel,
                               _invariants_match, hom_space, image_sub, iso_key, kernel_sub)
 from filtra.selftest import random_filtration, standard_families
@@ -377,6 +378,37 @@ def test_value_memo_matches_the_iso_memo_cold(quiver_name, p, clear_caches):
     assert seen["answered"] > seen["member"] > 0, seen
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("quiver_name", ["A2", "A3"])
+def test_decision_store_holds_what_the_value_memo_held(quiver_name, p, clear_caches):
+    # one warm sweep per family, against the per-vector peel sharing one memo:
+    # the same answers and budgets call by call, and _search stores exactly
+    # the (module, min_label) keys that memo holds, each module nonzero and
+    # dimension-feasible, the zero and infeasible ones staying with the gate
+    quiver, bound = QUIVERS[quiver_name]
+    rng = random.Random(f"store-{quiver_name}-{p}")
+    seen = {"member": 0, "not": 0}
+    for theta in standard_families(quiver, p):
+        modules = []
+        for _ in range(4):
+            top = random_filtration(rng, theta, rng.randint(1, 3)).top
+            modules += [top, _scrambled(rng, top), Representation.random(quiver, p, bound, rng)]
+        clear_caches()
+        memo = {}
+        for x in modules:
+            if p ** x.total_dim > MAX_SCAN:
+                continue
+            got = _charged(lambda b: decide_filtered(x, theta, b), None)
+            assert got == _charged(lambda b: reference_decide_filtered(x, theta, memo, b), None)
+            seen["member" if got[0] is not None else "not"] += 1
+        keys = set(_search.store)
+        assert keys == {(theta, cur, label) for cur, label in memo}
+        theta_dims = tuple(mem.dim for mem in theta.members)
+        for _, cur, label in keys:
+            assert cur.total_dim > 0 and _dim_feasible(theta_dims, cur.dim, label)
+    assert all(seen.values()), seen
+
+
 def test_the_d4_wall_falls(clear_caches):
     # a D4 non-member at p = 2 whose dimension vector is the sum
     # 2 (1,1,0,1) + (2,1,1,1) + (1,0,0,1).  Its peel meets three unequal but
@@ -501,7 +533,6 @@ def test_invariants_match_counts_hom_like_the_bases(quiver_name, p, clear_caches
             counted = _hom_dim(x, y)
             assert (x, y) not in _hom_kernel.store
             assert counted == len(hom_space(x, y))
-            _hom_dim.store.clear()
             assert _hom_dim(x, y) == len(_hom_kernel.store[x, y]) == counted
     assert all(agree.values()), agree
     if quiver_name == "Kronecker":

@@ -41,13 +41,13 @@ from filtra.selftest import (_random_automorphism, random_conflation,
 
 CLASSES = (Conflation, RepMorphism, Filtration, GroupedFiltration)
 
-# the functions that build with check=False, by name; peel is the one of
-# decide_filtered and go the one of star_membership
+# the functions that build with check=False, by name; _peel and _search are
+# the ones of decide_filtered and go the one of star_membership
 TRUSTED_SITES = {
     "split", "identity_right", "identity_left", "with_middle", "with_quotient",
     "realize", "et4_compose", "et4op_compose", "conflation_direct_sum",
     "exchange", "collapse", "is_split", "complete_square", "shift_base",
-    "conflations_equivalent", "peel", "go",
+    "conflations_equivalent", "_peel", "_search", "go",
     "power_filtration", "extend", "transport_top", "reorder", "group",
     "universal_extension_cover", "universal_extension_env", "preenvelope", "precover",
 }
