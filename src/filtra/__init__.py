@@ -32,8 +32,7 @@ _EXPORTS = {
                    "transport_top"),
     "approx": ("ApproxResult", "VerifyReport", "is_theta_injective",
                "is_theta_projective", "perp_class", "precover", "preenvelope",
-               "universal_extension_cover", "universal_extension_env",
-               "verify_precover", "verify_preenvelope"),
+               "universal_extension_cover", "universal_extension_env", "verify"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

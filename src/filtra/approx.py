@@ -31,8 +31,7 @@ __all__ = [
     "universal_extension_env",
     "preenvelope",
     "precover",
-    "verify_preenvelope",
-    "verify_precover",
+    "verify",
     "perp_class",
 ]
 
@@ -260,41 +259,25 @@ def _induced_onto(f: RepMorphism, test: Representation, side: str) -> bool:
     return Matrix._wrap(f.source.p, flat % f.source.p).rank() == need
 
 
-def _verify(result: ApproxResult, test_objects: Sequence[Representation], side: str,
-            perpendicular, refusal: str) -> VerifyReport:
-    """The check of verify_preenvelope and verify_precover: test objects in
-    canonical order, those outside the perpendicular class skipped."""
-    if result.side != side:
-        raise ValidationError(refusal)
+def verify(result: ApproxResult, test_objects: Sequence[Representation]) -> VerifyReport:
+    """Check the approximation property of result against concrete test objects.
+
+    The side of result names the check.  envelope: every morphism from the
+    source into a theta-injective test object must factor through the
+    inflation f, i.e. g -> g o f must map hom(envelope, test) onto
+    hom(source, test).  cover: every morphism from a theta-projective test
+    object into the target must factor through the deflation f, i.e.
+    g -> f o g must map hom(test, cover) onto hom(test, target).  The
+    composites of a basis of the first hom space already lie in the second,
+    so the map is onto iff they have rank equal to its dimension.  Test
+    objects are taken in canonical order; those outside the perpendicular
+    class are skipped and reported, not failed.
+    """
+    perpendicular = is_theta_injective if result.side == "envelope" else is_theta_projective
     entries, skipped = [], []
     for obj in sorted(test_objects, key=_canonical_key):
         if perpendicular(obj, result.theta):
-            entries.append((obj, _induced_onto(result.map, obj, side)))
+            entries.append((obj, _induced_onto(result.map, obj, result.side)))
         else:
             skipped.append(obj)
-    return VerifyReport(side, tuple(entries), tuple(skipped))
-
-
-def verify_preenvelope(result: ApproxResult,
-                       test_objects: Sequence[Representation]) -> VerifyReport:
-    """Check the preenvelope property against concrete test objects.
-
-    Every morphism from the source into a perpendicular test object must
-    factor through the envelope, i.e. composition with the inflation f must
-    map hom(envelope, test) onto hom(source, test).  The composites g o f of
-    a basis of hom(envelope, test) already lie in hom(source, test), so the
-    map is onto iff they have rank dim hom(source, test).  Objects that are
-    not perpendicular are skipped and reported, not failed.
-    """
-    return _verify(result, test_objects, "envelope", is_theta_injective,
-                   "verify_preenvelope needs an envelope result")
-
-
-def verify_precover(result: ApproxResult,
-                    test_objects: Sequence[Representation]) -> VerifyReport:
-    """Dual check: composition with the deflation f must map hom(test, cover)
-    onto hom(test, target) for every perpendicular test object.  The
-    composites f o g of a basis of hom(test, cover) lie in hom(test, target),
-    so the map is onto iff they have rank dim hom(test, target)."""
-    return _verify(result, test_objects, "cover", is_theta_projective,
-                   "verify_precover needs a cover result")
+    return VerifyReport(result.side, tuple(entries), tuple(skipped))

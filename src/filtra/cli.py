@@ -43,7 +43,8 @@ if TYPE_CHECKING:
 __all__ = ["Workspace", "parse_workspace", "serialize_workspace", "main"]
 
 # bound on every dim entry, in workspaces and filtration documents alike: one
-# vertex this large already needs a Hom system with 2**30 unknowns
+# vertex this large already needs a Hom system with 2**30 unknowns.  The
+# vertex count of a workspace is held below it too.
 _DIM_LIMIT = 2 ** 15
 
 
@@ -167,6 +168,9 @@ def parse_workspace(text: str) -> Workspace:
             nverts = _int_token(args[0], lineno, 2, "vertex count")
             if nverts < 1:
                 raise ParseError("vertex count must be positive", lineno, 2)
+            if nverts >= _DIM_LIMIT:
+                raise ParseError(
+                    f"vertex count {nverts} is too large (at most {_DIM_LIMIT - 1})", lineno, 2)
         elif head == "arrow":
             if quiver is not None:
                 raise ParseError("arrows must precede representations", lineno, 1)
@@ -454,11 +458,10 @@ def _approx_doc(res: ApproxResult, theta_name: str) -> dict:
 
 
 def _cmd_approx(ws: Workspace, args) -> int:
-    from .approx import precover, preenvelope, verify_precover, verify_preenvelope
-    envelope = args.command == "preenvelope"
+    from .approx import precover, preenvelope, verify
     theta = ws.theta_family(args.theta)
-    x = ws.rep(args.module)
-    res = preenvelope(x, theta) if envelope else precover(x, theta)
+    build = preenvelope if args.command == "preenvelope" else precover
+    res = build(ws.rep(args.module), theta)
     doc = _approx_doc(res, args.theta)
     status = 0
     if args.verify:
@@ -466,7 +469,7 @@ def _cmd_approx(ws: Workspace, args) -> int:
             raise ValidationError("--verify needs --max-dim for the test objects")
         dims = _parse_max_dim(args.max_dim, ws.quiver)
         tests = enumerate_indecomposables(ws.quiver, ws.p, dims)
-        report = verify_preenvelope(res, tests) if envelope else verify_precover(res, tests)
+        report = verify(res, tests)
         doc["verified"] = report.passed
         doc["report"] = {
             "entries": [{"dim": list(r.dim), "ok": ok} for r, ok in report.entries],
@@ -497,7 +500,7 @@ def _cmd_enumerate(ws: Workspace, args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .selftest import run_criteria
-    results = run_criteria(seed=args.seed, budget_limit=args.budget)
+    results = run_criteria(seed=args.seed)
     _emit({"passed": all(r.passed for r in results),
            "criteria": [{"index": r.index, "name": r.name, "passed": r.passed,
                          "detail": r.detail} for r in results]})
@@ -574,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("selftest", help="run the invariant suites")
     s.set_defaults(run=_cmd_selftest)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--budget", type=int, default=None)
 
     return parser
 
@@ -599,7 +601,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         with searching():
             return _run(args)
-    except (FiltraError, OSError, MemoryError) as exc:
+    except (FiltraError, OSError, MemoryError, RecursionError) as exc:
         _emit({"error": str(exc) or type(exc).__name__})
         return 2
 

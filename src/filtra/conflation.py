@@ -352,19 +352,19 @@ class SplitWitness:
     section: RepMorphism     # s with y o s = id_C
 
 
-def is_split(c: Conflation) -> tuple[bool, Optional[SplitWitness]]:
-    """Split test with morphism witnesses.
+def is_split(c: Conflation) -> Optional[SplitWitness]:
+    """Split test: a retraction/section witness when c splits, else None.
 
-    The conflation splits iff its extracted cocycle is a coboundary d(h);
-    correcting the vertexwise splitting data by h turns it into an actual
-    retraction/section pair of morphisms.  The returned pair additionally
-    satisfies r s = 0 and x r + s y = id_B (matched splitting).
+    c splits iff its extracted cocycle is a coboundary d(h); correcting the
+    vertexwise splitting data by h turns it into an actual retraction/section
+    pair of morphisms.  The returned pair additionally satisfies r s = 0 and
+    x r + s y = id_B (matched splitting).
     """
     space = ext_space(c.C, c.A)
     g, sections, retractions = _extracted_cocycle(c)
     h = space.coboundary_solve(g)
     if h is None:
-        return False, None
+        return None
     quiver = c.B.quiver
     r_comps, s_comps = [], []
     for v in range(quiver.vertex_count):
@@ -372,7 +372,7 @@ def is_split(c: Conflation) -> tuple[bool, Optional[SplitWitness]]:
         s_comps.append(sections[v] - c.x.components[v] @ h[v])
     retraction = RepMorphism(c.B, c.A, r_comps, check=False)
     section = RepMorphism(c.C, c.B, s_comps, check=False)
-    return True, SplitWitness(retraction, section)
+    return SplitWitness(retraction, section)
 
 
 def complete_square(a: RepMorphism, b: RepMorphism, c1: Conflation, c2: Conflation) -> RepMorphism:
@@ -424,17 +424,13 @@ def shift_base(a: RepMorphism, c: Conflation) -> tuple[Conflation, RepMorphism]:
 @dataclass(frozen=True)
 class ET4:
     composite: Conflation   # A -> C -> E
-    quotient: Conflation    # D -> E -> F
-    d: RepMorphism          # D -> E
-    e: RepMorphism          # E -> F
+    quotient: Conflation    # D -> E -> F, with maps d = quotient.x and e = quotient.y
 
 
 @dataclass(frozen=True)
 class ET4Op:
     composite: Conflation   # W -> B -> Q
-    kernel: Conflation      # A -> W -> K
-    a: RepMorphism          # A -> W
-    b: RepMorphism          # W -> K
+    kernel: Conflation      # A -> W -> K, with maps a = kernel.x and b = kernel.y
 
 
 def et4_compose(c1: Conflation, c2: Conflation) -> ET4:
@@ -442,8 +438,9 @@ def et4_compose(c1: Conflation, c2: Conflation) -> ET4:
 
     Requires c1.B == c2.A (the same representation, not merely isomorphic).
     Returns the conflation on the composite inflation A -> C together with
-    the induced conflation D -> E -> F on the quotient E = C/A.  They satisfy
-    the three compatibilities of axiom (ET4):
+    the induced conflation D -> E -> F on the quotient E = C/A, whose maps
+    are d = quotient.x and e = quotient.y.  They satisfy the three
+    compatibilities of axiom (ET4):
 
       (i)   class(D -> E -> F) equals (c1.y)_* class(c2),
       (ii)  d^* class(A -> C -> E) equals class(c1),
@@ -472,7 +469,7 @@ def et4_compose(c1: Conflation, c2: Conflation) -> ET4:
     d = RepMorphism(c1.C, E, d_comps, check=False)
     e_comps = [Matrix._wrap(c1.B.p, yv.a[:, cols]) for yv, cols in zip(c2.y.components, free)]
     e = RepMorphism(E, c2.C, e_comps, check=False)
-    return ET4(composite, Conflation(c1.C, E, c2.C, d, e, check=False), d, e)
+    return ET4(composite, Conflation(c1.C, E, c2.C, d, e, check=False))
 
 
 def et4op_compose(c1: Conflation, c2: Conflation) -> ET4Op:
@@ -480,8 +477,8 @@ def et4op_compose(c1: Conflation, c2: Conflation) -> ET4Op:
 
     Requires c1.C == c2.B (the same representation).  Returns the conflation
     on the composite deflation B -> Q with kernel W, together with the
-    induced conflation A -> W -> K.  They satisfy the dual compatibilities of
-    axiom (ET4)^op:
+    induced conflation A -> W -> K, whose maps are a = kernel.x and
+    b = kernel.y.  They satisfy the dual compatibilities of axiom (ET4)^op:
 
       (i)   class(A -> W -> K) equals (c2.x)^* class(c1),
       (ii)  b_* class(W -> B -> Q) equals class(c2),
@@ -510,7 +507,7 @@ def et4op_compose(c1: Conflation, c2: Conflation) -> ET4Op:
         b_comps.append(through)
     a = RepMorphism(c1.A, W, a_comps, check=False)
     b = RepMorphism(W, c2.A, b_comps, check=False)
-    return ET4Op(composite, Conflation(c1.A, W, c2.A, a, b, check=False), a, b)
+    return ET4Op(composite, Conflation(c1.A, W, c2.A, a, b, check=False))
 
 
 def connecting_map(c: Conflation, x_obj: Representation, side: str) -> Matrix:

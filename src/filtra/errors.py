@@ -74,7 +74,7 @@ class Budget:
         self.limit = default_budget() if limit is None else limit
         if self.limit <= 0:
             raise ValidationError(
-                f"the search budget (FILTRA_BUDGET or --budget) must be positive, got {self.limit}")
+                f"the search budget (FILTRA_BUDGET) must be positive, got {self.limit}")
         self.used = 0
 
     def spend(self, n: int = 1) -> None:

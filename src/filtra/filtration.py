@@ -277,8 +277,8 @@ def exchange(c1: Conflation, c2: Conflation) -> tuple[Conflation, Conflation]:
         raise ExtObstruction(
             f"ext space of dimension {obstruction.dimension} obstructs the exchange")
     composed = et4_compose(c1, c2)
-    ok, witness = is_split(composed.quotient)
-    assert ok  # the ext space is zero, so every class in it vanishes
+    witness = is_split(composed.quotient)
+    assert witness is not None  # the ext space is zero, so every class in it vanishes
     eta = Conflation(c2.C, composed.quotient.B, c1.C,
                      witness.section, witness.retraction, check=False)
     swapped = et4op_compose(composed.composite, eta)
@@ -308,8 +308,8 @@ def collapse(fs: Sequence[Conflation]) -> Conflation:
     cur = fs[0]
     for nxt in fs[1:]:
         composed = et4_compose(cur, nxt)
-        ok, witness = is_split(composed.quotient)
-        assert ok  # class lives in ext(A, A^j) = 0
+        witness = is_split(composed.quotient)
+        assert witness is not None  # class lives in ext(A, A^j) = 0
         ds = direct_sum(cur.C, quotient)
         psi = ds.inject_left @ witness.retraction + ds.inject_right @ composed.quotient.y
         # psi is an isomorphism by construction (a matched splitting), so the

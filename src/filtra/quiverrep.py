@@ -149,11 +149,8 @@ class Representation:
     def __post_init__(self):
         quiver, p = self.quiver, self.p
         PrimeField(p)
-        dim = tuple(int(d) for d in self.dim)
+        dim = _vertex_dims(quiver, self.dim)
         maps = tuple(self.maps)
-        if len(dim) != quiver.vertex_count:
-            raise DimensionMismatch(
-                f"expected {quiver.vertex_count} vertex dimensions, got {len(dim)}")
         if any(d < 0 for d in dim):
             raise ValidationError("vertex dimensions must be nonnegative")
         if len(maps) != len(quiver.arrows):
@@ -178,7 +175,7 @@ class Representation:
         unknown = set(arrow_maps) - {a.name for a in quiver.arrows}
         if unknown:
             raise ValidationError(f"unknown arrow names {sorted(unknown)}")
-        dim = tuple(int(d) for d in dim)
+        dim = _vertex_dims(quiver, dim)
         maps = []
         for a in quiver.arrows:
             shape = (dim[a.target], dim[a.source])
@@ -197,6 +194,7 @@ class Representation:
 
     @staticmethod
     def simple(quiver: Quiver, p: int, v: int) -> "Representation":
+        _check_vertex(quiver, v)
         dim = tuple(1 if w == v else 0 for w in range(quiver.vertex_count))
         return Representation.from_dict(quiver, p, dim)
 
@@ -212,7 +210,7 @@ class Representation:
 
     @staticmethod
     def random(quiver: Quiver, p: int, max_dim: Sequence[int], rng: random.Random) -> "Representation":
-        dim = tuple(rng.randrange(b + 1) for b in max_dim)
+        dim = tuple(rng.randrange(b + 1) for b in _vertex_dims(quiver, max_dim))
         maps = []
         for a in quiver.arrows:
             r, c = dim[a.target], dim[a.source]
@@ -239,7 +237,22 @@ class Representation:
         return f"Representation(dim={self.dim}, p={self.p})"
 
 
+def _vertex_dims(quiver: Quiver, dim: Sequence[int]) -> tuple[int, ...]:
+    """dim as a tuple of ints, refused unless it has one entry per vertex."""
+    dim = tuple(int(d) for d in dim)
+    if len(dim) != quiver.vertex_count:
+        raise DimensionMismatch(
+            f"expected {quiver.vertex_count} vertex dimensions, got {len(dim)}")
+    return dim
+
+
+def _check_vertex(quiver: Quiver, v: int) -> None:
+    if not 0 <= v < quiver.vertex_count:
+        raise ValidationError(f"vertex {v} is not in 0..{quiver.vertex_count - 1}")
+
+
 def _path_representation(quiver: Quiver, p: int, v: int, out: bool) -> Representation:
+    _check_vertex(quiver, v)
     paths_at: list[list[tuple[str, ...]]] = [[] for _ in range(quiver.vertex_count)]
     paths_at[v].append(())
     for path in quiver.paths():

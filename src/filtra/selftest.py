@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .approx import (is_theta_injective, is_theta_projective, perp_class,
-                     precover, preenvelope, verify_precover, verify_preenvelope)
+                     precover, preenvelope, verify)
 from .conflation import (Conflation, class_of, ext_space, is_split, et4_compose,
                          pullback, pushforward, realize)
 from .errors import Budget, searching
@@ -195,7 +195,8 @@ def criterion_split(rng: random.Random, budget: Budget) -> CriterionResult:
             budget.spend()
             c = random_conflation(rng, quiver, p, max_dim)
             zero = class_of(c).is_zero()
-            split, witness = is_split(c)
+            w = is_split(c)
+            split = w is not None
             retraction = _identity_in_span([r @ c.x for r in hom_space(c.B, c.A)], c.A)
             section = _identity_in_span([c.y @ s for s in hom_space(c.C, c.B)], c.C)
             if not (zero == split == retraction == section):
@@ -204,7 +205,6 @@ def criterion_split(rng: random.Random, budget: Budget) -> CriterionResult:
                     f"retraction={retraction} section={section}")
             if split:
                 split_count += 1
-                w = witness
                 ident_a = RepMorphism.identity(c.A)
                 ident_c = RepMorphism.identity(c.C)
                 ident_b = RepMorphism.identity(c.B)
@@ -236,8 +236,8 @@ def criterion_compose(rng: random.Random, budget: Budget) -> CriterionResult:
         res = et4_compose(c1, c2)
         delta1, delta2, delta3 = class_of(c1), class_of(c2), class_of(res.composite)
         eq1 = class_of(res.quotient) == pushforward(c1.y, delta2)
-        eq2 = pullback(res.d, delta3) == delta1
-        eq3 = pushforward(c1.x, delta3) == pullback(res.e, delta2)
+        eq2 = pullback(res.quotient.x, delta3) == delta1
+        eq3 = pushforward(c1.x, delta3) == pullback(res.quotient.y, delta2)
         if not (eq1 and eq2 and eq3):
             notes.append(f"compatibility failure at p={p} dims {res.composite.B.dim}")
         checked += 1
@@ -346,7 +346,7 @@ def criterion_approx(rng: random.Random, budget: Budget) -> CriterionResult:
             notes.append(f"envelope middle not perpendicular at dims {x.dim}")
         if not oracle_filtered(env.triangle.C, theta, budget):
             notes.append(f"envelope quotient not filtered at dims {x.dim}")
-        report = verify_preenvelope(env, injectives)
+        report = verify(env, injectives)
         if not (report.passed and not report.skipped):
             notes.append(f"preenvelope verification failed at dims {x.dim}")
         cov = precover(x, theta)
@@ -354,7 +354,7 @@ def criterion_approx(rng: random.Random, budget: Budget) -> CriterionResult:
             notes.append(f"cover middle not perpendicular at dims {x.dim}")
         if not oracle_filtered(cov.triangle.A, theta, budget):
             notes.append(f"cover kernel not filtered at dims {x.dim}")
-        report = verify_precover(cov, projectives)
+        report = verify(cov, projectives)
         if not (report.passed and not report.skipped):
             notes.append(f"precover verification failed at dims {x.dim}")
         count += 1
@@ -433,16 +433,18 @@ CRITERIA: list[Callable[[random.Random, Budget], CriterionResult]] = [
 ]
 
 
-def run_criteria(seed: int = 0, budget_limit: Optional[int] = None) -> list[CriterionResult]:
+def run_criteria(seed: int = 0) -> list[CriterionResult]:
     """Run all criteria with a fresh seeded RNG and budget per criterion.
 
-    Every search a criterion runs, iso and split scans included, is charged
-    to its budget; an invalid budget_limit raises before any criterion runs.
+    Each criterion gets its own Budget(), so FILTRA_BUDGET, when set, is the
+    limit of each one.  Every search a criterion runs, iso and split scans
+    included, is charged to its budget; an invalid FILTRA_BUDGET raises
+    before any criterion runs.
     """
     results = []
     for fn in CRITERIA:
         rng = random.Random(seed)
-        budget = Budget(budget_limit)
+        budget = Budget()
         try:
             with searching(budget):
                 results.append(fn(rng, budget))

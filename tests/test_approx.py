@@ -14,11 +14,10 @@ from filtra import (Conflation, ExtObstruction, ExtSpace, Filtration, GroupedFil
                     enumerate_reps, ext_space, group, is_isomorphic,
                     is_theta_injective, is_theta_projective, oracle_filtered,
                     perp_class, power_filtration, precover, preenvelope, realize, reorder,
-                    universal_extension_cover, universal_extension_env, verify_precover,
-                    verify_preenvelope)
-from filtra.approx import _induced_onto
+                    universal_extension_cover, universal_extension_env, verify)
+from filtra.approx import VerifyReport, _induced_onto
 from filtra.linalg import Matrix
-from filtra.quiverrep import _flatten, hom_space
+from filtra.quiverrep import _canonical_key, _flatten, hom_space
 from filtra.selftest import random_filtration, standard_families
 
 # every indecomposable of A3 and of D4 lies under these bounds
@@ -159,7 +158,7 @@ def test_approximation_staircases_over_a3_and_d4(a3, d4):
 
 def test_verify_preenvelope_passes_and_sorts(full_family, s1, s2, p1):
     res = preenvelope(s2, full_family)
-    report = verify_preenvelope(res, [p1, s1])
+    report = verify(res, [p1, s1])
     assert report.passed
     assert [r.dim for r, _ in report.entries] == [(1, 0), (1, 1)]
     assert report.skipped == ()
@@ -167,7 +166,7 @@ def test_verify_preenvelope_passes_and_sorts(full_family, s1, s2, p1):
 
 def test_verify_skips_illegitimate_test_objects(full_family, s2):
     res = preenvelope(s2, full_family)
-    report = verify_preenvelope(res, [s2])
+    report = verify(res, [s2])
     assert report.entries == () and len(report.skipped) == 1
     assert report.passed  # vacuously
 
@@ -175,7 +174,7 @@ def test_verify_skips_illegitimate_test_objects(full_family, s2):
 def test_verify_detects_a_corrupted_map(full_family, s1, s2, p1):
     res = preenvelope(s2, full_family)
     fake = dataclasses.replace(res, map=RepMorphism.zero(s2, res.triangle.B))
-    report = verify_preenvelope(fake, [p1, s1])
+    report = verify(fake, [p1, s1])
     assert not report.passed
     # hom(S2, S1) = 0, so the S1 test is vacuous; P1 must catch the corruption
     outcomes = {r.dim: ok for r, ok in report.entries}
@@ -184,11 +183,48 @@ def test_verify_detects_a_corrupted_map(full_family, s1, s2, p1):
 
 def test_verify_precover_detects_corruption(full_family, s1, s2, p1):
     res = precover(s1, full_family)
-    report = verify_precover(res, [p1, s2])
+    report = verify(res, [p1, s2])
     assert report.passed
     fake = dataclasses.replace(res, map=RepMorphism.zero(res.triangle.B, s1))
-    bad = verify_precover(fake, [p1, s2])
+    bad = verify(fake, [p1, s2])
     assert not bad.passed
+
+
+def reference_verify(result, test_objects, side, perpendicular):
+    """The check of verify_preenvelope (side "envelope", is_theta_injective)
+    and of verify_precover ("cover", is_theta_projective), which took the
+    side and the perpendicular test from the entry point called."""
+    entries, skipped = [], []
+    for obj in sorted(test_objects, key=_canonical_key):
+        if perpendicular(obj, result.theta):
+            entries.append((obj, _induced_onto(result.map, obj, side)))
+        else:
+            skipped.append(obj)
+    return VerifyReport(side, tuple(entries), tuple(skipped))
+
+
+def test_verify_reads_the_side_from_the_result(a2, a3):
+    # every desk module of A2 and A3 at p = 2, 3 by every standard family,
+    # with its own map and with the zero map, against the per-side check
+    counts = {"entries": 0, "skipped": 0, "failed": 0}
+    per_side = (("envelope", preenvelope, is_theta_injective),
+                ("cover", precover, is_theta_projective))
+    for quiver, bound in ((a2, (2, 2)), (a3, (1, 2, 1))):
+        tests_bound = INDECOMPOSABLE_BOUNDS.get(quiver.vertex_count, (1, 1))
+        for p in (2, 3):
+            tests = enumerate_indecomposables(quiver, p, tests_bound)
+            for theta in standard_families(quiver, p):
+                for x in enumerate_reps(quiver, p, bound):
+                    for side, build, perpendicular in per_side:
+                        res = build(x, theta)
+                        zero = RepMorphism.zero(res.map.source, res.map.target)
+                        for r in (res, dataclasses.replace(res, map=zero)):
+                            report = verify(r, tests)
+                            assert report == reference_verify(r, tests, side, perpendicular)
+                            counts["entries"] += len(report.entries)
+                            counts["skipped"] += len(report.skipped)
+                            counts["failed"] += not report.passed
+    assert all(counts.values()), counts
 
 
 def test_perp_class_sides(a2, s1, s2, p1):

@@ -88,6 +88,11 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError, match="too large") as info:
         parse_workspace("field 2\nvertices 2\nrep X\ndim 1 32768\n")
     assert (info.value.line, info.value.column) == (4, 3)
+    # and so is the vertex count, before any list of that length is made
+    assert parse_workspace("field 2\nvertices 32767\n").quiver.vertex_count == 32767
+    with pytest.raises(ParseError, match="vertex count 32768 is too large") as info:
+        parse_workspace("field 2\nvertices 32768\n")
+    assert (info.value.line, info.value.column) == (2, 2)
 
 
 def test_duplicate_names_rejected():
@@ -231,7 +236,11 @@ def test_cli_bad_input_never_raises(capsys, monkeypatch, tmp_path, case):
         status, doc = run(capsys, "-w", str(ws), "enumerate",
                           "--max-dim", "99999999999999999999,1")
     elif case.startswith("selftest budget"):
-        status, doc = run(capsys, "selftest", "--budget", case.split()[-1])
+        # FILTRA_BUDGET is the one budget setting; each criterion reads it
+        limit = case.split()[-1]
+        monkeypatch.setenv("FILTRA_BUDGET", limit)
+        status, doc = run(capsys, "selftest")
+        assert doc == {"error": f"the search budget (FILTRA_BUDGET) must be positive, got {limit}"}
     else:
         status, doc = run(capsys, "-w", str(ws), "filter", "P1", "--theta", "full")
         assert status == 0
@@ -317,6 +326,7 @@ def test_cli_workspace_not_utf8_exits_2(capsys, tmp_path):
     (["selftest", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
     (["-w", A2_WS, "hom", "S1", "S2", "--bogus"], "unrecognized arguments: --bogus"),
     ([], "the following arguments are required: command"),
+    (["selftest", "--budget", "5"], "unrecognized arguments: --budget 5"),
 ])
 def test_cli_usage_errors_print_an_error_document(capsys, argv, message):
     # main returns 2 with one error document on stdout, as for any other error
@@ -338,6 +348,17 @@ def test_cli_filter_over_f3(capsys, tmp_path):
     status, doc = run(capsys, "-w", str(ws), "filter", "P1", "--theta", "full")
     assert status == 0
     assert doc["member"] is True
+
+
+def test_too_deep_a_decision_is_an_error_document(capsys, tmp_path):
+    # the peel of S^400 by S takes 400 steps of three frames each, past the
+    # default recursion limit; the traceback once exited 1, the code of a
+    # non-member
+    ws = tmp_path / "point.ws"
+    ws.write_text("field 2\nvertices 1\nrep M\ndim 400\nrep S\ndim 1\ntheta t S\n")
+    status, doc = run(capsys, "-w", str(ws), "filter", "M", "--theta", "t")
+    assert status == 2
+    assert list(doc) == ["error"] and "recursion" in doc["error"]
 
 
 def test_enumerate_deep_sums(capsys, tmp_path):
@@ -409,8 +430,7 @@ PACKAGE_NAMES = [
     "group", "in_add", "multiplicities", "oracle_filtered", "power_filtration", "reorder",
     "star_membership", "transport_top", "ApproxResult", "VerifyReport", "is_theta_injective",
     "is_theta_projective", "perp_class", "precover", "preenvelope",
-    "universal_extension_cover", "universal_extension_env", "verify_precover",
-    "verify_preenvelope",
+    "universal_extension_cover", "universal_extension_env", "verify",
 ]
 
 

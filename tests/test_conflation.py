@@ -202,8 +202,7 @@ def test_class_of_is_invariant_under_middle_change(a2):
 def test_nonsplit_extension_of_simples(s1, s2, p1):
     c = realize(ext_space(s1, s2).element([1]))
     assert is_isomorphic(c.B, p1)
-    split, witness = is_split(c)
-    assert not split and witness is None
+    assert is_split(c) is None
 
 
 def test_split_witness_identities(a2):
@@ -211,9 +210,9 @@ def test_split_witness_identities(a2):
     found = 0
     for _ in range(60):
         c = random_conflation(rng, a2, 3, (1, 1))
-        split, w = is_split(c)
-        assert split == class_of(c).is_zero()
-        if split:
+        w = is_split(c)
+        assert (w is not None) == class_of(c).is_zero()
+        if w is not None:
             found += 1
             assert w.retraction @ c.x == RepMorphism.identity(c.A)
             assert c.y @ w.section == RepMorphism.identity(c.C)
@@ -381,9 +380,9 @@ def test_et4_compose_compatibilities(a2, a3):
                 assert res.composite.A == c1.A and res.composite.B == c2.B
                 assert res.quotient.A == c1.C and res.quotient.C == c2.C
                 assert class_of(res.quotient) == pushforward(c1.y, class_of(c2))
-                assert pullback(res.d, class_of(res.composite)) == class_of(c1)
+                assert pullback(res.quotient.x, class_of(res.composite)) == class_of(c1)
                 assert pushforward(c1.x, class_of(res.composite)) == \
-                    pullback(res.e, class_of(c2))
+                    pullback(res.quotient.y, class_of(c2))
 
 
 def test_et4op_compose_compatibilities(a2, a3):
@@ -402,9 +401,9 @@ def test_et4op_compose_compatibilities(a2, a3):
                 assert res.composite.B == c1.B and res.composite.C == c2.C
                 assert res.kernel.A == c1.A and res.kernel.C == c2.A
                 assert class_of(res.kernel) == pullback(c2.x, class_of(c1))
-                assert pushforward(res.b, class_of(res.composite)) == class_of(c2)
+                assert pushforward(res.kernel.y, class_of(res.composite)) == class_of(c2)
                 assert pullback(c2.y, class_of(res.composite)) == \
-                    pushforward(res.a, class_of(c1))
+                    pushforward(res.kernel.x, class_of(c1))
 
 
 def test_conflation_direct_sum_adds_classes(s1, s2):
@@ -412,8 +411,7 @@ def test_conflation_direct_sum_adds_classes(s1, s2):
     c2 = Conflation.split(s2, s1)
     both = conflation_direct_sum(c1, c2)
     assert both.B.dim == (2, 2)
-    split, _ = is_split(both)
-    assert not split
+    assert is_split(both) is None
 
 
 def test_conflations_equivalent_same_class(s1, s2, a3):

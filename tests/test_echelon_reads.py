@@ -71,7 +71,7 @@ def reference_et4_compose(c1, c2):
     comp_sections, _ = composite.splitting_data()
     e = RepMorphism(E, c2.C, [yv @ s for yv, s in zip(c2.y.components, comp_sections)],
                     check=False)
-    return ET4(composite, Conflation(c1.C, E, c2.C, d, e, check=False), d, e)
+    return ET4(composite, Conflation(c1.C, E, c2.C, d, e, check=False))
 
 
 def reference_et4op_compose(c1, c2):
@@ -83,7 +83,7 @@ def reference_et4op_compose(c1, c2):
     b = RepMorphism(W, c2.A, [kv.solve(yv @ jv) for kv, yv, jv in
                               zip(c2.x.components, c1.y.components, j.components)],
                     check=False)
-    return ET4Op(composite, Conflation(c1.A, W, c2.A, a, b, check=False), a, b)
+    return ET4Op(composite, Conflation(c1.A, W, c2.A, a, b, check=False))
 
 
 def parts(obj, path="") -> list:

@@ -76,6 +76,50 @@ def test_simple_projective_injective_dimensions(a2, s1, s2, p1):
     assert Representation.injective(a2, 2, 1).dim == (1, 1)
 
 
+# one arrow 1 -> 0: the constructors below once answered an index outside
+# 0..1 with a wrong module (simple(2) was zero, projective(-1) had the
+# dimension of P(0), injective(-2) that of S(0)) or an IndexError
+REVERSED = Quiver.from_edges(2, [("a", 1, 0)])
+
+
+def test_simple_refuses_a_vertex_outside_the_quiver():
+    assert Representation.simple(REVERSED, 2, 1).dim == (0, 1)
+    for v in (2, -1):
+        with pytest.raises(ValidationError, match=f"vertex {v} is not in 0..1"):
+            Representation.simple(REVERSED, 2, v)
+
+
+def test_projective_refuses_a_vertex_outside_the_quiver():
+    assert Representation.projective(REVERSED, 2, 1).dim == (1, 1)
+    for v in (2, -1):
+        with pytest.raises(ValidationError, match=f"vertex {v} is not in 0..1"):
+            Representation.projective(REVERSED, 2, v)
+
+
+def test_injective_refuses_a_vertex_outside_the_quiver():
+    assert Representation.injective(REVERSED, 2, 0).dim == (1, 1)
+    for v in (2, -2):
+        with pytest.raises(ValidationError, match=f"vertex {v} is not in 0..1"):
+            Representation.injective(REVERSED, 2, v)
+
+
+def test_from_dict_refuses_a_dimension_vector_of_the_wrong_length():
+    assert Representation.from_dict(REVERSED, 2, (1, 1), {"a": [[1]]}).dim == (1, 1)
+    for dim in ((1,), (1, 1, 1)):
+        with pytest.raises(DimensionMismatch,
+                           match=f"expected 2 vertex dimensions, got {len(dim)}"):
+            Representation.from_dict(REVERSED, 2, dim)
+
+
+def test_random_refuses_a_bound_of_the_wrong_length():
+    rng = random.Random(0)
+    assert Representation.random(REVERSED, 2, (1, 1), rng).quiver == REVERSED
+    for bound in ((1,), (1, 1, 1)):
+        with pytest.raises(DimensionMismatch,
+                           match=f"expected 2 vertex dimensions, got {len(bound)}"):
+            Representation.random(REVERSED, 2, bound, rng)
+
+
 def test_morphism_must_intertwine(s2, p1):
     from filtra import Matrix
     # projecting P1 onto its second coordinate is not a morphism to S2:

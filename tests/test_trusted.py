@@ -170,13 +170,14 @@ def test_revalidation_catches_a_perturbed_morphism(s2, p1):
     # the deflation e of et4_compose with one entry changed, as a mutant of
     # et4_compose would build it: neither a morphism nor a deflation
     res = et4_compose(Conflation.identity_left(s2), Conflation.split(s2, p1))
-    comps = list(res.e.components)
+    quotient = res.quotient
+    comps = list(quotient.y.components)
     comps[0] = Matrix(2, (comps[0].a + 1) % 2)
-    bent = RepMorphism(res.e.source, res.e.target, comps, check=False)
+    bent = RepMorphism(quotient.y.source, quotient.y.target, comps, check=False)
     with pytest.raises(ValidationError, match="intertwiner law fails"):
         revalidate(bent)
     with pytest.raises(ValidationError, match="deflation must be vertexwise surjective"):
-        Conflation(res.quotient.A, res.quotient.B, res.quotient.C, res.d, bent)
+        Conflation(quotient.A, quotient.B, quotient.C, quotient.x, bent)
 
 
 def test_filtra_trusts_its_own_constructions(a3, d4, constructions, clear_caches):
