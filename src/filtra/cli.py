@@ -11,7 +11,8 @@ Workspace format (line based, `#` starts a comment):
     theta <name> <rep1> <rep2> ...
 
 Matrices for arrows whose source or target dimension is zero are omitted;
-omitted matrices are zero.  All output documents are JSON with sorted keys,
+omitted matrices are zero.  Every error in a workspace is a ParseError at
+its line and at the token it concerns, counted from 1 for the directive.  All output documents are JSON with sorted keys,
 so identical invocations print byte-identical text.  Exit status is 0 on
 success, 1 for a negative membership or verification answer, 2 on errors.
 
@@ -27,8 +28,6 @@ import json
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
-
-import numpy as np
 
 from .errors import FiltraError, ParseError, ValidationError, clear_caches, searching
 from .linalg import Matrix, PrimeField
@@ -69,34 +68,6 @@ class Workspace:
         return ThetaFamily(tuple(self.theta_members(name)))
 
 
-def _integer(x, where: str) -> int:
-    """x itself if it is an int; JSON booleans and numeric strings are not."""
-    if type(x) is not int:
-        raise ValidationError(f"{where}: {json.dumps(x)} is not an integer")
-    return x
-
-
-def _matrix_from_entries(p: int, entries, rows: int, cols: int,
-                         where: str = "matrix") -> Matrix:
-    """Build a matrix from nested (or flat) integer lists of a known shape."""
-    flat = []
-    if entries and isinstance(entries[0], (list, tuple)):
-        if len(entries) != rows:
-            raise ValidationError(f"{where}: expected {rows} rows, got {len(entries)}")
-        for row in entries:
-            if len(row) != cols:
-                raise ValidationError(f"{where}: expected {cols} columns")
-            flat.extend(row)
-    else:
-        flat = list(entries)
-    if len(flat) != rows * cols:
-        raise ValidationError(f"{where}: expected {rows * cols} entries, got {len(flat)}")
-    a = np.zeros((rows, cols), dtype=np.int64)
-    for i, x in enumerate(flat):
-        a[divmod(i, cols)] = _integer(x, f"{where} entry") % p
-    return Matrix(p, a)
-
-
 # -- workspace parsing ---------------------------------------------------------
 
 
@@ -110,15 +81,8 @@ def _tokenize(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
-def _int_token(token: str, lineno: int, column: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {token!r}", lineno, column) from None
-
-
 def parse_workspace(text: str) -> Workspace:
-    """Parse the line format; ParseError carries the offending position."""
+    """Parse the line format; every error is a ParseError at the token it concerns."""
     p: Optional[int] = None
     nverts: Optional[int] = None
     arrows: list[tuple[str, int, int]] = []
@@ -132,133 +96,134 @@ def parse_workspace(text: str) -> Workspace:
     rep_maps: dict[str, Matrix] = {}
     rep_line = 0
 
-    def finish_quiver(lineno: int) -> Quiver:
+    # the line being read; token 0 is its directive, in column 1
+    lineno, tokens = 0, []
+
+    def error(k: int, message: str) -> ParseError:
+        return ParseError(message, lineno, k + 1)
+
+    def integer(k: int, what: str, low: Optional[int] = None, high: int = 0) -> int:
+        """Token k as an integer, refused outside low..high when low is given."""
+        try:
+            v = int(tokens[k])
+        except ValueError:
+            raise error(k, f"{what} must be an integer, got {tokens[k]!r}") from None
+        if low is not None and not low <= v <= high:
+            raise error(k, f"{what} {v} is too {'large' if v > high else 'small'} "
+                           f"(must be in {low}..{high})")
+        return v
+
+    def arity(n: int, what: str, first: int = 1) -> None:
+        """Refuse unless n tokens stand from token `first` on; the error is at
+        the first surplus token, or just past the last one if some are missing."""
+        got = len(tokens) - first
+        if got != n:
+            raise error(first + min(got, n), f"{tokens[0]} takes {what}, got {got}")
+
+    def built(k: int, make, *args):
+        """make(*args); what the library refuses there is a ParseError at token k."""
+        try:
+            return make(*args)
+        except FiltraError as exc:
+            raise error(k, str(exc)) from exc
+
+    def finish_quiver() -> Quiver:
         nonlocal quiver
         if quiver is None:
             if p is None:
-                raise ParseError("field must be declared first", lineno, 1)
+                raise error(0, "field must be declared first")
             if nverts is None:
-                raise ParseError("vertices must be declared first", lineno, 1)
-            quiver = Quiver.from_edges(nverts, arrows)
+                raise error(0, "vertices must be declared first")
+            quiver = built(0, Quiver.from_edges, nverts, arrows)
         return quiver
 
-    def finish_rep(lineno: int) -> None:
+    def finish_rep() -> None:
         nonlocal rep_name, rep_dim, rep_maps
         if rep_name is None:
             return
         if rep_dim is None:
             raise ParseError(f"rep {rep_name} has no dim line", rep_line, 1)
-        reps[rep_name] = Representation.from_dict(quiver, p, rep_dim, rep_maps)
+        reps[rep_name] = built(0, Representation.from_dict, quiver, p, rep_dim, rep_maps)
         rep_name, rep_dim, rep_maps = None, None, {}
 
     for lineno, tokens in _tokenize(text):
         head, args = tokens[0], tokens[1:]
         if head == "field":
             if p is not None:
-                raise ParseError("field declared twice", lineno, 1)
-            if len(args) != 1:
-                raise ParseError("field takes one argument", lineno, 1)
-            p = _int_token(args[0], lineno, 2, "field modulus")
-            PrimeField(p)  # raises ValidationError when not prime
+                raise error(0, "field declared twice")
+            arity(1, "one argument")
+            p = built(1, PrimeField, integer(1, "field modulus")).p
         elif head == "vertices":
             if nverts is not None:
-                raise ParseError("vertices declared twice", lineno, 1)
-            if len(args) != 1:
-                raise ParseError("vertices takes one argument", lineno, 1)
-            nverts = _int_token(args[0], lineno, 2, "vertex count")
-            if nverts < 1:
-                raise ParseError("vertex count must be positive", lineno, 2)
-            if nverts >= _DIM_LIMIT:
-                raise ParseError(
-                    f"vertex count {nverts} is too large (at most {_DIM_LIMIT - 1})", lineno, 2)
+                raise error(0, "vertices declared twice")
+            arity(1, "one argument")
+            nverts = integer(1, "vertex count", 1, _DIM_LIMIT - 1)
         elif head == "arrow":
             if quiver is not None:
-                raise ParseError("arrows must precede representations", lineno, 1)
+                raise error(0, "arrows must precede representations")
             if nverts is None:
-                raise ParseError("vertices must be declared before arrows", lineno, 1)
-            if len(args) != 3:
-                raise ParseError("arrow takes a name, a source and a target", lineno, 1)
-            src = _int_token(args[1], lineno, 3, "arrow source")
-            tgt = _int_token(args[2], lineno, 4, "arrow target")
-            for label, v in (("source", src), ("target", tgt)):
-                if not 1 <= v <= nverts:
-                    raise ParseError(f"arrow {label} {v} is not a vertex in 1..{nverts}",
-                                     lineno, 3)
-            arrows.append((args[0], src - 1, tgt - 1))
+                raise error(0, "vertices must be declared before arrows")
+            arity(3, "a name, a source and a target")
+            if any(a[0] == args[0] for a in arrows):
+                raise error(1, f"duplicate arrow name {args[0]!r}")
+            arrows.append((args[0], integer(2, "arrow source", 1, nverts) - 1,
+                           integer(3, "arrow target", 1, nverts) - 1))
         elif head == "rep":
-            if len(args) != 1:
-                raise ParseError("rep takes one name", lineno, 1)
-            finish_quiver(lineno)
-            finish_rep(lineno)
+            arity(1, "one name")
+            finish_quiver()
+            finish_rep()
             if args[0] in reps:
-                raise ValidationError(f"duplicate representation name {args[0]!r}")
+                raise error(1, f"duplicate representation name {args[0]!r}")
             rep_name, rep_line = args[0], lineno
         elif head == "dim":
             if rep_name is None:
-                raise ParseError("dim outside of a rep block", lineno, 1)
+                raise error(0, "dim outside of a rep block")
             if rep_dim is not None:
-                raise ParseError(f"rep {rep_name} has two dim lines", lineno, 1)
-            if len(args) != nverts:
-                raise ParseError(f"dim takes {nverts} entries, got {len(args)}", lineno, 2)
-            dims = tuple(_int_token(a, lineno, 2 + i, "dimension")
-                         for i, a in enumerate(args))
-            if any(d < 0 for d in dims):
-                raise ParseError("dimensions must be nonnegative", lineno, 2)
-            for i, d in enumerate(dims):
-                if d >= _DIM_LIMIT:
-                    raise ParseError(f"dimension {d} is too large (at most {_DIM_LIMIT - 1})",
-                                     lineno, 2 + i)
-            rep_dim = dims
+                raise error(0, f"rep {rep_name} has two dim lines")
+            arity(nverts, "one entry per vertex")
+            rep_dim = tuple(integer(k, "dimension", 0, _DIM_LIMIT - 1)
+                            for k in range(1, len(tokens)))
         elif head == "mat":
             if rep_name is None:
-                raise ParseError("mat outside of a rep block", lineno, 1)
+                raise error(0, "mat outside of a rep block")
             if rep_dim is None:
-                raise ParseError("mat before the dim line", lineno, 1)
+                raise error(0, "mat before the dim line")
             if len(args) < 3:
-                raise ParseError("mat takes an arrow name, rows, cols and entries",
-                                 lineno, 1)
+                raise error(len(tokens), "mat takes an arrow name, rows, cols and entries")
             name = args[0]
             arrow = next((a for a in quiver.arrows if a.name == name), None)
             if arrow is None:
-                raise ParseError(f"unknown arrow {name!r}", lineno, 2)
+                raise error(1, f"unknown arrow {name!r}")
             if name in rep_maps:
-                raise ParseError(f"arrow {name} given twice in rep {rep_name}", lineno, 2)
-            rows = _int_token(args[1], lineno, 3, "row count")
-            cols = _int_token(args[2], lineno, 4, "column count")
-            expected = (rep_dim[arrow.target], rep_dim[arrow.source])
-            if (rows, cols) != expected:
-                raise ParseError(
-                    f"arrow {name}: expected a {expected[0]}x{expected[1]} matrix, "
-                    f"got {rows}x{cols}", lineno, 3)
-            entries = args[3:]
-            if len(entries) != rows * cols:
-                raise ParseError(f"expected {rows * cols} entries, got {len(entries)}",
-                                 lineno, 5)
-            values = [_int_token(e, lineno, 5 + i, "entry") for i, e in enumerate(entries)]
-            rep_maps[name] = _matrix_from_entries(p, values, rows, cols,
-                                                  where=f"arrow {name}")
+                raise error(1, f"arrow {name} given twice in rep {rep_name}")
+            shape = (rep_dim[arrow.target], rep_dim[arrow.source])
+            rows, cols = integer(2, "row count"), integer(3, "column count")
+            if (rows, cols) != shape:
+                raise error(2 if rows != shape[0] else 3,
+                            f"arrow {name}: expected a {shape[0]}x{shape[1]} matrix, "
+                            f"got {rows}x{cols}")
+            arity(rows * cols, f"{rows}x{cols} entries", first=4)
+            rep_maps[name] = Matrix(p, [integer(k, "entry") % p for k in range(4, len(tokens))],
+                                    shape=shape)
         elif head == "theta":
-            finish_quiver(lineno)
-            finish_rep(lineno)
+            finish_quiver()
+            finish_rep()
             if len(args) < 2:
-                raise ParseError("theta takes a name and at least one member", lineno, 1)
-            name, members = args[0], tuple(args[1:])
+                raise error(len(tokens), "theta takes a name and at least one member")
+            name = args[0]
             if name in thetas:
-                raise ValidationError(f"duplicate theta name {name!r}")
-            for r in members:
-                if r not in reps:
-                    raise ValidationError(f"unknown representation {r!r} in theta {name}")
-            thetas[name] = members
+                raise error(1, f"duplicate theta name {name!r}")
+            for k in range(2, len(tokens)):
+                if tokens[k] not in reps:
+                    raise error(k, f"unknown representation {tokens[k]!r} in theta {name}")
+            thetas[name] = tuple(args[1:])
         else:
-            raise ParseError(f"unknown directive {head!r}", lineno, 1)
+            raise error(0, f"unknown directive {head!r}")
 
-    if p is None:
-        raise ValidationError("workspace does not declare a field")
-    if nverts is None:
-        raise ValidationError("workspace does not declare vertices")
-    end = len(text.splitlines()) + 1
-    finish_quiver(end)
-    finish_rep(end)
+    # the end of the text closes what is still open, on the line past the last
+    lineno, tokens = len(text.splitlines()) + 1, []
+    finish_quiver()
+    finish_rep()
     return Workspace(p, quiver, reps, thetas)
 
 
@@ -307,30 +272,37 @@ def _filtration_doc(f: Filtration, theta_name: str) -> dict:
     return {"theta": theta_name, "steps": steps}
 
 
-def _rep_from_doc(ws: Workspace, doc: dict, where: str) -> Representation:
-    dim = tuple(_integer(d, f"{where} dimension") for d in doc["dim"])
-    for d in dim:
-        if d >= _DIM_LIMIT:
-            raise ValidationError(f"{where}: dimension {d} is too large (at most {_DIM_LIMIT - 1})")
+def _integer(x, what: str) -> int:
+    """x itself if it is an int; JSON booleans and strings are not, though the
+    library would read a boolean as 0 or 1."""
+    if type(x) is not int:
+        raise ValidationError(f"{what} {json.dumps(x)} is not an integer")
+    return x
+
+
+def _entries(data):
+    """Matrix data of a JSON document, every leaf checked by _integer; the
+    shape is Matrix's to check."""
+    if isinstance(data, list):
+        return [_entries(row) for row in data]
+    return _integer(data, "entry")
+
+
+def _rep_from_doc(ws: Workspace, doc: dict) -> Representation:
+    dim = [_integer(d, "dimension") for d in doc["dim"]]
+    if max(dim, default=0) >= _DIM_LIMIT:
+        raise ValidationError(f"dimension {max(dim)} is too large (at most {_DIM_LIMIT - 1})")
     if not isinstance(doc["maps"], dict):
-        raise ValidationError(f"{where}: maps must map arrow names to matrices")
-    unknown = set(doc["maps"]) - {a.name for a in ws.quiver.arrows}
-    if unknown:
-        raise ValidationError(f"{where}: unknown arrow names {sorted(unknown)}")
-    maps = {}
-    for a in ws.quiver.arrows:
-        entries = doc["maps"].get(a.name, [])
-        maps[a.name] = _matrix_from_entries(ws.p, entries, dim[a.target], dim[a.source],
-                                            where=f"{where} arrow {a.name}")
-    return Representation.from_dict(ws.quiver, ws.p, dim, maps)
+        raise ValidationError("maps must map arrow names to matrices")
+    return Representation.from_dict(ws.quiver, ws.p, dim,
+                                    {name: _entries(data) for name, data in doc["maps"].items()})
 
 
-def _morphism_from_doc(ws: Workspace, data, source: Representation,
-                       target: Representation, where: str) -> RepMorphism:
-    comps = [_matrix_from_entries(ws.p, entries, target.dim[v], source.dim[v],
-                                  where=f"{where} vertex {v + 1}")
-             for v, entries in enumerate(data)]
-    return RepMorphism(source, target, comps)
+def _morphism_from_doc(p: int, data, source: Representation,
+                       target: Representation) -> RepMorphism:
+    return RepMorphism(source, target, [Matrix(p, _entries(entries),
+                                               shape=(target.dim[v], source.dim[v]))
+                                        for v, entries in enumerate(data)])
 
 
 def _filtration_from_doc(ws: Workspace, doc: dict) -> tuple[Filtration, str]:
@@ -340,18 +312,19 @@ def _filtration_from_doc(ws: Workspace, doc: dict) -> tuple[Filtration, str]:
     theta = ws.theta_family(theta_name)
     steps = []
     for k, sdoc in enumerate(doc["steps"], start=1):
-        where = f"step {k}"
-        sub = _rep_from_doc(ws, sdoc["sub"], where)
-        middle = _rep_from_doc(ws, sdoc["middle"], where)
-        quotient = _rep_from_doc(ws, sdoc["quotient"], where)
-        x = _morphism_from_doc(ws, sdoc["inflation"], sub, middle, where)
-        y = _morphism_from_doc(ws, sdoc["deflation"], middle, quotient, where)
-        label = _integer(sdoc["label"], f"{where} label") - 1
-        if not 0 <= label < len(theta):
-            raise ValidationError(f"{where}: label {label + 1} outside the family")
-        witness = _morphism_from_doc(ws, sdoc["witness"], quotient, theta[label], where)
-        steps.append(FiltrationStep(Conflation(sub, middle, quotient, x, y),
-                                    label, witness))
+        try:
+            sub, middle, quotient = [_rep_from_doc(ws, sdoc[key])
+                                     for key in ("sub", "middle", "quotient")]
+            x = _morphism_from_doc(ws.p, sdoc["inflation"], sub, middle)
+            y = _morphism_from_doc(ws.p, sdoc["deflation"], middle, quotient)
+            label = _integer(sdoc["label"], "label") - 1
+            if not 0 <= label < len(theta):
+                raise ValidationError(f"label {label + 1} outside the family")
+            witness = _morphism_from_doc(ws.p, sdoc["witness"], quotient, theta[label])
+            steps.append(FiltrationStep(Conflation(sub, middle, quotient, x, y),
+                                        label, witness))
+        except FiltraError as exc:
+            raise ValidationError(f"step {k}: {exc}") from exc
     return Filtration(theta, steps), theta_name
 
 
@@ -362,18 +335,12 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_max_dim(raw: str, quiver: Quiver) -> tuple[int, ...]:
-    parts = raw.split(",")
-    if len(parts) != quiver.vertex_count:
-        raise ValidationError(
-            f"--max-dim takes {quiver.vertex_count} comma-separated entries")
+def _integers(raw: str, option: str) -> list[int]:
+    """The comma-separated integers of an option's value; none for an empty one."""
     try:
-        dims = tuple(int(x) for x in parts)
+        return [int(x) for x in raw.split(",")] if raw else []
     except ValueError:
-        raise ValidationError("--max-dim entries must be integers") from None
-    if any(d < 0 for d in dims):
-        raise ValidationError("--max-dim entries must be nonnegative")
-    return dims
+        raise ValidationError(f"{option} entries must be integers") from None
 
 
 def _cmd_hom(ws: Workspace, args) -> int:
@@ -394,15 +361,7 @@ def _cmd_ext(ws: Workspace, args) -> int:
 def _cmd_realize(ws: Workspace, args) -> int:
     from .conflation import ext_space, realize
     space = ext_space(ws.rep(args.base), ws.rep(args.coefficient))
-    raw = args.cls.split(",") if args.cls else []
-    try:
-        coords = [int(x) for x in raw]
-    except ValueError:
-        raise ValidationError("--class entries must be integers") from None
-    if len(coords) != space.dimension:
-        raise ValidationError(
-            f"--class takes {space.dimension} coordinates, got {len(coords)}")
-    _emit(_conflation_doc(realize(space.element(coords))))
+    _emit(_conflation_doc(realize(space.element(_integers(args.cls, "--class")))))
     return 0
 
 
@@ -467,7 +426,7 @@ def _cmd_approx(ws: Workspace, args) -> int:
     if args.verify:
         if args.max_dim is None:
             raise ValidationError("--verify needs --max-dim for the test objects")
-        dims = _parse_max_dim(args.max_dim, ws.quiver)
+        dims = _integers(args.max_dim, "--max-dim")
         tests = enumerate_indecomposables(ws.quiver, ws.p, dims)
         report = verify(res, tests)
         doc["verified"] = report.passed
@@ -484,7 +443,7 @@ def _cmd_approx(ws: Workspace, args) -> int:
 def _cmd_perp(ws: Workspace, args) -> int:
     from .approx import perp_class
     theta = ws.theta_family(args.theta)
-    dims = _parse_max_dim(args.max_dim, ws.quiver)
+    dims = _integers(args.max_dim, "--max-dim")
     candidates = enumerate_indecomposables(ws.quiver, ws.p, dims)
     members = perp_class(theta, args.side, candidates)
     _emit({"side": args.side, "members": [_rep_doc(m) for m in members]})
@@ -492,7 +451,7 @@ def _cmd_perp(ws: Workspace, args) -> int:
 
 
 def _cmd_enumerate(ws: Workspace, args) -> int:
-    dims = _parse_max_dim(args.max_dim, ws.quiver)
+    dims = _integers(args.max_dim, "--max-dim")
     classes = enumerate_reps(ws.quiver, ws.p, dims)
     _emit({"count": len(classes), "classes": [_rep_doc(m) for m in classes]})
     return 0

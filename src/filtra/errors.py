@@ -29,8 +29,14 @@ class ValidationError(FiltraError):
     """A structural invariant failed; the message names the invariant."""
 
 
-class ParseError(FiltraError):
-    """Workspace text is malformed.  Carries 1-based line and column."""
+class ParseError(ValidationError):
+    """Workspace text is malformed, or names something a constructor refuses.
+
+    Carries the 1-based line and column of the token it concerns; the
+    column counts tokens, the directive being column 1.  A ValidationError
+    because it is one: what the library refuses while a directive is read,
+    a prime or an acyclic quiver, is raised again as a ParseError there.
+    """
 
     def __init__(self, message: str, line: int, column: int = 1):
         super().__init__(f"line {line}, column {column}: {message}")

@@ -124,11 +124,14 @@ class Matrix:
     There are two ways in.  The constructor ``Matrix(p, entries, shape)``
     takes outside data: it refuses a modulus that PrimeField refuses and
     anything but a rectangular array of integers that fit int64, reduces it
-    mod p and copies it.  ``_wrap`` is for the results of this module's own
-    operations, fresh int64 arrays already in [0, p) that no caller holds,
-    and for read-only views of them (quiverrep's Hom bases are views of one
-    cached kernel array); it skips all of that.  Not a dataclass: the
-    constructor takes raw entries and a shape rather than its fields.
+    mod p and copies it.  Given a shape, it takes rows of that shape, flat
+    row-major data of that size, or empty data; rows of another shape are a
+    DimensionMismatch, never reshaped.  ``_wrap`` is for the results of this
+    module's own operations, fresh int64 arrays already in [0, p) that no
+    caller holds, and for read-only views of them (quiverrep's Hom bases
+    are views of one cached kernel array); it skips all of that.  Not a
+    dataclass: the constructor takes raw entries and a shape rather than
+    its fields.
     """
 
     __slots__ = ("p", "a", "_hash")
@@ -139,7 +142,9 @@ class Matrix:
             a = np.asarray(entries)
         except ValueError:
             raise DimensionMismatch("matrix rows must all have the same length") from None
-        if shape is not None:
+        if shape is not None and a.shape != tuple(shape):
+            if a.ndim > 1 and a.size:  # rows of another shape are not reshaped
+                raise DimensionMismatch(f"matrix data of shape {a.shape} is not of shape {shape}")
             try:
                 a = a.reshape(shape)
             except ValueError:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 import random
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -151,8 +152,6 @@ class Representation:
         PrimeField(p)
         dim = _vertex_dims(quiver, self.dim)
         maps = tuple(self.maps)
-        if any(d < 0 for d in dim):
-            raise ValidationError("vertex dimensions must be nonnegative")
         if len(maps) != len(quiver.arrows):
             raise DimensionMismatch(
                 f"expected {len(quiver.arrows)} arrow matrices, got {len(maps)}")
@@ -238,12 +237,21 @@ class Representation:
 
 
 def _vertex_dims(quiver: Quiver, dim: Sequence[int]) -> tuple[int, ...]:
-    """dim as a tuple of ints, refused unless it has one entry per vertex."""
-    dim = tuple(int(d) for d in dim)
-    if len(dim) != quiver.vertex_count:
+    """dim as a tuple of ints, refused unless it has one nonnegative integer per vertex.
+
+    The one check of every dimension vector and dimension bound that enters
+    the library: a float or a string is refused, never truncated.
+    """
+    try:
+        dims = tuple(map(operator.index, dim))
+    except TypeError:
+        raise ValidationError(f"vertex dimensions must be integers, got {dim!r}") from None
+    if len(dims) != quiver.vertex_count:
         raise DimensionMismatch(
-            f"expected {quiver.vertex_count} vertex dimensions, got {len(dim)}")
-    return dim
+            f"expected {quiver.vertex_count} vertex dimensions, got {len(dims)}")
+    if min(dims, default=0) < 0:
+        raise ValidationError(f"vertex dimensions must be nonnegative, got {dims}")
+    return dims
 
 
 def _check_vertex(quiver: Quiver, v: int) -> None:
@@ -1001,7 +1009,7 @@ def enumerate_indecomposables(quiver: Quiver, p: int,
     dynkin = _is_dynkin(quiver)
     found: list[Representation] = []
     with searching():
-        for dim in _dim_vectors_under(tuple(int(b) for b in max_dim)):
+        for dim in _dim_vectors_under(_vertex_dims(quiver, max_dim)):
             if sum(dim) == 0 or (dynkin and _euler_form(quiver, dim, dim) != 1):
                 continue
             for rep in _all_raw_reps(quiver, p, dim):
@@ -1028,7 +1036,7 @@ def enumerate_reps(quiver: Quiver, p: int, max_dim: Sequence[int]) -> list[Repre
     indecomposables, so its block layout does not depend on the walk, and
     each class costs one budget node.
     """
-    bound = tuple(int(b) for b in max_dim)
+    bound = _vertex_dims(quiver, max_dim)
     results: list[Representation] = []
     with searching():
         indecs = enumerate_indecomposables(quiver, p, bound)

@@ -4,8 +4,9 @@ Each criterion function returns a CriterionResult with a pass flag and a
 short human-readable detail line.  A criterion records a note for every
 failed check and passes iff it recorded none; the first notes tail the
 detail line.  Randomized criteria take a seeded RNG so identical
-invocations produce identical outcomes; searches that could blow up take a
-Budget.
+invocations produce identical outcomes.  A criterion takes no budget: its
+searches and its own loops charge the running one (errors.spend), which
+run_criteria sets to a fresh Budget() per criterion.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .approx import (is_theta_injective, is_theta_projective, perp_class,
                      precover, preenvelope, verify)
 from .conflation import (Conflation, class_of, ext_space, is_split, et4_compose,
                          pullback, pushforward, realize)
-from .errors import Budget, searching
+from .errors import Budget, searching, spend
 from .filtration import (Filtration, FiltrationStep, decide_filtered, group,
                          in_add, multiplicities, oracle_filtered, reorder,
                          star_membership)
@@ -133,7 +134,7 @@ def random_filtration(rng: random.Random, theta: ThetaFamily, length: int) -> Fi
 
 # -- criterion 1: ext dimensions and the Euler-form cross-check ---------------
 
-def criterion_ext_dimensions(rng: random.Random, budget: Budget) -> CriterionResult:
+def criterion_ext_dimensions(rng: random.Random) -> CriterionResult:
     quiver, p = a2_quiver(), 2
     s1 = Representation.simple(quiver, p, 0)
     s2 = Representation.simple(quiver, p, 1)
@@ -182,7 +183,7 @@ def _identity_in_span(composites: Sequence[RepMorphism], obj: Representation) ->
     return bool((((combos @ flat) % obj.p) == target).all(axis=1).any())
 
 
-def criterion_split(rng: random.Random, budget: Budget) -> CriterionResult:
+def criterion_split(rng: random.Random) -> CriterionResult:
     setups = [
         (a2_quiver(), 2, (1, 1)), (a2_quiver(), 3, (1, 1)),
         (a3_quiver(), 2, (1, 1, 1)), (a3_quiver(), 3, (1, 1, 1)),
@@ -192,7 +193,7 @@ def criterion_split(rng: random.Random, budget: Budget) -> CriterionResult:
     notes = []
     for quiver, p, max_dim in setups:
         for _ in range(per):
-            budget.spend()
+            spend()
             c = random_conflation(rng, quiver, p, max_dim)
             zero = class_of(c).is_zero()
             w = is_split(c)
@@ -219,7 +220,7 @@ def criterion_split(rng: random.Random, budget: Budget) -> CriterionResult:
 
 # -- criterion 3: composition compatibilities ----------------------------------
 
-def criterion_compose(rng: random.Random, budget: Budget) -> CriterionResult:
+def criterion_compose(rng: random.Random) -> CriterionResult:
     setups = [(a2_quiver(), 2, (1, 1)), (a3_quiver(), 2, (1, 1, 1)),
               (a2_quiver(), 3, (1, 1))]
     checked = 0
@@ -227,7 +228,7 @@ def criterion_compose(rng: random.Random, budget: Budget) -> CriterionResult:
     target = 120
     while checked < target:
         quiver, p, max_dim = setups[checked % len(setups)]
-        budget.spend()
+        spend()
         c1 = random_conflation(rng, quiver, p, max_dim)
         f_obj = Representation.random(quiver, p, max_dim, rng)
         space = ext_space(f_obj, c1.B)
@@ -247,7 +248,7 @@ def criterion_compose(rng: random.Random, budget: Budget) -> CriterionResult:
 
 # -- criterion 4: reorder and group --------------------------------------------
 
-def criterion_reorder(rng: random.Random, budget: Budget) -> CriterionResult:
+def criterion_reorder(rng: random.Random) -> CriterionResult:
     pools = [(q, standard_families(q, 2)) for q in (a2_quiver(), a3_quiver())]
     checked = 0
     notes = []
@@ -256,7 +257,7 @@ def criterion_reorder(rng: random.Random, budget: Budget) -> CriterionResult:
         _, families = pools[checked % len(pools)]
         theta = families[rng.randrange(len(families))]
         f = random_filtration(rng, theta, rng.randrange(6))
-        budget.spend()
+        spend()
         g = reorder(f)
         if g.top != f.top:
             notes.append("reorder changed the filtered object")
@@ -281,7 +282,7 @@ def criterion_reorder(rng: random.Random, budget: Budget) -> CriterionResult:
 
 # -- criterion 5: decision procedure against the oracle ------------------------
 
-def criterion_decision(rng: random.Random, budget: Budget) -> CriterionResult:
+def criterion_decision(rng: random.Random) -> CriterionResult:
     setups = [(a2_quiver(), 2, (3, 3)), (a3_quiver(), 2, (2, 2, 2))]
     notes = []
     compared = 0
@@ -289,8 +290,8 @@ def criterion_decision(rng: random.Random, budget: Budget) -> CriterionResult:
         desk = enumerate_reps(quiver, p, bound)
         for theta in standard_families(quiver, p):
             for m in desk:
-                found = decide_filtered(m, theta, budget)
-                accepted = oracle_filtered(m, theta, budget)
+                found = decide_filtered(m, theta)
+                accepted = oracle_filtered(m, theta)
                 if (found is not None) != accepted:
                     notes.append(
                         f"disagreement at dims {m.dim} for family {[x.dim for x in theta.members]}")
@@ -314,7 +315,7 @@ def criterion_decision(rng: random.Random, budget: Budget) -> CriterionResult:
     theta = ThetaFamily((s1, p1))
     pred = in_add([s1, p1])
     for m in enumerate_reps(quiver, p, (3, 3)):
-        if (decide_filtered(m, theta, budget) is not None) != pred(m):
+        if (decide_filtered(m, theta) is not None) != pred(m):
             notes.append(f"spot-family mismatch at dims {m.dim}")
     detail = f"{compared} decisions compared"
     return _result(5, "filtration decision against the oracle", detail, notes)
@@ -322,7 +323,7 @@ def criterion_decision(rng: random.Random, budget: Budget) -> CriterionResult:
 
 # -- criterion 6: approximation triangles ---------------------------------------
 
-def criterion_approx(rng: random.Random, budget: Budget) -> CriterionResult:
+def criterion_approx(rng: random.Random) -> CriterionResult:
     quiver, p = a2_quiver(), 2
     s1 = Representation.simple(quiver, p, 0)
     s2 = Representation.simple(quiver, p, 1)
@@ -340,11 +341,11 @@ def criterion_approx(rng: random.Random, budget: Budget) -> CriterionResult:
         notes.append("projective side of the perpendicular class is not {S2, P1}")
     count = 0
     for x in enumerate_reps(quiver, p, (2, 2)):
-        budget.spend()
+        spend()
         env = preenvelope(x, theta)
         if any(ext_space(member, env.triangle.B).dimension for member in theta.members):
             notes.append(f"envelope middle not perpendicular at dims {x.dim}")
-        if not oracle_filtered(env.triangle.C, theta, budget):
+        if not oracle_filtered(env.triangle.C, theta):
             notes.append(f"envelope quotient not filtered at dims {x.dim}")
         report = verify(env, injectives)
         if not (report.passed and not report.skipped):
@@ -352,7 +353,7 @@ def criterion_approx(rng: random.Random, budget: Budget) -> CriterionResult:
         cov = precover(x, theta)
         if any(ext_space(cov.triangle.B, member).dimension for member in theta.members):
             notes.append(f"cover middle not perpendicular at dims {x.dim}")
-        if not oracle_filtered(cov.triangle.A, theta, budget):
+        if not oracle_filtered(cov.triangle.A, theta):
             notes.append(f"cover kernel not filtered at dims {x.dim}")
         report = verify(cov, projectives)
         if not (report.passed and not report.skipped):
@@ -370,12 +371,12 @@ def criterion_approx(rng: random.Random, budget: Budget) -> CriterionResult:
 
 # -- criterion 7: perpendicular reduction ---------------------------------------
 
-def criterion_perp(rng: random.Random, budget: Budget) -> CriterionResult:
+def criterion_perp(rng: random.Random) -> CriterionResult:
     quiver, p = a2_quiver(), 2
     theta = ThetaFamily((Representation.simple(quiver, p, 0),
                          Representation.simple(quiver, p, 1)))
     desk = enumerate_reps(quiver, p, (3, 3))
-    filtered = [m for m in desk if decide_filtered(m, theta, budget) is not None]
+    filtered = [m for m in desk if decide_filtered(m, theta) is not None]
     notes = []
     for a in desk:
         left_family = is_theta_projective(a, theta)
@@ -392,7 +393,7 @@ def criterion_perp(rng: random.Random, budget: Budget) -> CriterionResult:
 
 # -- criterion 8: star associativity and monotonicity ---------------------------
 
-def criterion_star(rng: random.Random, budget: Budget) -> CriterionResult:
+def criterion_star(rng: random.Random) -> CriterionResult:
     quiver, p = a2_quiver(), 2
     desk = enumerate_reps(quiver, p, (2, 2))
     notes = []
@@ -403,16 +404,16 @@ def criterion_star(rng: random.Random, budget: Budget) -> CriterionResult:
         full = in_add(list(theta.members))
 
         def pair(x: Callable, y: Callable) -> Callable[[Representation], bool]:
-            return lambda q: star_membership(q, [x, y], budget) is not None
+            return lambda q: star_membership(q, [x, y]) is not None
 
         for m in desk:
-            flat = star_membership(m, [first, last, full], budget) is not None
-            left = star_membership(m, [pair(first, last), full], budget) is not None
-            right = star_membership(m, [first, pair(last, full)], budget) is not None
+            flat = star_membership(m, [first, last, full]) is not None
+            left = star_membership(m, [pair(first, last), full]) is not None
+            right = star_membership(m, [first, pair(last, full)]) is not None
             if not (flat == left == right):
                 notes.append(f"associativity mismatch at dims {m.dim}")
             assoc_checked += 1
-            chain = [star_membership(m, [full] * k, budget) is not None
+            chain = [star_membership(m, [full] * k) is not None
                      for k in range(1, 4)]
             if any(chain[i] and not chain[i + 1] for i in range(len(chain) - 1)):
                 notes.append(f"monotonicity fails at dims {m.dim}")
@@ -421,7 +422,7 @@ def criterion_star(rng: random.Random, budget: Budget) -> CriterionResult:
     return _result(8, "star associativity and monotonicity", detail, notes)
 
 
-CRITERIA: list[Callable[[random.Random, Budget], CriterionResult]] = [
+CRITERIA: list[Callable[[random.Random], CriterionResult]] = [
     criterion_ext_dimensions,
     criterion_split,
     criterion_compose,
@@ -436,10 +437,11 @@ CRITERIA: list[Callable[[random.Random, Budget], CriterionResult]] = [
 def run_criteria(seed: int = 0) -> list[CriterionResult]:
     """Run all criteria with a fresh seeded RNG and budget per criterion.
 
-    Each criterion gets its own Budget(), so FILTRA_BUDGET, when set, is the
-    limit of each one.  Every search a criterion runs, iso and split scans
-    included, is charged to its budget; an invalid FILTRA_BUDGET raises
-    before any criterion runs.
+    Each criterion runs under searching(Budget()), so FILTRA_BUDGET, when
+    set, is the limit of each one.  Every search a criterion runs, iso and
+    split scans included, is charged to that budget, and so is each
+    errors.spend() of the criterion's own loops; an invalid FILTRA_BUDGET
+    raises before any criterion runs.
     """
     results = []
     for fn in CRITERIA:
@@ -447,7 +449,7 @@ def run_criteria(seed: int = 0) -> list[CriterionResult]:
         budget = Budget()
         try:
             with searching(budget):
-                results.append(fn(rng, budget))
+                results.append(fn(rng))
         except Exception as exc:  # a crash is a failure, not an abort
             index = len(results) + 1
             results.append(CriterionResult(index, fn.__name__, False,

@@ -28,7 +28,8 @@ BOUNDS = {1: 5.0, 2: 30.0, 3: 30.0, 4: 60.0, 5: 300.0, 6: 120.0, 7: 120.0, 8: 12
 def run_criterion(fn):
     rng = random.Random(0)
     start = time.perf_counter()
-    result = fn(rng, Budget())
+    with searching(Budget()):
+        result = fn(rng)
     elapsed = time.perf_counter() - start
     verdict = "PASS" if result.passed else "FAIL"
     line = (f"criterion {result.index} {verdict} ({elapsed:.1f}s / "
@@ -74,7 +75,8 @@ def test_a_failed_check_fails_its_criterion(monkeypatch):
     # an Euler form off by one breaks every pair: the criterion fails, and its
     # detail shows the first four notes in the order the desk is walked
     monkeypatch.setattr(selftest, "euler_pairing", lambda m, n: euler_pairing(m, n) + 1)
-    result = criterion_ext_dimensions(random.Random(0), Budget())
+    with searching(Budget()):
+        result = criterion_ext_dimensions(random.Random(0))
     desk = enumerate_reps(a2_quiver(), 2, (3, 3))
     notes = [f"Euler mismatch at dims {desk[0].dim}, {n.dim}" for n in desk[:4]]
     assert not result.passed
@@ -125,9 +127,8 @@ def test_criteria_ignore_call_order_and_cache_state(clear_caches):
         clear_caches()
         results = {}
         for fn in fns:
-            budget = Budget()
-            with searching(budget):
-                results[fn.__name__] = fn(random.Random(0), budget)
+            with searching(Budget()):
+                results[fn.__name__] = fn(random.Random(0))
         passes.append(results)
     assert passes[0] == passes[1]
     assert all(r.passed for r in passes[0].values())

@@ -95,6 +95,33 @@ def test_parse_errors_carry_positions():
     assert (info.value.line, info.value.column) == (2, 2)
 
 
+_HEAD = "field 2\nvertices 2\narrow a 1 2\n"
+
+
+@pytest.mark.parametrize("text, position, message", [
+    ("field 4\nvertices 1\n", (1, 2), "prime"),
+    (_HEAD + "arrow a 1 2\n", (4, 2), "duplicate arrow name 'a'"),
+    # a cycle shows when the quiver closes: at the first rep, or past the text
+    (_HEAD + "arrow b 2 1\nrep X\ndim 1 1\n", (5, 1), "acyclic"),
+    (_HEAD + "arrow b 2 1\n", (5, 1), "acyclic"),
+    ("field 2\nvertices 2\narrow a 1 3\n", (3, 4), "arrow target 3"),
+    ("field 2\nvertices 2\nrep X\ndim 1 -1\n", (4, 3), "dimension -1"),
+    (_HEAD + "rep X\ndim 2 1\nmat a 1 1 1\n", (6, 4), "expected a 1x2 matrix"),
+    (_HEAD + "rep X\ndim 1 1\nmat a 2 1 1 0\n", (6, 3), "expected a 1x1 matrix"),
+    (_HEAD + "rep X\ndim 1 1\nmat a 1 1 1 0\n", (6, 6), "mat takes 1x1 entries, got 2"),
+    ("field 2\nvertices 1\nrep X\ndim 1\nrep X\n", (5, 2), "duplicate representation"),
+    ("field 2\nvertices 1\nrep X\ndim 1\ntheta t X\ntheta t X\n", (6, 2), "duplicate theta"),
+    ("field 2\nvertices 1\nrep X\ndim 1\ntheta t X Y X\n", (5, 4), "unknown representation 'Y'"),
+    ("vertices 1\n", (2, 1), "field must be declared first"),
+])
+def test_workspace_errors_name_their_token(text, position, message):
+    # the column counts tokens, the directive being column 1
+    with pytest.raises(ParseError, match=message) as info:
+        parse_workspace(text)
+    assert (info.value.line, info.value.column) == position
+    assert str(info.value).startswith(f"line {position[0]}, column {position[1]}: ")
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(ValidationError, match="duplicate"):
         parse_workspace("field 2\nvertices 1\nrep X\ndim 1\nrep X\ndim 1\n")
@@ -327,6 +354,10 @@ def test_cli_workspace_not_utf8_exits_2(capsys, tmp_path):
     (["-w", A2_WS, "hom", "S1", "S2", "--bogus"], "unrecognized arguments: --bogus"),
     ([], "the following arguments are required: command"),
     (["selftest", "--budget", "5"], "unrecognized arguments: --budget 5"),
+    # one reader for the comma-separated integers of --class and --max-dim
+    (["-w", A2_WS, "realize", "S1", "S2", "--class", "x"], "--class entries must be integers"),
+    (["-w", A2_WS, "enumerate", "--max-dim", "1.5,1"], "--max-dim entries must be integers"),
+    (["-w", A2_WS, "enumerate", "--max-dim", "1"], "expected 2 vertex dimensions, got 1"),
 ])
 def test_cli_usage_errors_print_an_error_document(capsys, argv, message):
     # main returns 2 with one error document on stdout, as for any other error
@@ -666,6 +697,19 @@ def test_cli_fuzzed_workspaces_exit_cleanly(tmp_path_factory, case):
         assert status in (0, 1, 2), command
         doc = json.loads(out.getvalue())
         assert status != 2 or list(doc) == ["error"], command
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_workspace_texts())
+def test_fuzzed_workspace_errors_carry_positions(case):
+    # whatever refuses the text, the parser or a constructor it calls, the
+    # error names a line and a column of it
+    text = case[0]
+    try:
+        parse_workspace(text)
+    except ParseError as exc:
+        assert 1 <= exc.line <= len(text.splitlines()) + 1
+        assert str(exc).startswith(f"line {exc.line}, column {exc.column}: ")
 
 
 # JSON values that replace leaves of a filtration document: the only large

@@ -192,6 +192,23 @@ def test_matrix_refuses_non_integer_entries():
     assert Matrix(3, np.array([[5, -1]], dtype=object)).entries == [[2, 2]]
 
 
+def test_matrix_takes_a_shape_from_flat_or_empty_data_only():
+    # rows of another shape are refused, never reshaped into the one asked for
+    for entries in ([[1], [0], [0], [1]], [[1, 0, 0, 1]], np.eye(2, dtype=np.int64)[None]):
+        with pytest.raises(DimensionMismatch, match="is not of shape"):
+            Matrix(3, entries, shape=(2, 2))
+    assert Matrix(3, [1, 0, 0, 1], shape=(2, 2)) == Matrix.identity(3, 2)
+    assert Matrix(3, [[1, 0], [0, 1]], shape=(2, 2)) == Matrix.identity(3, 2)
+    assert Matrix(3, [], shape=(0, 2)).shape == (0, 2)
+    assert Matrix(3, [[], []], shape=(2, 0)).shape == (2, 0)
+    # so from_dict takes a map's rows at the arrow's shape only
+    quiver = Quiver.from_edges(2, [("a", 0, 1)])
+    with pytest.raises(DimensionMismatch):
+        Representation.from_dict(quiver, 2, (2, 2), {"a": [[1, 1, 0, 1]]})
+    assert Representation.from_dict(quiver, 2, (2, 2), {"a": [1, 1, 0, 1]}).maps[0].entries \
+        == [[1, 1], [0, 1]]
+
+
 # -- the row-at-a-time elimination, kept as the reference for Matrix.rref ----
 
 def _reference_rref(m):

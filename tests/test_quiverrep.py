@@ -120,6 +120,36 @@ def test_random_refuses_a_bound_of_the_wrong_length():
             Representation.random(REVERSED, 2, bound, rng)
 
 
+def test_dimension_vectors_and_bounds_must_be_integers():
+    # one check for every dimension vector and bound: nothing is truncated by int()
+    zero = [Matrix.zeros(2, 1, 1)]
+    for dim in ((1.7, "1"), (1.5, 1)):
+        with pytest.raises(ValidationError, match="vertex dimensions must be integers"):
+            Representation.from_dict(REVERSED, 2, dim)
+        with pytest.raises(ValidationError, match="vertex dimensions must be integers"):
+            Representation(REVERSED, 2, dim, zero)
+        with pytest.raises(ValidationError, match="vertex dimensions must be integers"):
+            Representation.random(REVERSED, 2, dim, random.Random(0))
+        with pytest.raises(ValidationError, match="vertex dimensions must be integers"):
+            enumerate_reps(REVERSED, 2, dim)
+    # numpy integers are integers
+    assert Representation.from_dict(REVERSED, 2, np.array([1, 1])).dim == (1, 1)
+
+
+def test_bounds_are_refused_before_they_are_read():
+    with pytest.raises(DimensionMismatch, match="expected 2 vertex dimensions, got 1"):
+        enumerate_indecomposables(REVERSED, 2, (1,))
+    with pytest.raises(DimensionMismatch, match="expected 2 vertex dimensions, got 3"):
+        enumerate_reps(REVERSED, 2, (1, 1, 1))
+    for bound in ((-1, 1), (1, -1)):
+        with pytest.raises(ValidationError, match="must be nonnegative"):
+            Representation.random(REVERSED, 2, bound, random.Random(0))
+        with pytest.raises(ValidationError, match="must be nonnegative"):
+            enumerate_indecomposables(REVERSED, 2, bound)
+        with pytest.raises(ValidationError, match="must be nonnegative"):
+            Representation.from_dict(REVERSED, 2, bound)
+
+
 def test_morphism_must_intertwine(s2, p1):
     from filtra import Matrix
     # projecting P1 onto its second coordinate is not a morphism to S2:
