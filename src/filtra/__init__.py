@@ -19,7 +19,7 @@ _EXPORTS = {
                   "direct_sum", "direct_power", "enumerate_indecomposables",
                   "enumerate_reps", "enumerate_subreps", "euler_pairing",
                   "hom_space", "is_indecomposable", "is_isomorphic", "iso_key",
-                  "iso_witness", "krull_schmidt"),
+                  "iso_witness"),
     "conflation": ("Conflation", "ExtClass", "ExtSpace", "SplitWitness", "class_of",
                    "complete_square", "conflation_direct_sum",
                    "conflations_equivalent", "connecting_map", "et4_compose",

@@ -176,8 +176,8 @@ class ExtSpace:
 
     The dimension is counted by rank-nullity on d (quiverrep._ext_dim) and
     builds no matrix here.  d, the projection and its section are built on
-    first use, by coordinates, cocycle_of, basis and coboundary_solve; the
-    projection has exactly dimension rows.
+    first use, by coordinates, ExtClass.cocycles, basis and
+    coboundary_solve; the projection has exactly dimension rows.
     """
 
     C: Representation
@@ -226,9 +226,6 @@ class ExtSpace:
     def coordinates(self, cocycles: Sequence[Matrix]) -> tuple[int, ...]:
         coords = self._projection @ self._flatten(cocycles)
         return tuple(int(v) for v in coords.a.reshape(-1))
-
-    def cocycle_of(self, coords: Sequence[int]) -> tuple[Matrix, ...]:
-        return ExtClass(self, coords).cocycles()
 
     @property
     def basis(self) -> list["ExtClass"]:
@@ -409,7 +406,7 @@ def shift_base(a: RepMorphism, c: Conflation) -> tuple[Conflation, RepMorphism]:
     # of those coordinates, which differs from a o g by a coboundary d(h),
     # and that h is exactly the correction making the comparison map intertwine
     pushed = [a.components[arr.target] @ g[k] for k, arr in enumerate(quiver.arrows)]
-    canonical = space.cocycle_of(space.coordinates(pushed))
+    canonical = space.element(space.coordinates(pushed)).cocycles()
     B, x, y = _block_extension(a.target, c.C, canonical)
     shifted = Conflation(a.target, B, c.C, x, y, check=False)
     h = space.coboundary_solve([pg - eg for pg, eg in zip(pushed, canonical)])

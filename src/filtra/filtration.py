@@ -55,8 +55,8 @@ __all__ = [
 class FiltrationStep:
     """One layer: a conflation M_{i-1} -> M_i -> X with X ~ theta[label].
 
-    Its quotient is one copy of theta[label], so it counts once toward the
-    multiplicity vector, as a GroupedStep counts its multiplicity.
+    Its quotient is one copy of theta[label], so multiplicities() counts it
+    once, as it counts a GroupedStep's multiplicity.
     """
 
     conflation: Conflation
@@ -106,14 +106,6 @@ class _Chain:
     @property
     def labels(self) -> tuple[int, ...]:
         return tuple(s.label for s in self.steps)
-
-    @property
-    def multiplicity_vector(self) -> tuple[int, ...]:
-        """How many copies of each family member the layers carry in all."""
-        counts = [0] * len(self.theta)
-        for s in self.steps:
-            counts[s.label] += s.multiplicity
-        return tuple(counts)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -183,8 +175,11 @@ class GroupedFiltration(_Chain):
 def multiplicities(f: Filtration | GroupedFiltration) -> tuple[int, ...]:
     """How many copies of each family member the layers of f carry: the
     number of steps with each label for a Filtration, and the multiplicities
-    summed per label for a GroupedFiltration (f.multiplicity_vector)."""
-    return f.multiplicity_vector
+    summed per label for a GroupedFiltration."""
+    counts = [0] * len(f.theta)
+    for s in f.steps:
+        counts[s.label] += s.multiplicity
+    return tuple(counts)
 
 
 def transport_top(f: Filtration, phi: RepMorphism) -> Filtration:

@@ -7,10 +7,9 @@ kernels, solutions and quotient projections are deterministic: repeated calls
 yield bit-identical results.
 
 ``_reduce`` is the one elimination that ``rref``, ``rank`` and ``solve``
-share (``kernel_basis`` reads ``rref``, ``column_space_basis`` only the
-pivots).  It takes a raw array, so ``rank`` builds no echelon ``Matrix`` and
-``solve`` no augmented one, and picks one of two Gauss-Jordan eliminations
-by the number of entries.  Matrices of at most ``_RREF_SMALL_ENTRIES`` (100)
+share (``kernel_basis`` reads ``rref``).  It takes a raw array, so ``rank``
+builds no echelon ``Matrix`` and ``solve`` no augmented one, and picks one
+of two Gauss-Jordan eliminations by the number of entries.  Matrices of at most ``_RREF_SMALL_ENTRIES`` (100)
 entries are eliminated as Python int lists, where numpy's per-call overhead
 would cost more than the arithmetic.  Larger ones get one numpy rank-1
 update per pivot, applied only to the rows with a nonzero entry in the pivot
@@ -187,14 +186,6 @@ class Matrix:
     def identity(p: int, n: int) -> "Matrix":
         return Matrix._wrap(p, np.eye(n, dtype=np.int64))
 
-    @staticmethod
-    def from_rows(p: int, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Matrix":
-        if len(rows) == 0:
-            if cols is None:
-                raise DimensionMismatch("empty row list needs an explicit column count")
-            return Matrix.zeros(p, 0, cols)
-        return Matrix(p, [list(r) for r in rows])
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -216,9 +207,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not self.a.any()
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and bool(np.array_equal(self.a, np.eye(self.rows, dtype=np.int64)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -349,11 +337,6 @@ class Matrix:
         """
         q = self.transpose().kernel_basis().transpose()
         return q, q.rows
-
-    def column_space_basis(self) -> "Matrix":
-        """Columns of self at the pivot positions (leftmost independent set)."""
-        _, pivots = _reduce(self.a, self.p)
-        return Matrix._wrap(self.p, self.a[:, list(pivots)])
 
 
 def _kernel_rows(r: np.ndarray, pivots: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray]:

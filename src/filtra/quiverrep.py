@@ -42,12 +42,10 @@ __all__ = [
     "direct_sum",
     "direct_power",
     "kernel_sub",
-    "image_sub",
     "cokernel_quot",
     "is_isomorphic",
     "iso_witness",
     "is_indecomposable",
-    "krull_schmidt",
     "enumerate_reps",
     "enumerate_indecomposables",
     "enumerate_subreps",
@@ -607,14 +605,6 @@ def _scan(kernel: np.ndarray, m: Representation, n: Representation, test,
         start, size = stop, min(4 * size, _SCAN_MAX_CHUNK)
 
 
-def _first_hit(m: Representation, n: Representation, test) -> Optional[RepMorphism]:
-    """The first element of Hom(m, n) that _scan passes test, or None."""
-    comps = next(_scan(_hom_kernel(m, n), m, n, test), None)
-    if comps is None:
-        return None
-    return RepMorphism(m, n, [Matrix._wrap(m.p, c) for c in comps], check=False)
-
-
 def _rank_mask(comps: list[np.ndarray], ranks: Sequence[int], p: int) -> np.ndarray:
     """Which combinations have the given rank at every vertex."""
     ok = np.ones(len(comps[0]), dtype=bool)
@@ -742,28 +732,6 @@ def _kernel_sub(f: RepMorphism) -> tuple[Representation, RepMorphism, list[np.nd
     return sub, RepMorphism(sub, f.source, bases, check=False), free
 
 
-def image_sub(f: RepMorphism) -> tuple[Representation, RepMorphism]:
-    """Image subrepresentation with its inclusion into f.target."""
-    bases = [m.column_space_basis() for m in f.components]
-    return _sub_from_bases(f.target, bases)
-
-
-def _sub_from_bases(ambient: Representation,
-                    bases: Sequence[Matrix]) -> tuple[Representation, RepMorphism]:
-    quiver, p = ambient.quiver, ambient.p
-    dim = tuple(b.cols for b in bases)
-    maps = []
-    for a, big in zip(quiver.arrows, ambient.maps):
-        rhs = big @ bases[a.source]
-        small = bases[a.target].solve(rhs)
-        if small is None:
-            raise ValidationError(f"subspaces are not closed under arrow {a.name}")
-        maps.append(small)
-    sub = Representation(quiver, p, dim, maps)
-    incl = RepMorphism(sub, ambient, bases, check=False)
-    return sub, incl
-
-
 def cokernel_quot(f: RepMorphism) -> tuple[Representation, RepMorphism]:
     """Cokernel representation of f with the projection from f.target.
 
@@ -792,7 +760,7 @@ def _cokernel_quot(f: RepMorphism) -> tuple[Representation, RepMorphism, list[np
     return quot, RepMorphism(f.target, quot, projections, check=False), free
 
 
-# -- isomorphism, indecomposability, Krull-Schmidt ---------------------------
+# -- isomorphism and indecomposability ----------------------------------------
 
 def iso_key(m: Representation):
     """Cheap iso-invariant: dims, arrow ranks and path-composite ranks.
@@ -850,53 +818,49 @@ def iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
     if not _invariants_match(m, n):
         return None
     with searching():
-        return _first_hit(m, n, lambda cs: _rank_mask(cs, n.dim, m.p))
+        comps = next(_scan(_hom_kernel(m, n), m, n, lambda cs: _rank_mask(cs, n.dim, m.p)), None)
+    if comps is None:
+        return None
+    return RepMorphism(m, n, [Matrix._wrap(m.p, c) for c in comps], check=False)
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
     return iso_witness(m, n) is not None
 
 
-def _fitting_power(m: Representation, phi_comps: list[np.ndarray]) -> Optional[RepMorphism]:
-    """A high power of the endomorphism phi when it is neither zero nor
-    invertible, else None.  Its image and kernel then split m (Fitting)."""
+def _fitting_splits(m: Representation, phi_comps: list[np.ndarray]) -> bool:
+    """Whether a high power of the endomorphism phi is neither zero nor
+    invertible, so that its image and kernel split m (Fitting)."""
     p, power = m.p, phi_comps
     # at least two squarings, so the power is made of fresh arrays
     for _ in range(max(1, m.total_dim).bit_length() + 1):
         power = [(c @ c) % p for c in power]
-    mats = [Matrix._wrap(p, c) for c in power]
-    rank_total = sum(mat.rank() for mat in mats)
-    if rank_total == 0 or rank_total == m.total_dim:
-        return None
-    return RepMorphism(m, m, mats, check=False)
+    return 0 < sum(Matrix._wrap(p, c).rank() for c in power) < m.total_dim
 
 
-def _try_split(m: Representation) -> Optional[RepMorphism]:
-    """A Fitting power (_fitting_power) that splits m, or None when m is
-    indecomposable.
+def _splits(m: Representation) -> bool:
+    """Whether m has a nontrivial direct-sum splitting.
 
-    Fitting powers of the End basis elements and of their pairwise sums
-    first, then an exhaustive scan of End(m) (_scan) for a nontrivial
-    idempotent: the first one in itertools.product order of the coefficient
-    vectors, which is its own Fitting power.  Every Fitting attempt and
-    every scanned vector up to that idempotent costs one budget node.  Call
-    it inside searching().
+    Fitting powers (_fitting_splits) of the End basis elements and of their
+    pairwise sums first, then an exhaustive scan of End(m) (_scan) for a
+    nontrivial idempotent, up to the first one in itertools.product order of
+    the coefficient vectors.  Every Fitting attempt and every scanned vector
+    up to that idempotent costs one budget node.  Call it inside searching().
     """
     if m.total_dim == 0:
-        return None
+        return False
     p = m.p
     kernel, shapes = _hom_kernel(m, m), _hom_shapes(m, m)
     for f in kernel:
         spend()
-        power = _fitting_power(m, _blocks(f, shapes))
-        if power is not None:
-            return power
+        if _fitting_splits(m, _blocks(f, shapes)):
+            return True
     for f, g in itertools.combinations(kernel, 2):
         spend()
-        power = _fitting_power(m, _blocks((f + g) % p, shapes))
-        if power is not None:
-            return power
-    return _first_hit(m, m, lambda cs: _nontrivial_idempotent_mask(cs, p))
+        if _fitting_splits(m, _blocks((f + g) % p, shapes)):
+            return True
+    idempotents = _scan(kernel, m, m, lambda cs: _nontrivial_idempotent_mask(cs, p))
+    return next(idempotents, None) is not None
 
 
 def is_indecomposable(m: Representation) -> bool:
@@ -904,37 +868,7 @@ def is_indecomposable(m: Representation) -> bool:
     if m.total_dim == 0:
         return False
     with searching():
-        return _try_split(m) is None
-
-
-def _decompose(m: Representation) -> list[Representation]:
-    """Indecomposable pieces of m: the image and then the kernel of the
-    Fitting power that splits it (_try_split), each decomposed in turn."""
-    if m.total_dim == 0:
-        return []
-    power = _try_split(m)
-    if power is None:
-        return [m]
-    return [piece for part in (image_sub(power)[0], kernel_sub(power)[0])
-            for piece in _decompose(part)]
-
-
-def krull_schmidt(m: Representation) -> list[tuple[Representation, int]]:
-    """Indecomposable summands with multiplicities.
-
-    Deterministic order: sorted by (total dimension, dim vector, cheap iso
-    key, matrix bytes of the chosen representative).
-    """
-    groups: list[tuple[Representation, int]] = []
-    with searching():
-        for piece in _decompose(m):
-            for k, (rep, count) in enumerate(groups):
-                if is_isomorphic(piece, rep):
-                    groups[k] = (rep, count + 1)
-                    break
-            else:
-                groups.append((piece, 1))
-    return sorted(groups, key=lambda item: _canonical_key(item[0]))
+        return not _splits(m)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -1019,7 +953,7 @@ def enumerate_indecomposables(quiver: Quiver, p: int,
                     if brick:
                         found.append(rep)
                         break
-                elif ((brick or _try_split(rep) is None)
+                elif ((brick or not _splits(rep))
                       and not any(is_isomorphic(rep, seen) for seen in found if seen.dim == dim)):
                     found.append(rep)
     found.sort(key=_canonical_key)
@@ -1090,10 +1024,15 @@ def enumerate_subreps(m: Representation) -> list[tuple[Representation, RepMorphi
         lattices = [_subspaces(m.p, d) for d in m.dim]
         for choice in itertools.product(*lattices):
             spend()
-            try:
-                out.append(_sub_from_bases(m, list(choice)))
-            except ValidationError:
-                continue
+            maps = []
+            for a, big in zip(m.quiver.arrows, m.maps):
+                small = choice[a.target].solve(big @ choice[a.source])
+                if small is None:  # not closed under a
+                    break
+                maps.append(small)
+            else:
+                sub = Representation(m.quiver, m.p, tuple(b.cols for b in choice), maps)
+                out.append((sub, RepMorphism(sub, m, list(choice), check=False)))
     return out
 
 

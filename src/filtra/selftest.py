@@ -273,7 +273,7 @@ def criterion_reorder(rng: random.Random) -> CriterionResult:
             notes.append("grouped filtration longer than the family")
         if grouped.top != f.top:
             notes.append("group changed the filtered object")
-        if grouped.multiplicity_vector != multiplicities(f):
+        if multiplicities(grouped) != multiplicities(f):
             notes.append("group changed multiplicities")
         checked += 1
     detail = f"{checked} random filtrations"

@@ -453,7 +453,7 @@ PACKAGE_NAMES = [
     "Arrow", "Quiver", "RepMorphism", "Representation", "ThetaFamily", "direct_sum",
     "direct_power", "enumerate_indecomposables", "enumerate_reps", "enumerate_subreps",
     "euler_pairing", "hom_space", "is_indecomposable", "is_isomorphic", "iso_key",
-    "iso_witness", "krull_schmidt", "Conflation", "ExtClass", "ExtSpace", "SplitWitness",
+    "iso_witness", "Conflation", "ExtClass", "ExtSpace", "SplitWitness",
     "class_of", "complete_square", "conflation_direct_sum", "conflations_equivalent",
     "connecting_map", "et4_compose", "et4op_compose", "ext_space", "is_split", "pullback",
     "pushforward", "realize", "shift_base", "Filtration", "FiltrationStep",

@@ -26,7 +26,7 @@ def reference_is_indecomposable(m: Representation) -> bool:
     if m.total_dim == 0:
         return False
     with searching():
-        return quiverrep._try_split(m) is None
+        return not quiverrep._splits(m)
 
 
 def reference_indecomposables(quiver, p, bound):

@@ -1,167 +1,40 @@
 """The chunked Hom scans against the per-vector loops they replaced.
 
-The reference functions below are the one-vector-at-a-time scans of
-quiverrep.iso_witness, quiverrep._try_split and the filtration.decide_filtered
-peel as they were before the scans were batched, kept verbatim apart from
-their names and the peel's memo: it is keyed by the module, as the library's
-is, and by_iso selects the older memo that looked modules up by an iso scan.
-The batched scans must return the same first hit and charge the same budget,
-including the point where a BudgetExceeded is raised.
+The reference functions are the one-vector-at-a-time scans of
+quiverrep.iso_witness, of the split search quiverrep._splits (in
+tests/oracles.py) and of the filtration.decide_filtered peel (below) as they
+were before the scans were batched, kept verbatim apart from their names and
+the peel's memo: it is keyed by the module, as the library's is, and by_iso
+selects the older memo that looked modules up by an iso scan.  The batched
+scans must return the same first hit, or for the split search the same yes
+or no, and charge the same budget, including the point where a
+BudgetExceeded is raised.
 """
 
 import itertools
 import random
 import sys
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from filtra import (Budget, BudgetExceeded, Matrix, Quiver, Representation,
                     RepMorphism, ThetaFamily, ValidationError, decide_filtered,
-                    direct_sum, enumerate_indecomposables, iso_witness, krull_schmidt,
-                    quiverrep)
+                    direct_sum, enumerate_indecomposables, iso_witness, quiverrep)
 from filtra.conflation import Conflation
 from filtra.errors import searching, spend
 from filtra.filtration import (Filtration, FiltrationStep, _dim_feasible, _search,
                                transport_top)
-from filtra.quiverrep import (_canonical_key, _fitting_power, _hom_dim, _hom_kernel,
-                              _invariants_match, hom_space, image_sub, iso_key, kernel_sub)
+from filtra.quiverrep import (_hom_dim, _hom_kernel, _invariants_match, hom_space, iso_key,
+                              kernel_sub)
 from filtra.selftest import random_filtration, standard_families
+from oracles import (combo_components, fitting_split, hom_component_stacks,
+                     reference_decompose, reference_invariants_match, reference_iso_witness,
+                     reference_krull_schmidt, reference_try_split)
 
 
-# -- the per-vector loops, kept as oracles -------------------------------------
-
-def _hom_component_stacks(basis: Sequence[RepMorphism], m: Representation,
-                          n: Representation) -> list[np.ndarray]:
-    """Per-vertex arrays of shape (len(basis), n.dim[v], m.dim[v])."""
-    stacks = []
-    for v in range(m.quiver.vertex_count):
-        if basis:
-            stacks.append(np.stack([f.components[v].a for f in basis]))
-        else:
-            stacks.append(np.zeros((0, n.dim[v], m.dim[v]), dtype=np.int64))
-    return stacks
-
-
-def _combo_components(coeffs: np.ndarray, stacks: list[np.ndarray], p: int) -> list[np.ndarray]:
-    return [np.tensordot(coeffs, s, axes=1) % p if s.shape[0] else s.sum(axis=0)
-            for s in stacks]
-
-
-def reference_invariants_match(m: Representation, n: Representation) -> bool:
-    if m.dim != n.dim or iso_key(m) != iso_key(n):
-        return False
-    if len(hom_space(m, n)) != len(hom_space(n, m)):
-        return False
-    if len(hom_space(m, m)) != len(hom_space(n, n)):
-        return False
-    return True
-
-
-def reference_iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
-    if m.quiver != n.quiver or m.p != n.p:
-        return None
-    if m == n:
-        return RepMorphism.identity(m)
-    if not reference_invariants_match(m, n):
-        return None
-    basis = hom_space(m, n)
-    stacks = _hom_component_stacks(basis, m, n)
-    p = m.p
-    with searching():
-        for combo in itertools.product(range(p), repeat=len(basis)):
-            spend()
-            if not any(combo):
-                continue
-            comps = _combo_components(np.asarray(combo, dtype=np.int64), stacks, p)
-            if all(Matrix(p, c).rank() == len(c) for c in comps):
-                return RepMorphism(m, n, [Matrix(p, c) for c in comps], check=False)
-    return None
-
-
-def _fitting_split(m: Representation, phi_comps: list[np.ndarray]) -> Optional[tuple]:
-    """Split m along a high power of the endomorphism phi, if proper.
-
-    Returns (part_im, incl_im, part_ker, incl_ker) or None when the power is
-    zero or invertible.
-    """
-    phi = _fitting_power(m, phi_comps)
-    if phi is None:
-        return None
-    im, incl_im = image_sub(phi)
-    ker, incl_ker = kernel_sub(phi)
-    return im, incl_im, ker, incl_ker
-
-
-def reference_try_split(m: Representation) -> Optional[tuple]:
-    if m.total_dim == 0:
-        return None
-    p = m.p
-    basis = hom_space(m, m)
-    for f in basis:
-        spend()
-        split = _fitting_split(m, [c.a for c in f.components])
-        if split is not None:
-            return split
-    for f, g in itertools.combinations(basis, 2):
-        spend()
-        split = _fitting_split(m, [(a.a + b.a) % p for a, b in zip(f.components, g.components)])
-        if split is not None:
-            return split
-    stacks = _hom_component_stacks(basis, m, m)
-    identity = [np.eye(d, dtype=np.int64) for d in m.dim]
-    for combo in itertools.product(range(p), repeat=len(basis)):
-        spend()
-        comps = _combo_components(np.asarray(combo, dtype=np.int64), stacks, p)
-        if all((c == 0).all() for c in comps):
-            continue
-        if all(np.array_equal(c, i) for c, i in zip(comps, identity)):
-            continue
-        if all(np.array_equal((c @ c) % p, c) for c in comps):
-            split = _fitting_split(m, comps)
-            if split is not None:
-                return split
-    return None
-
-
-def reference_decompose(m: Representation) -> list[tuple[Representation, RepMorphism, RepMorphism]]:
-    if m.total_dim == 0:
-        return []
-    split = reference_try_split(m)
-    if split is None:
-        ident = RepMorphism.identity(m)
-        return [(m, ident, ident)]
-    im, incl_im, ker, incl_ker = split
-    p = m.p
-    proj_im_comps, proj_ker_comps = [], []
-    for v in range(m.quiver.vertex_count):
-        basis = Matrix.hstack(p, [incl_im.components[v], incl_ker.components[v]], rows=m.dim[v])
-        inv = basis.inverse()
-        assert inv is not None  # complementary subspaces span
-        proj_im_comps.append(Matrix(p, inv.a[: im.dim[v], :]))
-        proj_ker_comps.append(Matrix(p, inv.a[im.dim[v]:, :]))
-    proj_im = RepMorphism(m, im, proj_im_comps, check=False)
-    proj_ker = RepMorphism(m, ker, proj_ker_comps, check=False)
-    out = []
-    for piece, incl, proj in ((im, incl_im, proj_im), (ker, incl_ker, proj_ker)):
-        for small, small_incl, small_proj in reference_decompose(piece):
-            out.append((small, incl @ small_incl, small_proj @ proj))
-    return out
-
-
-def reference_krull_schmidt(m: Representation) -> list[tuple[Representation, int]]:
-    groups: list[tuple[Representation, int]] = []
-    with searching():
-        for piece, _, _ in reference_decompose(m):
-            for k, (rep, count) in enumerate(groups):
-                if reference_iso_witness(piece, rep) is not None:
-                    groups[k] = (rep, count + 1)
-                    break
-            else:
-                groups.append((piece, 1))
-    return sorted(groups, key=lambda item: _canonical_key(item[0]))
-
+# -- the per-vector peel, kept as an oracle ------------------------------------
 
 def _normalized_coefficients(p: int, h: int):
     for coeffs in itertools.product(range(p), repeat=h):
@@ -207,10 +80,10 @@ def reference_decide_filtered(m: Representation, theta: ThetaFamily, memo: dict,
             if any(dc < dm for dc, dm in zip(cur.dim, member.dim)):
                 continue
             basis = hom_space(cur, member)
-            stacks = _hom_component_stacks(basis, cur, member)
+            stacks = hom_component_stacks(basis, cur, member)
             for coeffs in _normalized_coefficients(cur.p, len(basis)):
                 spend()
-                comps = _combo_components(coeffs, stacks, cur.p)
+                comps = combo_components(coeffs, stacks, cur.p)
                 if any(Matrix(cur.p, c).rank() != member.dim[v]
                        for v, c in enumerate(comps)):
                     continue
@@ -297,17 +170,17 @@ def test_scans_match_the_per_vector_loops(quiver_name, p, clear_caches):
                 assert (_charged(lambda b: iso_witness(m, n), limit)
                         == _charged(lambda b: reference_iso_witness(m, n), limit))
                 checked["iso"] += 1
-        # split: the Krull-Schmidt decomposition runs _try_split at every level;
-        # its Fitting attempts settle nearly every split, so here the End scan
-        # mostly runs to the end on indecomposable pieces (hits are tested below)
+        # split: m and its indecomposable pieces; the Fitting attempts settle
+        # nearly every split, so the End scan mostly runs to the end on the
+        # pieces (hits are tested below)
         if p ** len(hom_space(m, m)) <= MAX_SCAN:
             with searching():
-                assert (quiverrep._decompose(m)
-                        == [piece for piece, _, _ in reference_decompose(m)])
-            for limit in BUDGETS:
-                assert (_charged(lambda b: krull_schmidt(m), limit)
-                        == _charged(lambda b: reference_krull_schmidt(m), limit))
-                checked["split"] += 1
+                pieces = [piece for piece, _, _ in reference_decompose(m)]
+            for x in [m] + pieces:
+                for limit in BUDGETS:
+                    assert (_charged(lambda b: quiverrep._splits(x), limit)
+                            == _charged(lambda b: reference_try_split(x) is not None, limit))
+                    checked["split"] += 1
     # decide: a module, then two scrambled copies, which the memo does not
     # answer unless one equals an earlier module: they are peeled
     simples = [Representation.simple(quiver, p, v) for v in range(quiver.vertex_count)]
@@ -447,7 +320,7 @@ def _reference_hits(stacks, p, dims, kind):
         if kind == "epi" and next((c for c in combo if c), None) != 1:
             continue
         spend()
-        comps = _combo_components(np.asarray(combo, dtype=np.int64), stacks, p)
+        comps = combo_components(np.asarray(combo, dtype=np.int64), stacks, p)
         if kind == "idempotent":
             if all((c == 0).all() for c in comps):
                 continue
@@ -483,7 +356,7 @@ def test_scan_yields_every_hit_in_loop_order(quiver_name, p):
                 test = lambda cs: quiverrep._nontrivial_idempotent_mask(cs, p)  # noqa: E731
             else:
                 test = lambda cs: quiverrep._rank_mask(cs, target.dim, p)  # noqa: E731
-            stacks = _hom_component_stacks(basis, m, target)
+            stacks = hom_component_stacks(basis, m, target)
             for limit in BUDGETS:
                 got = _charged(lambda b: _first_hits(
                     quiverrep._scan(quiverrep._hom_kernel(m, target), m, target, test,
@@ -586,24 +459,16 @@ def test_split_scan_hit_matches_the_loop(clear_caches):
         "a": [[1, 0, 0], [2, 1, 2], [1, 1, 0]], "b": [[2, 2, 2], [1, 0, 0], [1, 2, 0]]})
     basis = hom_space(m, m)
     assert len(basis) == 3
-    assert all(_fitting_split(m, [c.a for c in f.components]) is None for f in basis)
-    assert all(_fitting_split(m, [(a.a + b.a) % 3 for a, b in zip(f.components, g.components)])
+    assert all(fitting_split(m, [c.a for c in f.components]) is None for f in basis)
+    assert all(fitting_split(m, [(a.a + b.a) % 3 for a, b in zip(f.components, g.components)])
                is None for f, g in itertools.combinations(basis, 2))
 
-    def split(budget):
-        power = quiverrep._try_split(m)
-        return None if power is None else image_sub(power) + kernel_sub(power)
-
     # the split search spends 21 nodes (6 Fitting attempts, 15 scanned
-    # vectors) and the whole decomposition 37; a budget below that stops both
-    # at the same node as the loops
-    for limit in BUDGETS + (20, 21, 36, 37):
+    # vectors); a budget below that stops it at the same node as the loop
+    for limit in BUDGETS + (20, 21):
         clear_caches()
-        got = _charged(split, limit)
-        assert got == _charged(lambda b: reference_try_split(m), limit)
+        got = _charged(lambda b: quiverrep._splits(m), limit)
+        assert got == _charged(lambda b: reference_try_split(m) is not None, limit)
         assert got[1] == (21 if limit is None else min(21, limit + 1))
-        clear_caches()
-        got = _charged(lambda b: krull_schmidt(m), limit)
-        assert got == _charged(lambda b: reference_krull_schmidt(m), limit)
-        assert got[1] == (37 if limit is None else min(37, limit + 1))
-    assert [rep.dim for rep, count in krull_schmidt(m)] == [(1, 1), (2, 2)]
+        assert got[0] in (True, BudgetExceeded)
+    assert [rep.dim for rep, count in reference_krull_schmidt(m)] == [(1, 1), (2, 2)]

@@ -31,13 +31,14 @@ from filtra import (Conflation, Filtration, GroupedFiltration, Quiver, RepMorphi
                     Representation, ValidationError, complete_square,
                     conflation_direct_sum, conflations_equivalent, decide_filtered,
                     direct_sum, enumerate_reps, et4_compose, et4op_compose, ext_space,
-                    extend, group, hom_space, in_add, is_split, iso_witness,
-                    krull_schmidt, power_filtration, precover, preenvelope, realize,
+                    extend, group, hom_space, in_add, is_indecomposable, is_split,
+                    iso_witness, power_filtration, precover, preenvelope, realize,
                     reorder, shift_base, star_membership, universal_extension_cover,
                     universal_extension_env)
 from filtra.linalg import Matrix
 from filtra.selftest import (_random_automorphism, random_conflation,
                              random_filtration, scramble_middle, standard_families)
+from oracles import reference_krull_schmidt
 
 CLASSES = (Conflation, RepMorphism, Filtration, GroupedFiltration)
 
@@ -197,8 +198,8 @@ def test_filtra_trusts_its_own_constructions(a3, d4, constructions, clear_caches
     kronecker = Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)])
     m = Representation.from_dict(kronecker, 3, (3, 3), {
         "a": [[1, 0, 0], [2, 1, 2], [1, 1, 0]], "b": [[2, 2, 2], [1, 0, 0], [1, 2, 0]]})
-    pieces = [rep for rep, _ in krull_schmidt(m)]
-    calls += [(krull_schmidt, m), (iso_witness, direct_sum(*pieces).rep, m),
+    pieces = [rep for rep, _ in reference_krull_schmidt(m)]
+    calls += [(is_indecomposable, m), (iso_witness, direct_sum(*pieces).rep, m),
               (enumerate_reps, kronecker, 2, (2, 1)), (enumerate_reps, d4, 2, (1, 1, 1, 1))]
     clear_caches()
     constructions.clear()
