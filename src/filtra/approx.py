@@ -90,10 +90,9 @@ def universal_extension_cover(c_obj: Representation, a_obj: Representation) -> C
     n = space.dimension
     if n == 0:
         raise ZeroExt("ext(C, A) = 0; there is nothing to extend by")
-    p = a_obj.p
-    basis_cocycles = space.basis_cocycles()
+    cocycles = space.basis_cocycles()
     power = direct_power(a_obj, n)
-    stacked = [Matrix.vstack(p, [g[k] for g in basis_cocycles], cols=c_obj.dim[arrow.source])
+    stacked = [Matrix.vstack(a_obj.p, [g[k] for g in cocycles], cols=c_obj.dim[arrow.source])
                for k, arrow in enumerate(a_obj.quiver.arrows)]
     B, x, y = _block_extension(power, c_obj, stacked)
     return Conflation(power, B, c_obj, x, y, check=False)
@@ -125,10 +124,9 @@ def universal_extension_env(n_obj: Representation, t_obj: Representation) -> Con
     if d:
         raise ExtObstruction(
             f"ext(T, T) has dimension {d}, so the universal extension cannot kill ext(T, -)")
-    p = n_obj.p
-    basis_cocycles = space.basis_cocycles()
+    cocycles = space.basis_cocycles()
     power = direct_power(t_obj, m)
-    stacked = [Matrix.hstack(p, [g[k] for g in basis_cocycles], rows=n_obj.dim[arrow.target])
+    stacked = [Matrix.hstack(n_obj.p, [g[k] for g in cocycles], rows=n_obj.dim[arrow.target])
                for k, arrow in enumerate(n_obj.quiver.arrows)]
     B, x, y = _block_extension(n_obj, power, stacked)
     return Conflation(n_obj, B, power, x, y, check=False)
@@ -144,10 +142,13 @@ class ApproxResult:
     """
 
     triangle: Conflation
-    map: RepMorphism
     side: str
     theta: ThetaFamily
     filtered_part: Filtration
+
+    @property
+    def map(self) -> RepMorphism:
+        return self.triangle.x if self.side == "envelope" else self.triangle.y
 
 
 def preenvelope(x: Representation, theta: ThetaFamily) -> ApproxResult:
@@ -183,7 +184,7 @@ def preenvelope(x: Representation, theta: ThetaFamily) -> ApproxResult:
     if running is None:
         running = Conflation.identity_right(x)
         filtered = Filtration(theta, (), check=False)
-    return ApproxResult(running, running.x, "envelope", theta, filtered)
+    return ApproxResult(running, "envelope", theta, filtered)
 
 
 def precover(x: Representation, theta: ThetaFamily) -> ApproxResult:
@@ -216,7 +217,7 @@ def precover(x: Representation, theta: ThetaFamily) -> ApproxResult:
     if running is None:
         running = Conflation.identity_left(x)
         filtered = Filtration(theta, (), check=False)
-    return ApproxResult(running, running.y, "cover", theta, filtered)
+    return ApproxResult(running, "cover", theta, filtered)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ if TYPE_CHECKING:
     from .conflation import Conflation
     from .filtration import Filtration
 
-__all__ = ["Workspace", "parse_workspace", "serialize_workspace", "main"]
+__all__ = ["Workspace", "parse_workspace", "main"]
 
 # bound on every dim entry, in workspaces and filtration documents alike: one
 # vertex this large already needs a Hom system with 2**30 unknowns.  The
@@ -225,24 +225,6 @@ def parse_workspace(text: str) -> Workspace:
     finish_quiver()
     finish_rep()
     return Workspace(p, quiver, reps, thetas)
-
-
-def serialize_workspace(ws: Workspace) -> str:
-    """Canonical text for a workspace; parsing it back gives an equal one."""
-    lines = [f"field {ws.p}", f"vertices {ws.quiver.vertex_count}"]
-    for a in ws.quiver.arrows:
-        lines.append(f"arrow {a.name} {a.source + 1} {a.target + 1}")
-    for name, rep in ws.reps.items():
-        lines.append(f"rep {name}")
-        lines.append("dim " + " ".join(str(d) for d in rep.dim))
-        for arrow, m in zip(ws.quiver.arrows, rep.maps):
-            if m.rows * m.cols == 0 or m.is_zero():
-                continue
-            flat = " ".join(str(x) for row in m.entries for x in row)
-            lines.append(f"mat {arrow.name} {m.rows} {m.cols} {flat}")
-    for name, members in ws.thetas.items():
-        lines.append(f"theta {name} " + " ".join(members))
-    return "\n".join(lines) + "\n"
 
 
 # -- JSON documents -------------------------------------------------------------

@@ -117,7 +117,7 @@ class Conflation:
         return Conflation(zero, m, m, RepMorphism.zero(zero, m), RepMorphism.identity(m),
                           check=False)
 
-    # -- transports along isomorphisms ---------------------------------------
+    # -- transport along an isomorphism --------------------------------------
 
     def with_middle(self, phi: RepMorphism) -> "Conflation":
         """Replace B by an isomorphic object via phi: B -> B'.
@@ -133,12 +133,6 @@ class Conflation:
             raise ValidationError(message) from None
         return Conflation(self.A, phi.target, self.C, phi @ self.x, self.y @ inverse,
                           check=False)
-
-    def with_quotient(self, phi: RepMorphism) -> "Conflation":
-        """Replace C by an isomorphic object via phi: C -> C'."""
-        if phi.source != self.C or not phi.is_isomorphism():
-            raise ValidationError("quotient transport needs an isomorphism out of C")
-        return Conflation(self.A, self.B, phi.target, self.x, phi @ self.y, check=False)
 
     # -- vertexwise splitting data -------------------------------------------
 
@@ -169,14 +163,14 @@ class ExtSpace:
 
     The coboundary d is the intertwiner system of morphisms C -> A, the one
     that hom_space eliminates: Hom(C, A) is its kernel and Ext(C, A) its
-    cokernel.  basis[k] is a cocycle family (one matrix per arrow) whose
-    class is the k-th coordinate vector; coordinates() is the corresponding
+    cokernel.  basis_cocycles()[k] is a cocycle family (one matrix per arrow)
+    whose class is the k-th coordinate vector; coordinates() is the corresponding
     projection, well defined modulo coboundaries.  All choices come from the
     deterministic elimination in linalg, so bases are reproducible.
 
     The dimension is counted by rank-nullity on d (quiverrep._ext_dim) and
     builds no matrix here.  d, the projection and its section are built on
-    first use, by coordinates, ExtClass.cocycles, basis and
+    first use, by coordinates, ExtClass.cocycles, basis_cocycles and
     coboundary_solve; the projection has exactly dimension rows.
     """
 
@@ -201,7 +195,7 @@ class ExtSpace:
 
     @cached_property
     def _projection(self) -> Matrix:
-        return self._coboundary.cokernel_projection()[0]
+        return self._coboundary.cokernel_projection()
 
     @cached_property
     def _section(self) -> Matrix:
@@ -227,23 +221,14 @@ class ExtSpace:
         coords = self._projection @ self._flatten(cocycles)
         return tuple(int(v) for v in coords.a.reshape(-1))
 
-    @property
-    def basis(self) -> list["ExtClass"]:
-        return [self.element(tuple(1 if i == k else 0 for i in range(self.dimension)))
-                for k in range(self.dimension)]
-
     def basis_cocycles(self) -> list[list[Matrix]]:
-        """The cocycles of each class of basis, in order, read in place: the
+        """The cocycles of each basis class, in order, read in place: the
         k-th unit vector's section image is the k-th column of the section."""
         return ([_unflatten(self.p, column, self.cocycle_shapes) for column in self._section.a.T]
                 if self.dimension else [])
 
     def element(self, coords: Sequence[int]) -> "ExtClass":
         return ExtClass(self, coords)
-
-    @property
-    def zero(self) -> "ExtClass":
-        return self.element((0,) * self.dimension)
 
     def coboundary_solve(self, cocycles: Sequence[Matrix]) -> Optional[list[Matrix]]:
         """A vertex family h with d(h) equal to the given cocycle, or None."""
@@ -282,14 +267,6 @@ class ExtClass:
         col = Matrix._wrap(space.p, np.asarray(self.coords, dtype=np.int64).reshape(-1, 1))
         return tuple(_unflatten(space.p, (space._section @ col).a.reshape(-1),
                                 space.cocycle_shapes))
-
-    def __add__(self, other: "ExtClass") -> "ExtClass":
-        if self.space != other.space:
-            raise ValidationError("cannot add classes from different ext spaces")
-        return ExtClass(self.space, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c: int) -> "ExtClass":
-        return ExtClass(self.space, tuple(c * v for v in self.coords))
 
 
 @cached

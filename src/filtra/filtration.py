@@ -246,8 +246,6 @@ def extend(c: Conflation, fA: Filtration, fC: Filtration) -> Filtration:
     def go(cur: Conflation, csteps: tuple[FiltrationStep, ...]) -> tuple[FiltrationStep, ...]:
         if not csteps:
             # quotient exhausted: cur.x is an isomorphism onto the middle
-            if not fA.steps:
-                return ()
             return transport_top(fA, cur.x).steps
         last = csteps[-1]
         res = et4op_compose(cur, last.conflation)
@@ -308,7 +306,7 @@ def collapse(fs: Sequence[Conflation]) -> Conflation:
         ds = direct_sum(cur.C, quotient)
         psi = ds.inject_left @ witness.retraction + ds.inject_right @ composed.quotient.y
         # psi is an isomorphism by construction (a matched splitting), so the
-        # quotient moves along it without the rank test of with_quotient
+        # quotient moves along it with no rank test
         c = composed.composite
         cur = Conflation(c.A, c.B, psi.target, c.x, psi @ c.y, check=False)
     return cur

@@ -328,15 +328,14 @@ class Matrix:
             return None
         return self.right_inverse()
 
-    def cokernel_projection(self) -> tuple["Matrix", int]:
+    def cokernel_projection(self) -> "Matrix":
         """Deterministic model of the quotient F_p^rows / column space.
 
-        Returns (q, d) with q of shape d x rows, q @ self = 0, q of full row
-        rank and d = rows - rank(self).  Rows of q are the deterministic
-        kernel basis of the transpose.
+        Returns q of shape d x rows with q @ self = 0, q of full row rank and
+        d = rows - rank(self).  Rows of q are the deterministic kernel basis
+        of the transpose.
         """
-        q = self.transpose().kernel_basis().transpose()
-        return q, q.rows
+        return self.transpose().kernel_basis().transpose()
 
 
 def _kernel_rows(r: np.ndarray, pivots: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray]:

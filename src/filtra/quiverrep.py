@@ -105,12 +105,6 @@ class Quiver:
             raise ValidationError("quiver must be acyclic")
         return tuple(order)
 
-    def arrow_index(self, name: str) -> int:
-        for k, a in enumerate(self.arrows):
-            if a.name == name:
-                return k
-        raise KeyError(name)
-
     def paths(self) -> list[tuple[Arrow, ...]]:
         """All nontrivial directed paths, sorted by (length, arrow name sequence)."""
         return [tuple(self.arrows[k] for k in path) for path in self._path_indices]
@@ -198,12 +192,24 @@ class Representation:
     @staticmethod
     def projective(quiver: Quiver, p: int, v: int) -> "Representation":
         """Paths-out model: basis at vertex w = directed paths from v to w."""
-        return _path_representation(quiver, p, v, out=True)
-
-    @staticmethod
-    def injective(quiver: Quiver, p: int, v: int) -> "Representation":
-        """Paths-in model: basis at vertex w = directed paths from w to v."""
-        return _path_representation(quiver, p, v, out=False)
+        _check_vertex(quiver, v)
+        paths_at: list[list[tuple[str, ...]]] = [[] for _ in range(quiver.vertex_count)]
+        paths_at[v].append(())
+        for path in quiver.paths():
+            if path[0].source == v:
+                paths_at[path[-1].target].append(tuple(a.name for a in path))
+        for lst in paths_at:
+            lst.sort(key=lambda names: (len(names), names))
+        dim = tuple(len(lst) for lst in paths_at)
+        maps = []
+        for a in quiver.arrows:
+            m = np.zeros((dim[a.target], dim[a.source]), dtype=np.int64)
+            for col, names in enumerate(paths_at[a.source]):
+                extended = names + (a.name,)
+                if extended in paths_at[a.target]:
+                    m[paths_at[a.target].index(extended), col] = 1
+            maps.append(Matrix._wrap(p, m))
+        return Representation(quiver, p, dim, maps)
 
     @staticmethod
     def random(quiver: Quiver, p: int, max_dim: Sequence[int], rng: random.Random) -> "Representation":
@@ -255,30 +261,6 @@ def _vertex_dims(quiver: Quiver, dim: Sequence[int]) -> tuple[int, ...]:
 def _check_vertex(quiver: Quiver, v: int) -> None:
     if not 0 <= v < quiver.vertex_count:
         raise ValidationError(f"vertex {v} is not in 0..{quiver.vertex_count - 1}")
-
-
-def _path_representation(quiver: Quiver, p: int, v: int, out: bool) -> Representation:
-    _check_vertex(quiver, v)
-    paths_at: list[list[tuple[str, ...]]] = [[] for _ in range(quiver.vertex_count)]
-    paths_at[v].append(())
-    for path in quiver.paths():
-        names = tuple(a.name for a in path)
-        if out and path[0].source == v:
-            paths_at[path[-1].target].append(names)
-        if not out and path[-1].target == v:
-            paths_at[path[0].source].append(names)
-    for lst in paths_at:
-        lst.sort(key=lambda names: (len(names), names))
-    dim = tuple(len(lst) for lst in paths_at)
-    maps = []
-    for a in quiver.arrows:
-        m = np.zeros((dim[a.target], dim[a.source]), dtype=np.int64)
-        for col, names in enumerate(paths_at[a.source]):
-            extended = names + (a.name,) if out else (a.name,) + names
-            if extended in paths_at[a.target]:
-                m[paths_at[a.target].index(extended), col] = 1
-        maps.append(Matrix._wrap(p, m))
-    return Representation(quiver, p, dim, maps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -333,12 +315,6 @@ class RepMorphism:
             raise DimensionMismatch("sum endpoints do not match")
         return RepMorphism(self.source, self.target,
                            [a + b for a, b in zip(self.components, other.components)], check=False)
-
-    def __sub__(self, other: "RepMorphism") -> "RepMorphism":
-        if self.source != other.source or self.target != other.target:
-            raise DimensionMismatch("difference endpoints do not match")
-        return RepMorphism(self.source, self.target,
-                           [a - b for a, b in zip(self.components, other.components)], check=False)
 
     def scale(self, c: int) -> "RepMorphism":
         return RepMorphism(self.source, self.target,

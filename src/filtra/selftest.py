@@ -158,7 +158,7 @@ def criterion_ext_dimensions(rng: random.Random) -> CriterionResult:
             pairs += 1
             # the cokernel is eliminated here on its own, apart from the rank
             # that counts Hom (_hom_dim): the Euler form ties the two
-            _, cokernel = _intertwiner_system(m, n).cokernel_projection()
+            cokernel = _intertwiner_system(m, n).cokernel_projection().rows
             if _hom_dim(m, n) - cokernel != euler_pairing(m, n):
                 notes.append(f"Euler mismatch at dims {m.dim}, {n.dim}")
             if ext_space(m, n).dimension != cokernel:

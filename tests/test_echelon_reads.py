@@ -53,7 +53,7 @@ def reference_kernel_sub(f):
 
 def reference_cokernel_quot(f):
     quiver, p = f.target.quiver, f.target.p
-    projections = [m.cokernel_projection()[0] for m in f.components]
+    projections = [m.cokernel_projection() for m in f.components]
     sections = [q.right_inverse() for q in projections]
     maps = [projections[a.target] @ big @ sections[a.source]
             for a, big in zip(quiver.arrows, f.target.maps)]

@@ -60,11 +60,12 @@ def reference_paths(quiver):
 
 
 def reference_iso_key(m: Representation):
+    index = {a.name: k for k, a in enumerate(m.quiver.arrows)}
     path_ranks = []
     for path in reference_paths(m.quiver):
-        acc = m.maps[m.quiver.arrow_index(path[0].name)]
+        acc = m.maps[index[path[0].name]]
         for a in path[1:]:
-            acc = m.maps[m.quiver.arrow_index(a.name)] @ acc
+            acc = m.maps[index[a.name]] @ acc
         path_ranks.append(acc.rank())
     return (m.dim, tuple(mm.rank() for mm in m.maps), tuple(path_ranks))
 

@@ -140,11 +140,10 @@ def test_cokernel_projection_is_exact():
     for _ in range(120):
         p = rng.choice([2, 3])
         m = random_matrix(rng, p, rng.randrange(5), rng.randrange(5))
-        q, d = m.cokernel_projection()
-        assert d == m.rows - m.rank()
-        assert q.rows == d and q.cols == m.rows
+        q = m.cokernel_projection()
+        assert q.rows == m.rows - m.rank() and q.cols == m.rows
         assert (q @ m).is_zero()
-        assert q.rank() == d
+        assert q.rank() == q.rows
 
 
 def test_block_assembly_matches_entries():
@@ -315,9 +314,9 @@ def test_elimination_matches_reference(system):
         square = m.inverse()
         assert (square is None) == (inv_ref is None)
         assert square is None or _same_bytes(square, inv_ref)
-    q, d = m.cokernel_projection()
+    q = m.cokernel_projection()
     q_ref = _reference_kernel_basis(m.transpose()).transpose()
-    assert d == q_ref.rows and _same_bytes(q, q_ref)
+    assert _same_bytes(q, q_ref)
     # every other result against the validating constructor on the same numpy expression
     a, b = m.a, rhs.a
     mt = m.transpose()

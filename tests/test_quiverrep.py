@@ -72,13 +72,11 @@ def test_simple_projective_injective_dimensions(a2, s1, s2, p1):
     assert s1.dim == (1, 0) and s2.dim == (0, 1)
     assert p1.dim == (1, 1) and p1.maps[0].entries == [[1]]
     assert Representation.projective(a2, 2, 1).dim == (0, 1)
-    assert Representation.injective(a2, 2, 0).dim == (1, 0)
-    assert Representation.injective(a2, 2, 1).dim == (1, 1)
 
 
 # one arrow 1 -> 0: the constructors below once answered an index outside
 # 0..1 with a wrong module (simple(2) was zero, projective(-1) had the
-# dimension of P(0), injective(-2) that of S(0)) or an IndexError
+# dimension of P(0)) or an IndexError
 REVERSED = Quiver.from_edges(2, [("a", 1, 0)])
 
 
@@ -94,13 +92,6 @@ def test_projective_refuses_a_vertex_outside_the_quiver():
     for v in (2, -1):
         with pytest.raises(ValidationError, match=f"vertex {v} is not in 0..1"):
             Representation.projective(REVERSED, 2, v)
-
-
-def test_injective_refuses_a_vertex_outside_the_quiver():
-    assert Representation.injective(REVERSED, 2, 0).dim == (1, 1)
-    for v in (2, -2):
-        with pytest.raises(ValidationError, match=f"vertex {v} is not in 0..1"):
-            Representation.injective(REVERSED, 2, v)
 
 
 def test_from_dict_refuses_a_dimension_vector_of_the_wrong_length():
@@ -174,20 +165,6 @@ def test_morphism_components_live_over_its_field(s1):
     assert RepMorphism(s, s, [Matrix(2, [[1]])]).is_isomorphism()
 
 
-def test_morphism_difference_adds_the_negation(a2):
-    p = 3
-    m = direct_sum(Representation.projective(a2, p, 0), Representation.simple(a2, p, 0)).rep
-    basis = hom_space(m, m)
-    rng = random.Random("difference")
-    a, b = (sum((f.scale(rng.randrange(p)) for f in basis), RepMorphism.zero(m, m))
-            for _ in range(2))
-    assert a - b == a + b.scale(p - 1)
-    assert (a - b) + b == a and (a - a).is_zero()
-    s1, s2 = Representation.simple(a2, p, 0), Representation.simple(a2, p, 1)
-    with pytest.raises(DimensionMismatch, match="difference endpoints do not match"):
-        RepMorphism.identity(s1) - RepMorphism.identity(s2)
-
-
 def test_hom_dimensions_on_the_desk(s1, s2, p1):
     table = {
         ("s1", "s1"): 1, ("s1", "s2"): 0, ("s1", "p1"): 0,
@@ -213,7 +190,7 @@ def test_euler_pairing_matches_hom_minus_ext(a2):
             basis = hom_space(m, n)
             # ext_space reads its dimension off the cached Hom basis and the
             # Euler form, so the cokernel is eliminated here independently
-            _, cokernel = quiverrep._intertwiner_system(m, n).cokernel_projection()
+            cokernel = quiverrep._intertwiner_system(m, n).cokernel_projection().rows
             assert len(basis) - cokernel == euler_pairing(m, n)
             assert ext_space(m, n).dimension == cokernel
             for f in basis:
