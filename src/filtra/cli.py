@@ -401,14 +401,17 @@ def _approx_doc(res: ApproxResult, theta_name: str) -> dict:
 def _cmd_approx(ws: Workspace, args) -> int:
     from .approx import precover, preenvelope, verify
     theta = ws.theta_family(args.theta)
-    build = preenvelope if args.command == "preenvelope" else precover
-    res = build(ws.rep(args.module), theta)
-    doc = _approx_doc(res, args.theta)
-    status = 0
+    module = ws.rep(args.module)
+    # a usage error is refused before the approximation is built
     if args.verify:
         if args.max_dim is None:
             raise ValidationError("--verify needs --max-dim for the test objects")
         dims = _integers(args.max_dim, "--max-dim")
+    build = preenvelope if args.command == "preenvelope" else precover
+    res = build(module, theta)
+    doc = _approx_doc(res, args.theta)
+    status = 0
+    if args.verify:
         tests = enumerate_indecomposables(ws.quiver, ws.p, dims)
         report = verify(res, tests)
         doc["verified"] = report.passed

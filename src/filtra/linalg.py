@@ -13,11 +13,17 @@ of two Gauss-Jordan eliminations by the number of entries.  Matrices of at most 
 entries are eliminated as Python int lists, where numpy's per-call overhead
 would cost more than the arithmetic.  Larger ones get one numpy rank-1
 update per pivot, applied only to the rows with a nonzero entry in the pivot
-column and only to the columns from the pivot column onward.  The reduced
-row echelon form is unique, so both give the same matrix and pivots.
-``_rref_rank1`` also finishes an elimination begun elsewhere, from a given
-row and column: quiverrep's Hom systems reduce the rows of their first
-vertex's arrows in one step and leave the rest to it.
+column and only to the columns from the pivot column onward.  The updates
+are not reduced mod p: only the pivot column and the pivot row are, and one
+``%= p`` ends the elimination (delayed reduction).  With p below 2**15 and
+at most 2**13 pivots the unreduced entries stay below about 2**43, far
+inside int64.  The reduced row echelon form is unique, so both
+eliminations give the same matrix and pivots.  ``_rref_rank1`` also
+finishes an elimination begun elsewhere, from a given row and column: it
+eliminates the block below and right of that point in place, then clears
+the block's pivot columns from the finished rows above it with one matrix
+product.  quiverrep's Hom systems reduce the rows of their first vertex's
+arrows in one step and leave the rest to it.
 
 ``stack_ranks`` is the batched kernel beside ``rref``: it takes an (N, r, c)
 int64 stack of entries in [0, p) and returns the N ranks without building a
@@ -43,6 +49,10 @@ _RREF_SMALL_ENTRIES = 100
 
 # the largest dense matrix built here: 2**26 int64 entries are 512 MiB
 _MAX_ENTRIES = 2 ** 26
+
+# PrimeField takes primes below this bound: _is_prime is exact there, and the
+# unreduced entries of _rref_rank1 stay far inside int64
+_MODULUS_BOUND = 2 ** 15
 
 
 def _check_entries(what: str, rows: int, cols: int) -> None:
@@ -109,7 +119,7 @@ class PrimeField:
 
     def __post_init__(self):
         # the size check first: _is_prime is exact only below its bound
-        if isinstance(self.p, int) and self.p >= 2 ** 15:
+        if isinstance(self.p, int) and self.p >= _MODULUS_BOUND:
             raise ValidationError(f"modulus {self.p} is too large for exact int64 arithmetic here")
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValidationError(f"modulus must be a prime integer, got {self.p!r}")
@@ -403,37 +413,56 @@ def _rref_int_rows(rows: list[list[int]], n: int, p: int) -> tuple[list[list[int
 def _rref_rank1(a: np.ndarray, p: int, r: int = 0, start: int = 0) -> list[int]:
     """Gauss-Jordan elimination of a in place, one rank-1 numpy update per pivot.
 
-    Returns the pivot columns it finds.  Rows from r down are zero left of
-    column c, so the swap, the scaling and the update touch only columns c
-    onward.  Entries stay in [0, p) and p < 2**15, so the products cannot
-    overflow int64.
+    Returns the pivot columns it finds.  It eliminates the block of rows r
+    onward and columns start onward, a view of a, so nothing is copied.
+    When the k-th pivot of the block is found in column c, the block's rows
+    from k down are zero mod p left of c, so the swap, the scaling and the
+    update touch only columns c onward.
+
+    The reduction mod p is delayed (Dumas, Giorgi & Pernet 2008): each step
+    reduces only the pivot column, to find the pivot and the factors, and
+    the scaled pivot row; the update of the target rows, those with a
+    nonzero factor, subtracts factor * row unreduced, and one ``%= p`` ends
+    the elimination.  Factor and row entries lie in [0, p), so an update
+    moves an entry by less than p**2 < 2**30.  A matrix of at most
+    _MAX_ENTRIES entries has at most isqrt(_MAX_ENTRIES) = 2**13 pivots, so
+    every entry stays below about 2**43 in absolute value, far inside int64.
 
     Given r and start, it finishes an elimination begun elsewhere.  Each of
     rows 0 to r - 1 must be zero left of its pivot entry, which is 1, and
     zero in the pivot columns of the others; rows r onward must be zero in
-    those pivot columns and left of column start.  The rows above r are
-    cleared in each new pivot column like any other row, so sorting the
-    pivot rows by pivot column then gives the reduced row echelon form.
+    those pivot columns and left of column start.  Once the block is
+    reduced, one product clears its new pivot columns from the rows above
+    r, so sorting the pivot rows by pivot column then gives the reduced row
+    echelon form.
     """
-    m, n = a.shape
+    block = a[r:, start:]
+    height, width = block.shape
     pivots: list[int] = []
-    for c in range(start, n):
-        if r == m:
+    k = 0
+    for c in range(width):
+        if k == height:
             break
-        below = np.flatnonzero(a[r:, c])
+        factors = block[:, c] % p
+        below = factors[k:].nonzero()[0]
         if below.size == 0:
             continue
-        i = r + int(below[0])
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
-        factors = a[:, c].copy()
-        factors[r] = 0
-        targets = np.flatnonzero(factors)
+        i = k + int(below[0])
+        row = block[i, c:] % p
+        if i != k:  # row k moves to row i, its factor with it
+            block[i, c:] = block[k, c:]
+            factors[i] = factors[k]
+        factors[k] = 0
+        row = row * pow(int(row[0]), p - 2, p) % p
+        block[k, c:] = row
+        targets = factors.nonzero()[0]
         if targets.size:
-            a[targets, c:] = (a[targets, c:] - np.outer(factors[targets], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
+            block[targets, c:] -= factors[targets, None] * row
+        pivots.append(start + c)
+        k += 1
+    block %= p
+    if r and pivots:
+        a[:r, start:] = (a[:r, start:] - a[:r, pivots] @ block[:k]) % p
     return pivots
 
 

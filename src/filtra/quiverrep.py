@@ -453,10 +453,11 @@ def _hom_rref(m: Representation, n: Representation) -> tuple[np.ndarray, tuple[i
     [X | I] gives E with E X = rref(X), and E kron I, one product, turns
     those rows into rho m_0 finished pivot rows rref(X) kron I and rows
     that are zero on f_0.  One more product clears the finished pivot
-    columns from the rows of arrows into vertex 0, _rref_rank1 finishes
-    below the finished rows, and a sort by pivot column ends it.  Systems
-    of at most _RREF_SMALL_ENTRIES entries, and those without an arrow out
-    of vertex 0, take the plain elimination.
+    columns from the rows of arrows into vertex 0.  _rref_rank1 eliminates
+    the block below the finished rows in place and clears its new pivot
+    columns from the finished rows by one product, and a sort by pivot
+    column ends it.  Systems of at most _RREF_SMALL_ENTRIES entries, and
+    those without an arrow out of vertex 0, take the plain elimination.
     """
     # both eliminations go through Matrix.rref, so each Hom computed afresh
     # shows in perfbench's traced rref calls

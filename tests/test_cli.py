@@ -151,6 +151,23 @@ def test_cli_preenvelope_worked_example(capsys):
     assert doc["triangle"]["middle"]["dim"] == [1, 1]
 
 
+@pytest.mark.parametrize("command", ["preenvelope", "precover"])
+def test_cli_verify_usage_errors_are_refused_before_the_build(capsys, monkeypatch, command):
+    import filtra.approx
+
+    def unreachable(module, theta):
+        raise AssertionError("the approximation was built")
+
+    monkeypatch.setattr(filtra.approx, command, unreachable)
+    status, doc = run(capsys, "-w", A2_WS, command, "S2", "--theta", "full", "--verify")
+    assert status == 2
+    assert doc == {"error": "--verify needs --max-dim for the test objects"}
+    status, doc = run(capsys, "-w", A2_WS, command, "S2", "--theta", "full",
+                      "--verify", "--max-dim", "3,x")
+    assert status == 2
+    assert doc == {"error": "--max-dim entries must be integers"}
+
+
 def test_cli_filter_nonmember_exits_1(capsys):
     status, doc = run(capsys, "-w", A2_WS, "filter", "S2", "--theta", "mixed")
     assert status == 1

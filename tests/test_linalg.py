@@ -1,14 +1,15 @@
 """Exact linear algebra over small prime fields."""
 
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtra import DimensionMismatch, Matrix, Quiver, Representation, ValidationError
-from filtra.linalg import (_RREF_SMALL_ENTRIES, PrimeField, _is_prime, _reduce, _rref_rank1,
-                           stack_ranks)
+from filtra.linalg import (_MAX_ENTRIES, _MODULUS_BOUND, _RREF_SMALL_ENTRIES, PrimeField,
+                           _is_prime, _reduce, _rref_rank1, stack_ranks)
 
 
 def random_matrix(rng, p, rows, cols):
@@ -365,6 +366,46 @@ def test_rank1_finishes_an_elimination_begun_elsewhere(p):
         a[:len(found)] = a[np.argsort(found)]
         assert tuple(sorted(found)) == whole_pivots
         assert a.tobytes() == whole.tobytes()
+
+
+def _finish_case(rng, p, rows, cols, done, density=1.0):
+    """A system as quiverrep._hom_rref leaves it: done finished pivot rows
+    [I | R] on top of rows that are zero on the first done columns.  The
+    rows below have rank about half their count, so some columns hold no
+    pivot, and a fraction density of their entries is kept."""
+    rest = cols - done
+    rank = (rows - done) // 2
+    below = rng.integers(0, p, (rows - done, rank)) @ rng.integers(0, p, (rank, rest)) % p
+    below *= rng.random(below.shape) < density
+    top = np.concatenate((np.eye(done, dtype=np.int64), rng.integers(0, p, (done, rest))), 1)
+    bottom = np.concatenate((np.zeros((rows - done, done), dtype=np.int64), below), 1)
+    return np.concatenate((top, bottom))
+
+
+@pytest.mark.parametrize("p", [2, 3, 32749])
+@pytest.mark.parametrize("rows, cols, done, density", [
+    (128, 128, 64, 1.0),   # a homext Kronecker system at (8, 8)
+    (135, 156, 81, 1.0),   # a homext D4 system at (9, 5, 5, 5)
+    (300, 200, 0, 1.0),    # a plain elimination
+    (135, 156, 0, 0.07),   # 7% dense: most rows have no factor at a pivot
+    (135, 156, 81, 0.07),
+])
+def test_rank1_matches_the_reference_at_benchmark_shapes(p, rows, cols, done, density):
+    rng = np.random.default_rng([p, rows, cols, done])
+    a = _finish_case(rng, p, rows, cols, done, density)
+    whole, whole_pivots = _reference_rref(Matrix(p, a))
+    nonzero = np.flatnonzero(a[done:].any(axis=0))
+    found = list(range(done)) + _rref_rank1(a, p, done, int(nonzero[0]))
+    a[:len(found)] = a[np.argsort(found)]
+    assert tuple(sorted(found)) == whole_pivots
+    assert a.tobytes() == whole.a.tobytes()
+
+
+def test_delayed_reduction_cannot_overflow_int64():
+    # _rref_rank1 leaves its updates unreduced: each moves an entry by less
+    # than p**2, and a matrix of at most _MAX_ENTRIES entries has at most
+    # isqrt(_MAX_ENTRIES) pivots
+    assert isqrt(_MAX_ENTRIES) * (_MODULUS_BOUND - 1) ** 2 + _MODULUS_BOUND < 2 ** 63
 
 
 @st.composite
