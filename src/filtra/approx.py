@@ -13,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .conflation import Conflation, et4_compose, et4op_compose, ext_space
 from .errors import ExtObstruction, ValidationError, ZeroExt
 from .filtration import Filtration, extend, power_filtration
 from .linalg import Matrix
-from .quiverrep import (Representation, RepMorphism, ThetaFamily, _block_extension, _blocks,
-                        _canonical_key, _hom_dim, _hom_kernel, _hom_shapes, direct_power)
+from .quiverrep import (Representation, RepMorphism, ThetaFamily, _block_extension,
+                        _canonical_key, _composites, _hom_dim, _hom_stacks, direct_power)
 
 __all__ = [
     "ApproxResult",
@@ -244,20 +242,18 @@ def _induced_onto(f: RepMorphism, test: Representation, side: str) -> bool:
     envelope: g -> g o f, hom(f.target, test) -> hom(f.source, test);
     cover: g -> f o g, hom(test, f.source) -> hom(test, f.target).  The
     composites of a source basis lie in the target hom space, so the map is
-    onto iff their flattened components have rank equal to its dimension.
-    The source basis is the cached Hom kernel, read in place (_blocks), and
-    each vertex composes all of its rows in one product.
+    onto iff their flattened components (_composites) have rank equal to
+    its dimension.  The source basis is the cached Hom basis, read in place
+    (_hom_stacks).
     """
     envelope = side == "envelope"
     need = _hom_dim(f.source, test) if envelope else _hom_dim(test, f.target)
     if not need:
         return True
-    ends = (f.target, test) if envelope else (test, f.source)
-    kernel = _hom_kernel(*ends)
-    composites = [g @ fv.a if envelope else fv.a @ g
-                  for g, fv in zip(_blocks(kernel, _hom_shapes(*ends)), f.components)]
-    flat = np.concatenate([c.reshape(len(c), c.shape[1] * c.shape[2]) for c in composites], 1)
-    return Matrix._wrap(f.source.p, flat % f.source.p).rank() == need
+    p, own = f.source.p, [c.a[None] for c in f.components]
+    rows = (_composites(_hom_stacks(f.target, test), own, p) if envelope
+            else _composites(own, _hom_stacks(test, f.source), p))
+    return Matrix._wrap(p, rows).rank() == need
 
 
 def verify(result: ApproxResult, test_objects: Sequence[Representation]) -> VerifyReport:

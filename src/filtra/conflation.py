@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, cached
-from .linalg import Matrix
+from .linalg import Matrix, _integer
 from .quiverrep import (Representation, RepMorphism, _block_extension, _cokernel_quot, _ext_dim,
                         _flatten, _hom_shapes, _intertwiner_system, _kernel_sub, _unflatten,
                         direct_sum, hom_space)
@@ -254,7 +254,7 @@ class ExtClass:
 
     def __post_init__(self):
         space = self.space
-        coords = tuple(int(c) % space.p for c in self.coords)
+        coords = tuple(_integer(c, "coordinate") % space.p for c in self.coords)
         if len(coords) != space.dimension:
             raise DimensionMismatch(f"expected {space.dimension} coordinates, got {len(coords)}")
         object.__setattr__(self, "coords", coords)

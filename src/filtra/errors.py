@@ -122,18 +122,24 @@ def spend(n: int = 1) -> None:
 _stores: list[dict] = []
 
 
-def cached(fn):
+def cached(fn=None, *, check=None):
     """fn memoized on its positional arguments until clear_caches(); fn.store is the dict.
 
     A miss runs fn outside the lookup's except block, so what fn raises
     carries no KeyError of the store as its __context__.  What raises
-    stores nothing.
+    stores nothing.  check, given as @cached(check=...), maps the arguments
+    to the ones looked up and passed to fn, before the lookup: what it
+    refuses is refused even where the store holds an equal key (2.0 == 2).
     """
+    if fn is None:
+        return functools.partial(cached, check=check)
     store: dict = {}
     _stores.append(store)
 
     @functools.wraps(fn)
     def wrapper(*args):
+        if check is not None:
+            args = check(*args)
         try:
             return store[args]
         except KeyError:

@@ -25,11 +25,10 @@ import numpy as np
 from .conflation import (Conflation, et4_compose, et4op_compose, ext_space,
                          is_split)
 from .errors import Budget, ExtObstruction, ValidationError, cached, searching
-from .linalg import Matrix
-from .quiverrep import (Representation, RepMorphism, ThetaFamily, direct_power,
-                        direct_sum, _blocks, _flatten, _hom_kernel, _hom_shapes, _rank_mask,
-                        _scan, cokernel_quot, enumerate_subreps,
-                        is_isomorphic, iso_key, kernel_sub)
+from .linalg import Matrix, _integer
+from .quiverrep import (Representation, RepMorphism, ThetaFamily, direct_power, direct_sum,
+                        _composites, _flatten, _hom_stacks, _surjections, cokernel_quot,
+                        enumerate_subreps, is_isomorphic, iso_key, kernel_sub)
 
 __all__ = [
     "FiltrationStep",
@@ -203,11 +202,12 @@ def transport_top(f: Filtration, phi: RepMorphism) -> Filtration:
     return Filtration(f.theta, f.steps[:-1] + (moved,), check=False)
 
 
-@cached
+@cached(check=lambda theta, label, k: (theta, _integer(label, "label"), _integer(k, "power")))
 def power_filtration(theta: ThetaFamily, label: int, k: int) -> Filtration:
     """The split filtration of theta[label]^k by k copies of theta[label].
 
-    ValidationError unless label indexes the family and k >= 0.  Built once
+    ValidationError unless label and k are integers, label indexes the
+    family and k >= 0, checked before the store is read.  Built once
     per (theta, label, k) and shared by every later call until
     clear_caches(), which is safe because values are frozen.  Every call
     that returns keeps its entry for the life of the process; within the
@@ -355,16 +355,6 @@ def group(f: Filtration) -> GroupedFiltration:
     return GroupedFiltration(f.theta, grouped, check=False)
 
 
-def _composites_through(m: Representation, x: Representation) -> np.ndarray:
-    """The endomorphisms a o b of m, b in the Hom basis of (m, x) and a in
-    that of (x, m), one row each in _flatten coordinates."""
-    into = _blocks(_hom_kernel(m, x), _hom_shapes(m, x))
-    back = _blocks(_hom_kernel(x, m), _hom_shapes(x, m))
-    blocks = [(a[:, None] @ b[None, :]).reshape(len(a) * len(b), dm * dm)
-              for a, b, dm in zip(back, into, m.dim)]
-    return np.concatenate(blocks, axis=1) % m.p
-
-
 def in_add(pieces: Sequence[Representation] | Representation) -> Callable[[Representation], bool]:
     """Predicate: is the argument a direct summand of a finite direct sum of
     copies of the pieces, that is, does it lie in add(pieces)?
@@ -386,7 +376,7 @@ def in_add(pieces: Sequence[Representation] | Representation) -> Callable[[Repre
         p = m.p
         width = sum(d * d for d in m.dim)
         rows = [np.zeros((0, width), dtype=np.int64)]
-        rows += [_composites_through(m, x) for x in pieces]
+        rows += [_composites(_hom_stacks(x, m), _hom_stacks(m, x), p) for x in pieces]
         span = Matrix._wrap(p, np.concatenate(rows).T)
         ident = _flatten([Matrix.identity(p, d) for d in m.dim]).reshape(-1, 1)
         return span.solve(Matrix._wrap(p, ident)) is not None
@@ -477,11 +467,7 @@ def _search(theta: ThetaFamily, cur: Representation, min_label: int) -> Optional
         member = theta[i]
         if any(dc < dm for dc, dm in zip(cur.dim, member.dim)):
             continue
-        epis = _scan(_hom_kernel(cur, member), cur, member,
-                     lambda cs: _rank_mask(cs, member.dim, cur.p), leading_one=True)
-        for comps in epis:
-            epi = RepMorphism(cur, member,
-                              [Matrix._wrap(cur.p, c) for c in comps], check=False)
+        for epi in _surjections(cur, member, leading_one=True):
             sub, incl = kernel_sub(epi)
             below = _peel(theta, sub, i)
             if below is not None:
@@ -501,10 +487,11 @@ def decide_filtered(m: Representation, theta: ThetaFamily,
     object also has an ordered filtration (whose top label is minimal).
     The epimorphisms are tried in itertools.product order of their
     coefficient vectors, one per line through the origin (leading nonzero
-    coefficient 1), by a chunked scan (quiverrep._scan) that yields them
-    one at a time.  Every coefficient vector of the peel costs one budget
-    node, charged when the scan reaches it, so budget.used and the point of
-    any BudgetExceeded are those of a loop over the vectors one at a time.
+    coefficient 1), by the chunked scan of quiverrep._surjections, the one
+    that iso_witness runs too, which yields them one at a time.  Every
+    coefficient vector of the peel costs one budget node, charged when the
+    scan reaches it, so budget.used and the point of any BudgetExceeded are
+    those of a loop over the vectors one at a time.
 
     The search below each nonzero, dimension-feasible module is an
     errors.cached function of (theta, module, min_label), so its answers,

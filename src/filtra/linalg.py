@@ -34,6 +34,7 @@ whole stack, which is what lets the exhaustive Hom and End scans of
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -60,6 +61,15 @@ def _check_entries(what: str, rows: int, cols: int) -> None:
     if rows * cols > _MAX_ENTRIES:
         raise ValidationError(f"{what} of {rows} x {cols} entries is too large "
                               f"(at most {_MAX_ENTRIES} entries)")
+
+
+def _integer(value, what: str) -> int:
+    """value as an int (operator.index), or ValidationError: a bool counts as
+    an int, and a float or a string is refused, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _as_int64(a: np.ndarray) -> np.ndarray:
@@ -261,7 +271,7 @@ class Matrix:
         return Matrix._wrap(self.p, (self.a - other.a) % self.p)
 
     def scale(self, c: int) -> "Matrix":
-        return Matrix._wrap(self.p, self.a * (c % self.p) % self.p)
+        return Matrix._wrap(self.p, self.a * (_integer(c, "scalar") % self.p) % self.p)
 
     def transpose(self) -> "Matrix":
         return Matrix._wrap(self.p, self.a.T)

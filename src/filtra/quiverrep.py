@@ -28,8 +28,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, cached, searching, spend
-from .linalg import (_RREF_SMALL_ENTRIES, Matrix, PrimeField, _check_entries, _kernel_rows,
-                     _rref_rank1, stack_ranks)
+from .linalg import (_RREF_SMALL_ENTRIES, Matrix, PrimeField, _check_entries, _integer,
+                     _kernel_rows, _rref_rank1, stack_ranks)
 
 __all__ = [
     "Arrow",
@@ -63,17 +63,25 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Quiver:
-    """Finite quiver with 0-based vertices, validated acyclic on construction."""
+    """Finite quiver with 0-based vertices, validated acyclic on construction.
+
+    The vertex count and the arrow endpoints must be integers; the arrows
+    are kept as a tuple, so the quiver hashes however they were given.
+    """
 
     vertex_count: int
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
-        if self.vertex_count < 0:
+        count = _integer(self.vertex_count, "vertex count")
+        if count < 0:
             raise ValidationError("vertex count must be nonnegative")
+        object.__setattr__(self, "vertex_count", count)
+        object.__setattr__(self, "arrows", tuple(self.arrows))
         names = set()
         for a in self.arrows:
-            if not (0 <= a.source < self.vertex_count and 0 <= a.target < self.vertex_count):
+            ends = [_integer(v, f"arrow {a.name} endpoint") for v in (a.source, a.target)]
+            if not all(0 <= v < count for v in ends):
                 raise ValidationError(f"arrow {a.name} endpoints out of range")
             if a.name in names:
                 raise ValidationError(f"duplicate arrow name {a.name!r}")
@@ -317,6 +325,7 @@ class RepMorphism:
                            [a + b for a, b in zip(self.components, other.components)], check=False)
 
     def scale(self, c: int) -> "RepMorphism":
+        c = _integer(c, "scalar")
         return RepMorphism(self.source, self.target,
                            [m.scale(c) for m in self.components], check=False)
 
@@ -521,8 +530,13 @@ def _hom_dim(m: Representation, n: Representation) -> int:
 
     The length of a cached _hom_kernel, else the number of unknowns of the
     intertwiner system minus its rank, which reads only the pivots of one
-    elimination and keeps no array.  The count itself is not cached: few
-    calls ask twice for one pair.
+    elimination and keeps no array.  A count must never build a basis: the
+    basis can be far larger than the system.  On one vertex of dim 300 and
+    no arrow, Ext(X, X) counts 0 from an empty system, while the Hom basis
+    would be 90000 x 90000 entries, which _kernel_rows refuses.  Counting
+    by len(_hom_kernel(m, n)) would make the CLI refuse ext of that X as it
+    refuses hom.  The count itself is not cached: few calls ask twice for
+    one pair.
     """
     kernel = _hom_kernel.store.get((m, n))
     if kernel is not None:
@@ -538,26 +552,27 @@ _SCAN_FIRST_CHUNK = 32
 _SCAN_MAX_CHUNK = 256
 
 
-def _scan(kernel: np.ndarray, m: Representation, n: Representation, test,
+def _scan(m: Representation, n: Representation, test,
           leading_one: bool = False) -> Iterator[list[np.ndarray]]:
     """Components of the elements of Hom(m, n) that pass test, in scan order.
 
-    kernel is _hom_kernel(m, n), whose h rows are the basis of Hom(m, n) in
-    _flatten coordinates.  The elements are the combinations of those rows
-    for the coefficient vectors in itertools.product(range(p), repeat=h)
-    order, or with leading_one only those whose leading nonzero entry is 1.
-    A chunk of vectors is the base-p digits of an arange (only the low
-    digits it reaches, so p ** h may pass int64), its combinations are one
-    matrix product with kernel, and test maps their per-vertex (N, r, c)
-    stacks (_blocks) to a hit mask.  A hit is yielded as fresh arrays, which
-    callers wrap without a copy (Matrix._wrap).
+    The h rows of the cached kernel array _hom_kernel(m, n) are the basis of
+    Hom(m, n) in _flatten coordinates.  The elements are the combinations of
+    those rows for the coefficient vectors in
+    itertools.product(range(p), repeat=h) order, or with leading_one only
+    those whose leading nonzero entry is 1.  A chunk of vectors is the
+    base-p digits of an arange (only the low digits it reaches, so p ** h
+    may pass int64), its combinations are one matrix product with the
+    kernel, and test maps their per-vertex (N, r, c) stacks (_blocks) to a
+    hit mask.  A hit is yielded as fresh arrays, which callers wrap without
+    a copy (Matrix._wrap).
 
     Each vector costs one budget node, charged as a loop over the vectors
     would: up to and including a hit before it is yielded, so a chunk that
     passes the limit raises BudgetExceeded at the loop's count.
     """
+    kernel, shapes = _hom_kernel(m, n), _hom_shapes(m, n)
     p, h = m.p, len(kernel)
-    shapes = _hom_shapes(m, n)
     total = p ** h
     start, size = 0, _SCAN_FIRST_CHUNK
     while start < total:
@@ -589,6 +604,33 @@ def _rank_mask(comps: list[np.ndarray], ranks: Sequence[int], p: int) -> np.ndar
         keep = np.flatnonzero(ok)
         ok[keep] = stack_ranks(c[keep], p) == rank
     return ok
+
+
+def _surjections(m: Representation, n: Representation,
+                 leading_one: bool = False) -> Iterator[RepMorphism]:
+    """The vertexwise surjective elements of Hom(m, n), in _scan order and
+    charged as _scan charges: the one search for epimorphisms, and for
+    isomorphisms when m and n have one dimension vector."""
+    for comps in _scan(m, n, lambda cs: _rank_mask(cs, n.dim, m.p), leading_one):
+        yield RepMorphism(m, n, [Matrix._wrap(m.p, c) for c in comps], check=False)
+
+
+def _hom_stacks(m: Representation, n: Representation) -> list[np.ndarray]:
+    """The basis of Hom(m, n) as one read-only (dim Hom, n_v, m_v) stack per
+    vertex: the cached kernel array (_hom_kernel), read in place."""
+    return _blocks(_hom_kernel(m, n), _hom_shapes(m, n))
+
+
+def _composites(after: Sequence[np.ndarray], before: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """The composites a o b, one row each in _flatten coordinates mod p.
+
+    after and before are per-vertex stacks of morphisms, such as _hom_stacks
+    or one morphism's components with a leading axis of length 1.  The rows
+    run over after in the outer order and over before in the inner one, and
+    each vertex forms all its products in one broadcast matmul.
+    """
+    return np.concatenate([(a[:, None] @ b[None, :]).reshape(len(a) * len(b), a.shape[1] * b.shape[2])
+                           for a, b in zip(after, before)], axis=1) % p
 
 
 def _nontrivial_idempotent_mask(comps: list[np.ndarray], p: int) -> np.ndarray:
@@ -661,10 +703,11 @@ def direct_sum(m: Representation, n: Representation) -> DirectSum:
     return DirectSum(total, inject_left, inject_right, project_left, project_right)
 
 
-@cached
+@cached(check=lambda m, k: (m, _integer(k, "power")))
 def direct_power(m: Representation, k: int) -> Representation:
     """m^k with one block-diagonal map per arrow, equal to the left-to-right
-    fold of direct sums, so powers nest literally.
+    fold of direct sums, so powers nest literally.  k must be an integer,
+    checked before the store is read.
 
     Built once per (m, k) and shared by every later call until
     clear_caches(), which is safe because values are frozen.  Every call
@@ -781,12 +824,12 @@ def _invariants_match(m: Representation, n: Representation) -> bool:
 def iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
     """An invertible morphism m -> n, or None when m and n are not isomorphic.
 
-    Past the cheap invariants (_invariants_match), an exhaustive scan
-    (_scan) of the cached kernel array of Hom(m, n) for a vertexwise
-    invertible element; no morphism is built but the witness.  The witness
-    is the first one in itertools.product order of the coefficient vectors,
-    and every vector up to it costs one budget node; a miss costs
-    p ** dim Hom(m, n) nodes.
+    Past the cheap invariants (_invariants_match), which give m and n one
+    dimension vector, the witness is the first vertexwise surjective
+    element of Hom(m, n) (_surjections), so vertexwise invertible; no
+    morphism is built but the witness.  It is the first one in
+    itertools.product order of the coefficient vectors, and every vector up
+    to it costs one budget node; a miss costs p ** dim Hom(m, n) nodes.
     """
     if m.quiver != n.quiver or m.p != n.p:
         return None
@@ -795,10 +838,7 @@ def iso_witness(m: Representation, n: Representation) -> Optional[RepMorphism]:
     if not _invariants_match(m, n):
         return None
     with searching():
-        comps = next(_scan(_hom_kernel(m, n), m, n, lambda cs: _rank_mask(cs, n.dim, m.p)), None)
-    if comps is None:
-        return None
-    return RepMorphism(m, n, [Matrix._wrap(m.p, c) for c in comps], check=False)
+        return next(_surjections(m, n), None)
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
@@ -836,7 +876,7 @@ def _splits(m: Representation) -> bool:
         spend()
         if _fitting_splits(m, _blocks((f + g) % p, shapes)):
             return True
-    idempotents = _scan(kernel, m, m, lambda cs: _nontrivial_idempotent_mask(cs, p))
+    idempotents = _scan(m, m, lambda cs: _nontrivial_idempotent_mask(cs, p))
     return next(idempotents, None) is not None
 
 

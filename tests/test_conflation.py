@@ -156,6 +156,14 @@ def test_ext_class_holds_reduced_coordinates(s1, s2):
             make((1, 0))
 
 
+def test_ext_coordinates_must_be_integers(s1, s2):
+    space = ext_space(s1, s2)
+    for coords in ((1.7,), ("2",), (1.0,)):
+        with pytest.raises(ValidationError, match="coordinate must be an integer"):
+            space.element(coords)
+    assert space.element((True,)) == space.element((np.int64(3),)) == space.element((1,))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_ext_class_arithmetic_is_coordinate_arithmetic(p):
     # a class built from a sum or a multiple of coordinates holds them mod p,

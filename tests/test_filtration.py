@@ -58,6 +58,14 @@ def test_power_filtration_refuses_bad_label_or_power(full_family, label, k, mess
         power_filtration(full_family, label, k)
 
 
+def test_power_filtration_takes_an_integer_label_and_power(full_family):
+    power_filtration(full_family, 0, 2)  # an equal key in the store lets no float through
+    for label, k, what in ((0, "2", "power"), (0, 2.0, "power"), (0.0, 2, "label"), ("1", 1, "label")):
+        with pytest.raises(ValidationError, match=f"{what} must be an integer"):
+            power_filtration(full_family, label, k)
+    assert power_filtration(full_family, True, 2).top == power_filtration(full_family, 1, 2).top
+
+
 def test_power_filtration_of_power_zero_is_empty(full_family):
     f = power_filtration(full_family, 0, 0)
     assert len(f) == 0 and f.top.is_zero()

@@ -25,6 +25,15 @@ def test_prime_field_rejects_composites():
             PrimeField(bad)
 
 
+def test_scale_takes_an_integer_scalar():
+    m = Matrix(3, [[1, 2], [0, 1]])
+    for c in (1.5, 2.0, "2", None):
+        with pytest.raises(ValidationError, match="scalar must be an integer"):
+            m.scale(c)
+    assert m.scale(True) == m and m.scale(np.int64(5)) == m.scale(2) == Matrix(3, [[2, 1], [0, 2]])
+    assert m.scale(-1).a.dtype == np.int64
+
+
 def test_is_prime_matches_a_sieve():
     # every n below PrimeField's bound of 2^15
     bound = 2 ** 15

@@ -1,7 +1,9 @@
 """Representations of acyclic quivers: construction, hom, enumeration."""
 
+import ast
 import dataclasses
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from filtra import (Conflation, Filtration, FiltrationStep, GroupedFiltration,
 from filtra import ExtClass, ExtSpace, ext_space, power_filtration, realize
 from filtra.errors import searching
 from filtra.linalg import _RREF_SMALL_ENTRIES
-from filtra.quiverrep import DirectSum, enumerate_subreps
+from filtra.quiverrep import Arrow, DirectSum, enumerate_subreps
 from oracles import reference_krull_schmidt
 
 
@@ -66,6 +68,21 @@ def test_topological_order_of_long_paths():
 def test_duplicate_arrow_names_rejected():
     with pytest.raises(ValidationError):
         Quiver.from_edges(3, [("a", 0, 1), ("a", 1, 2)])
+
+
+def test_quiver_checks_its_own_fields():
+    # arrows given as a list are kept as a tuple, so a representation over
+    # the quiver hashes; counts and endpoints are integers, never truncated
+    quiver = Quiver(2, [Arrow("a", 0, 1)])
+    assert quiver.arrows == (Arrow("a", 0, 1),) and quiver == Quiver.from_edges(2, [("a", 0, 1)])
+    assert hash(Representation.simple(quiver, 2, 0)) == hash(Representation.simple(quiver, 2, 0))
+    for count in (2.0, "2", None):
+        with pytest.raises(ValidationError, match="vertex count must be an integer"):
+            Quiver(count, ())
+    for source, target in ((0.0, 1), (0, 1.0), ("0", 1)):
+        with pytest.raises(ValidationError, match="arrow a endpoint must be an integer"):
+            Quiver(2, (Arrow("a", source, target),))
+    assert Quiver(np.int64(2), (Arrow("a", np.int64(0), True),)).vertex_count == 2
 
 
 def test_simple_projective_injective_dimensions(a2, s1, s2, p1):
@@ -277,6 +294,23 @@ def _assert_identical(u, v):
         return
     mats = (lambda w: w.maps) if isinstance(u, Representation) else (lambda w: w.components)
     assert [m.a.tobytes() for m in mats(u)] == [m.a.tobytes() for m in mats(v)]
+
+
+def test_direct_power_takes_an_integer_power(s2):
+    direct_power(s2, 2)  # an equal key in the store does not let 2.0 through
+    for k in (1.5, 2.0, "2"):
+        with pytest.raises(ValidationError, match="power must be an integer"):
+            direct_power(s2, k)
+    assert direct_power(s2, True) is direct_power(s2, 1)
+    assert direct_power(s2, np.int64(2)) == direct_power(s2, 2)
+
+
+def test_morphism_scale_takes_an_integer_scalar(p1):
+    f = hom_space(p1, p1)[0]
+    for c in (1.5, "2", None):
+        with pytest.raises(ValidationError, match="scalar must be an integer"):
+            f.scale(c)
+    assert f.scale(True) == f and f.scale(np.int64(3)) == f.scale(1)
 
 
 def test_direct_power_nests_literally(s2):
@@ -561,3 +595,26 @@ def test_value_classes_are_frozen_and_compare_by_value():
     with pytest.raises(ValidationError, match="intertwiner law fails at arrow a"):
         RepMorphism(p1, p1, broken)
     assert RepMorphism(p1, p1, broken, check=False).components == tuple(broken)
+
+
+# what only quiverrep may read: the flattened layout of a Hom element, and
+# the scans and the cached kernel that combine it
+HOM_LAYOUT = {"_scan", "_rank_mask", "_blocks", "_hom_kernel"}
+
+
+def test_hom_element_layout_is_read_only_inside_quiverrep():
+    package = Path(quiverrep.__file__).parent
+    readers = {}
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "quiverrep":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & HOM_LAYOUT:
+                readers.setdefault(path.stem, set()).update(names & HOM_LAYOUT)
+    assert readers == {}

@@ -359,8 +359,7 @@ def test_scan_yields_every_hit_in_loop_order(quiver_name, p):
             stacks = hom_component_stacks(basis, m, target)
             for limit in BUDGETS:
                 got = _charged(lambda b: _first_hits(
-                    quiverrep._scan(quiverrep._hom_kernel(m, target), m, target, test,
-                                    leading_one=kind == "epi")), limit)
+                    quiverrep._scan(m, target, test, leading_one=kind == "epi")), limit)
                 assert got == _charged(
                     lambda b: _first_hits(_reference_hits(stacks, p, target.dim, kind)), limit)
                 if limit is None:
