@@ -90,8 +90,7 @@ def universal_extension_cover(c_obj: Representation, a_obj: Representation) -> C
         raise ZeroExt("ext(C, A) = 0; there is nothing to extend by")
     cocycles = space.basis_cocycles()
     power = direct_power(a_obj, n)
-    stacked = [Matrix.vstack(a_obj.p, [g[k] for g in cocycles], cols=c_obj.dim[arrow.source])
-               for k, arrow in enumerate(a_obj.quiver.arrows)]
+    stacked = [Matrix.vstack(a_obj.p, per_arrow) for per_arrow in zip(*cocycles)]
     B, x, y = _block_extension(power, c_obj, stacked)
     return Conflation(power, B, c_obj, x, y, check=False)
 
@@ -124,8 +123,7 @@ def universal_extension_env(n_obj: Representation, t_obj: Representation) -> Con
             f"ext(T, T) has dimension {d}, so the universal extension cannot kill ext(T, -)")
     cocycles = space.basis_cocycles()
     power = direct_power(t_obj, m)
-    stacked = [Matrix.hstack(n_obj.p, [g[k] for g in cocycles], rows=n_obj.dim[arrow.target])
-               for k, arrow in enumerate(n_obj.quiver.arrows)]
+    stacked = [Matrix.hstack(n_obj.p, per_arrow) for per_arrow in zip(*cocycles)]
     B, x, y = _block_extension(n_obj, power, stacked)
     return Conflation(n_obj, B, power, x, y, check=False)
 

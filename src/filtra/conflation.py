@@ -105,17 +105,13 @@ class Conflation:
 
     @staticmethod
     def identity_right(m: Representation) -> "Conflation":
-        """m -> m -> 0."""
-        zero = Representation.zero(m.quiver, m.p)
-        return Conflation(m, m, zero, RepMorphism.identity(m), RepMorphism.zero(m, zero),
-                          check=False)
+        """m -> m -> 0 as the split conflation of m and zero, whose middle equals m."""
+        return Conflation.split(m, Representation.zero(m.quiver, m.p))
 
     @staticmethod
     def identity_left(m: Representation) -> "Conflation":
-        """0 -> m -> m."""
-        zero = Representation.zero(m.quiver, m.p)
-        return Conflation(zero, m, m, RepMorphism.zero(zero, m), RepMorphism.identity(m),
-                          check=False)
+        """0 -> m -> m as the split conflation of zero and m, whose middle equals m."""
+        return Conflation.split(Representation.zero(m.quiver, m.p), m)
 
     # -- transport along an isomorphism --------------------------------------
 
@@ -391,7 +387,7 @@ def shift_base(a: RepMorphism, c: Conflation) -> tuple[Conflation, RepMorphism]:
     comps = []
     for v in range(quiver.vertex_count):
         top = a.components[v] @ retractions[v] + h[v] @ c.y.components[v]
-        comps.append(Matrix.vstack(p, [top, c.y.components[v]], cols=c.B.dim[v]))
+        comps.append(Matrix.vstack(p, [top, c.y.components[v]]))
     return shifted, RepMorphism(c.B, shifted.B, comps, check=False)
 
 

@@ -27,7 +27,7 @@ from .conflation import (Conflation, et4_compose, et4op_compose, ext_space,
 from .errors import Budget, ExtObstruction, ValidationError, cached, searching
 from .linalg import Matrix, _integer
 from .quiverrep import (Representation, RepMorphism, ThetaFamily, direct_power, direct_sum,
-                        _composites, _flatten, _hom_stacks, _surjections, cokernel_quot,
+                        _composites, _hom_dim, _hom_stacks, _surjections, cokernel_quot,
                         enumerate_subreps, is_isomorphic, iso_key, kernel_sub)
 
 __all__ = [
@@ -243,16 +243,15 @@ def extend(c: Conflation, fA: Filtration, fC: Filtration) -> Filtration:
     if fA.top != c.A or fC.top != c.C:
         raise ValidationError("filtration tops must match the conflation ends")
 
-    def go(cur: Conflation, csteps: tuple[FiltrationStep, ...]) -> tuple[FiltrationStep, ...]:
-        if not csteps:
-            # quotient exhausted: cur.x is an isomorphism onto the middle
-            return transport_top(fA, cur.x).steps
-        last = csteps[-1]
+    # peel fC from the top; the steps of the result are built top first
+    cur, top = c, []
+    for last in reversed(fC.steps):
         res = et4op_compose(cur, last.conflation)
-        below = go(res.kernel, csteps[:-1])
-        return below + (FiltrationStep(res.composite, last.label, last.witness),)
-
-    return Filtration(fA.theta, go(c, fC.steps), check=False)
+        top.append(FiltrationStep(res.composite, last.label, last.witness))
+        cur = res.kernel
+    # quotient exhausted: cur.x is an isomorphism onto the middle
+    steps = transport_top(fA, cur.x).steps + tuple(reversed(top))
+    return Filtration(fA.theta, steps, check=False)
 
 
 def exchange(c1: Conflation, c2: Conflation) -> tuple[Conflation, Conflation]:
@@ -362,9 +361,12 @@ def in_add(pieces: Sequence[Representation] | Representation) -> Callable[[Repre
     m lies in add(pieces) iff id_m factors through such a sum, that is iff
     id_m is a sum of composites m -> X -> m over the pieces X.  Those
     composites are spanned by a o b for b in the Hom basis of (m, X) and a
-    in that of (X, m), so the test is one solve: is id_m in their span?  No
-    search, so no budget is charged.  The zero representation always passes
-    (empty sum).
+    in that of (X, m) (_composites), and their span is a left ideal of
+    End(m): f o (a o b) = (f o a) o b.  A left ideal holds id_m only when it
+    is all of End(m), so the test is one rank count: do the composites have
+    rank dim End(m)?  No search, so no budget is charged.  The zero
+    representation always passes (empty sum); with no pieces, nothing else
+    does.
     """
     if isinstance(pieces, Representation):
         pieces = [pieces]
@@ -373,13 +375,10 @@ def in_add(pieces: Sequence[Representation] | Representation) -> Callable[[Repre
     def predicate(m: Representation) -> bool:
         if m.total_dim == 0:
             return True
-        p = m.p
-        width = sum(d * d for d in m.dim)
-        rows = [np.zeros((0, width), dtype=np.int64)]
-        rows += [_composites(_hom_stacks(x, m), _hom_stacks(m, x), p) for x in pieces]
-        span = Matrix._wrap(p, np.concatenate(rows).T)
-        ident = _flatten([Matrix.identity(p, d) for d in m.dim]).reshape(-1, 1)
-        return span.solve(Matrix._wrap(p, ident)) is not None
+        if not pieces:
+            return False
+        rows = [_composites(_hom_stacks(x, m), _hom_stacks(m, x), m.p) for x in pieces]
+        return Matrix._wrap(m.p, np.concatenate(rows)).rank() == _hom_dim(m, m)
 
     return predicate
 

@@ -277,20 +277,16 @@ class Matrix:
         return Matrix._wrap(self.p, self.a.T)
 
     @staticmethod
-    def hstack(p: int, blocks: Sequence["Matrix"], rows: int | None = None) -> "Matrix":
+    def hstack(p: int, blocks: Sequence["Matrix"]) -> "Matrix":
         if not blocks:
-            if rows is None:
-                raise DimensionMismatch("empty hstack needs an explicit row count")
-            return Matrix.zeros(p, rows, 0)
+            raise DimensionMismatch("hstack needs at least one block")
         _check_moduli(p, blocks)
         return Matrix._wrap(p, np.concatenate([b.a for b in blocks], axis=1))
 
     @staticmethod
-    def vstack(p: int, blocks: Sequence["Matrix"], cols: int | None = None) -> "Matrix":
+    def vstack(p: int, blocks: Sequence["Matrix"]) -> "Matrix":
         if not blocks:
-            if cols is None:
-                raise DimensionMismatch("empty vstack needs an explicit column count")
-            return Matrix.zeros(p, 0, cols)
+            raise DimensionMismatch("vstack needs at least one block")
         _check_moduli(p, blocks)
         return Matrix._wrap(p, np.concatenate([b.a for b in blocks], axis=0))
 

@@ -65,8 +65,9 @@ class Arrow:
 class Quiver:
     """Finite quiver with 0-based vertices, validated acyclic on construction.
 
-    The vertex count and the arrow endpoints must be integers; the arrows
-    are kept as a tuple, so the quiver hashes however they were given.
+    The vertex count and the arrow endpoints must be integers and every
+    arrow an Arrow; the arrows are kept as a tuple, so the quiver hashes
+    however they were given.
     """
 
     vertex_count: int
@@ -77,7 +78,13 @@ class Quiver:
         if count < 0:
             raise ValidationError("vertex count must be nonnegative")
         object.__setattr__(self, "vertex_count", count)
-        object.__setattr__(self, "arrows", tuple(self.arrows))
+        try:
+            arrows = tuple(self.arrows)
+        except TypeError:
+            raise ValidationError("the arrows must be a sequence of Arrow") from None
+        if not all(isinstance(a, Arrow) for a in arrows):
+            raise ValidationError("the arrows must be a sequence of Arrow")
+        object.__setattr__(self, "arrows", arrows)
         names = set()
         for a in self.arrows:
             ends = [_integer(v, f"arrow {a.name} endpoint") for v in (a.source, a.target)]
@@ -660,9 +667,11 @@ def _block_rep(A: Representation, C: Representation,
     [[A_a, g_a], [0, C_a]].
 
     g_a is cocycles[a], or 0 when no cocycles are given, so that B is the
-    direct sum.  Every block layout in filtra comes from here: enumerate_reps
-    and, through _block_extension, direct_sum, Conflation.split and
-    conflation.realize.
+    direct sum.  With A or C zero and no cocycles, B carries the maps of the
+    other one and so equals it by value.  The block layouts of
+    enumerate_reps and, through _block_extension, of direct_sum,
+    conflation.realize and Conflation.split come from here; split also
+    gives the identity conflations m -> m -> 0 and 0 -> m -> m.
     """
     if A.quiver != C.quiver or A.p != C.p:
         raise ValidationError("direct sum requires the same quiver and field")
@@ -858,23 +867,21 @@ def _fitting_splits(m: Representation, phi_comps: list[np.ndarray]) -> bool:
 def _splits(m: Representation) -> bool:
     """Whether m has a nontrivial direct-sum splitting.
 
-    Fitting powers (_fitting_splits) of the End basis elements and of their
-    pairwise sums first, then an exhaustive scan of End(m) (_scan) for a
-    nontrivial idempotent, up to the first one in itertools.product order of
-    the coefficient vectors.  Every Fitting attempt and every scanned vector
-    up to that idempotent costs one budget node.  Call it inside searching().
+    Fitting powers (_fitting_splits) of the End basis elements and then of
+    their pairwise sums, in one loop that forms each sum only when it
+    reaches it, then an exhaustive scan of End(m) (_scan) for a nontrivial
+    idempotent, up to the first one in itertools.product order of the
+    coefficient vectors.  Every Fitting attempt and every scanned vector up
+    to that idempotent costs one budget node.  Call it inside searching().
     """
     if m.total_dim == 0:
         return False
     p = m.p
     kernel, shapes = _hom_kernel(m, m), _hom_shapes(m, m)
-    for f in kernel:
+    pairs = ((f + g) % p for f, g in itertools.combinations(kernel, 2))
+    for f in itertools.chain(kernel, pairs):
         spend()
         if _fitting_splits(m, _blocks(f, shapes)):
-            return True
-    for f, g in itertools.combinations(kernel, 2):
-        spend()
-        if _fitting_splits(m, _blocks((f + g) % p, shapes)):
             return True
     idempotents = _scan(m, m, lambda cs: _nontrivial_idempotent_mask(cs, p))
     return next(idempotents, None) is not None

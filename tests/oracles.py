@@ -1,9 +1,10 @@
 """Reference implementations kept as test oracles.
 
-The one-vector-at-a-time scans of iso_witness and of the split search as
-they were before the scans were batched, kept verbatim apart from their
-names, and the Krull-Schmidt decomposition built on that split search.  The
-library's split search (quiverrep._splits) only answers yes or no and filtra
+The solve-based add-membership test that in_add replaced by a rank count
+(reference_in_add).  The one-vector-at-a-time scans of iso_witness and of
+the split search as they were before the scans were batched, kept verbatim
+apart from their names, and the Krull-Schmidt decomposition built on that
+split search.  The library's split search (quiverrep._splits) only answers yes or no and filtra
 no longer decomposes modules; reference_decompose and reference_krull_schmidt
 split a module along the Fitting power that reference_try_split finds, with
 their own copies of the Fitting power and of the image subrepresentation.
@@ -17,6 +18,27 @@ import numpy as np
 from filtra import Matrix, RepMorphism, Representation
 from filtra.errors import searching, spend
 from filtra.quiverrep import _canonical_key, hom_space, iso_key, kernel_sub
+
+
+def reference_in_add(pieces: Sequence[Representation]):
+    """in_add as it was before the rank test: is id_m in the span of the
+    composites m -> X -> m over the pieces X?  One solve, with the
+    composites formed one morphism at a time from hom_space."""
+    pieces = list(pieces)
+
+    def flat(f: RepMorphism) -> np.ndarray:
+        return np.concatenate([c.a.reshape(-1) for c in f.components])
+
+    def predicate(m: Representation) -> bool:
+        if m.total_dim == 0:
+            return True
+        columns = [flat(a @ b) for x in pieces for a in hom_space(x, m) for b in hom_space(m, x)]
+        width = sum(d * d for d in m.dim)
+        span = np.stack(columns, axis=1) if columns else np.zeros((width, 0), dtype=np.int64)
+        ident = flat(RepMorphism.identity(m)).reshape(-1, 1)
+        return Matrix(m.p, span).solve(Matrix(m.p, ident)) is not None
+
+    return predicate
 
 
 def hom_component_stacks(basis: Sequence[RepMorphism], m: Representation,
@@ -151,7 +173,7 @@ def reference_decompose(m: Representation) -> list[tuple[Representation, RepMorp
     p = m.p
     proj_im_comps, proj_ker_comps = [], []
     for v in range(m.quiver.vertex_count):
-        basis = Matrix.hstack(p, [incl_im.components[v], incl_ker.components[v]], rows=m.dim[v])
+        basis = Matrix.hstack(p, [incl_im.components[v], incl_ker.components[v]])
         inv = basis.inverse()
         assert inv is not None  # complementary subspaces span
         proj_im_comps.append(Matrix(p, inv.a[: im.dim[v], :]))

@@ -15,7 +15,7 @@ from pathlib import Path
 from filtra import enumerate_reps, euler_pairing, selftest
 from filtra.cli import main
 from filtra.errors import Budget, searching
-from filtra.selftest import (a2_quiver, criterion_approx, criterion_compose,
+from filtra.selftest import (CriterionResult, a2_quiver, criterion_approx, criterion_compose,
                              criterion_decision, criterion_ext_dimensions,
                              criterion_perp, criterion_reorder, criterion_split,
                              criterion_star)
@@ -81,6 +81,23 @@ def test_a_failed_check_fails_its_criterion(monkeypatch):
     notes = [f"Euler mismatch at dims {desk[0].dim}, {n.dim}" for n in desk[:4]]
     assert not result.passed
     assert result.detail == "6 pinned dimensions, 900 Euler-form pairs; " + "; ".join(notes)
+
+
+def test_a_crashing_criterion_fails_and_the_run_goes_on(monkeypatch):
+    ran = []
+
+    def criterion_crash(rng):
+        raise RuntimeError("boom")
+
+    def criterion_after(rng):
+        ran.append(rng.random())
+        return CriterionResult(2, "criterion_after", True, "ran")
+
+    monkeypatch.setattr(selftest, "CRITERIA", [criterion_crash, criterion_after])
+    first, second = selftest.run_criteria(seed=0)
+    assert (first.index, first.name, first.passed) == (1, "criterion_crash", False)
+    assert first.detail == "raised RuntimeError: boom"
+    assert len(ran) == 1 and second.passed and second.detail == "ran"
 
 
 def test_criterion_9_cli_worked_examples(capsys):

@@ -272,7 +272,7 @@ def _solved_onto(f, test, side):
     if not composites:
         return False
     columns = [_coordinates(h, target_basis) for h in composites]
-    return Matrix.hstack(f.source.p, columns, rows=len(target_basis)).rank() == len(target_basis)
+    return Matrix.hstack(f.source.p, columns).rank() == len(target_basis)
 
 
 def test_rank_test_matches_the_coordinate_solve(a2, a3, d4):
@@ -321,7 +321,7 @@ def reference_cover(c_obj, a_obj):
     basis_cocycles = [space.element([int(i == k) for i in range(space.dimension)]).cocycles()
                       for k in range(space.dimension)]
     target = ext_space(c_obj, direct_power(a_obj, space.dimension))
-    stacked = [Matrix.vstack(a_obj.p, [g[k] for g in basis_cocycles], cols=c_obj.dim[arrow.source])
+    stacked = [Matrix.vstack(a_obj.p, [g[k] for g in basis_cocycles])
                for k, arrow in enumerate(a_obj.quiver.arrows)]
     return realize(target.element(target.coordinates(stacked)))
 
@@ -334,7 +334,7 @@ def reference_env_unchecked(n_obj, t_obj):
     basis_cocycles = [space.element([int(i == k) for i in range(space.dimension)]).cocycles()
                       for k in range(space.dimension)]
     target = ext_space(direct_power(t_obj, space.dimension), n_obj)
-    stacked = [Matrix.hstack(n_obj.p, [g[k] for g in basis_cocycles], rows=n_obj.dim[arrow.target])
+    stacked = [Matrix.hstack(n_obj.p, [g[k] for g in basis_cocycles])
                for k, arrow in enumerate(n_obj.quiver.arrows)]
     return realize(target.element(target.coordinates(stacked)))
 

@@ -168,6 +168,20 @@ def test_cli_verify_usage_errors_are_refused_before_the_build(capsys, monkeypatc
     assert doc == {"error": "--max-dim entries must be integers"}
 
 
+@pytest.mark.parametrize("command, module", [("preenvelope", "S2"), ("precover", "S1")])
+def test_cli_verify_failure_exits_1(capsys, monkeypatch, command, module):
+    # an approximation map that induces no onto map fails every test object
+    import filtra.approx
+
+    monkeypatch.setattr(filtra.approx, "_induced_onto", lambda f, test, side: False)
+    status, doc = run(capsys, "-w", A2_WS, command, module, "--theta", "full",
+                      "--verify", "--max-dim", "3,3")
+    assert status == 1
+    assert doc["verified"] is False
+    entries = doc["report"]["entries"]
+    assert entries and all(entry["ok"] is False for entry in entries)
+
+
 def test_cli_filter_nonmember_exits_1(capsys):
     status, doc = run(capsys, "-w", A2_WS, "filter", "S2", "--theta", "mixed")
     assert status == 1

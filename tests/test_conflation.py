@@ -347,7 +347,7 @@ def reference_shift_base(a, c):
     pushed = [a.components[arr.target] @ g[k] for k, arr in enumerate(quiver.arrows)]
     h = moved.space.coboundary_solve([pg - eg for pg, eg in zip(pushed, moved.cocycles())])
     comps = [Matrix.vstack(p, [a.components[v] @ retractions[v] + h[v] @ c.y.components[v],
-                               c.y.components[v]], cols=c.B.dim[v])
+                               c.y.components[v]])
              for v in range(quiver.vertex_count)]
     return shifted, RepMorphism(c.B, shifted.B, comps, check=False)
 

@@ -1,5 +1,6 @@
 """Filtrations: stacking, exchange, collapse, reorder, group, decision."""
 
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from filtra.errors import searching
 from filtra.filtration import _dim_feasible
 from filtra.quiverrep import _hom_kernel
 from filtra.selftest import random_filtration, standard_families
-from oracles import reference_krull_schmidt
+from oracles import reference_in_add, reference_krull_schmidt
 
 
 def one_step(theta, label):
@@ -175,6 +176,21 @@ def test_grouped_and_plain_chains_refuse_alike(full_family, s1, s2, broken):
     with pytest.raises(ValidationError) as grouped_error:
         GroupedFiltration(full_family, grouped)
     assert str(grouped_error.value) == str(plain_error.value)
+
+
+def test_grouped_step_needs_the_literal_direct_power(mixed_family, s1, p1):
+    square = direct_power(p1, 2)
+    ok = GroupedStep(Conflation.identity_left(square), 1, 2)
+    assert GroupedFiltration(mixed_family, [ok]).top == square
+    # isomorphic to P1^2 by swapping the two copies, but not equal to it
+    swapped = Representation(square.quiver, 2, (2, 2), [Matrix(2, [[0, 1], [1, 0]])])
+    assert is_isomorphic(swapped, square) and swapped != square
+    for step in (GroupedStep(Conflation.identity_left(swapped), 1, 2),
+                 GroupedStep(Conflation.identity_left(p1), 1, 2),
+                 GroupedStep(Conflation.identity_left(square), 0, 2)):
+        with pytest.raises(ValidationError,
+                           match="grouped step 1 quotient is not the labeled direct power"):
+            GroupedFiltration(mixed_family, [step])
 
 
 def test_group_needs_order(full_family, s1, s2):
@@ -465,6 +481,29 @@ def test_in_add_matches_the_krull_schmidt_oracle(request, quiver_name, bound, p)
         assert budget.used == 0  # the rank test searches nothing
         checked += sum(expected)
     assert checked > len(families)
+
+
+@pytest.mark.parametrize("quiver_name, bound", [
+    ("a2", (2, 2)), ("a3", (2, 1, 1)), ("kronecker", (1, 2)), ("d4", (1, 1, 1, 1))])
+@pytest.mark.parametrize("p", [2, 3])
+def test_in_add_rank_count_matches_the_solve(request, quiver_name, bound, p):
+    # the composites span a left ideal of End(m), which holds id_m exactly
+    # when its rank is dim End(m); pieces may be decomposable, or none
+    if quiver_name == "kronecker":
+        quiver = Quiver.from_edges(2, [("a", 0, 1), ("b", 0, 1)])
+    else:
+        quiver = request.getfixturevalue(quiver_name)
+    reps = enumerate_reps(quiver, p, bound)
+    rng = random.Random(3500 + p)
+    indecs = enumerate_indecomposables(quiver, p, bound)
+    families = [[]] + [[x] for x in indecs] + [list(pair) for pair in itertools.combinations(indecs, 2)]
+    families += [rng.sample(reps, 1) for _ in range(4)] + [rng.sample(reps, 2) for _ in range(6)]
+    answers = []
+    for pieces in families:
+        expected = [reference_in_add(pieces)(m) for m in reps]
+        assert [in_add(pieces)(m) for m in reps] == expected, pieces
+        answers += expected
+    assert 0 < answers.count(True) < len(answers)
 
 
 def test_in_add_takes_summands_of_decomposable_pieces(a3):

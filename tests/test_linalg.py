@@ -167,6 +167,13 @@ def test_block_assembly_matches_entries():
             stack(2, [Matrix(2, [[1]]), b])
 
 
+def test_stacks_need_a_block():
+    # no row or column count to fall back on: an empty stack is refused
+    for stack, name in ((Matrix.hstack, "hstack"), (Matrix.vstack, "vstack")):
+        with pytest.raises(DimensionMismatch, match=f"{name} needs at least one block"):
+            stack(3, [])
+
+
 def test_entries_are_reduced_mod_p():
     m = Matrix(3, [[4, -1]])
     assert m.entries == [[1, 2]]

@@ -45,7 +45,7 @@ CLASSES = (Conflation, RepMorphism, Filtration, GroupedFiltration)
 # the functions that build with check=False, by name; _peel and _search are
 # the ones of decide_filtered and go the one of star_membership
 TRUSTED_SITES = {
-    "split", "identity_right", "identity_left", "with_middle",
+    "split", "with_middle",
     "realize", "et4_compose", "et4op_compose", "conflation_direct_sum",
     "exchange", "collapse", "is_split", "complete_square", "shift_base",
     "conflations_equivalent", "_peel", "_search", "go",
